@@ -266,16 +266,16 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
   }
 
   // Level extraction: the payload index makes this O(level), not
-  // O(dataset), for TAC/1D containers. Parse the header once and hand it
-  // to the backend directly (the decompress_level convenience wrapper
-  // would parse — and unpack every level mask — a second time).
+  // O(dataset), for TAC/1D containers. Parse the header once — it is
+  // structure only, so the level count check below allocates no level —
+  // and hand it to the backend directly.
   const core::CommonHeader h = decode_step([&] {
     ByteReader header_reader(container);
     return core::read_common_header(header_reader);
   });
-  if (static_cast<std::size_t>(level) >= h.skeleton.num_levels()) {
+  if (static_cast<std::size_t>(level) >= h.num_levels()) {
     std::fprintf(stderr, "no level %ld in %s (container has %zu levels)\n",
-                 level, in.c_str(), h.skeleton.num_levels());
+                 level, in.c_str(), h.num_levels());
     return kExitUsage;
   }
   amr::AmrLevel lv = decode_step([&] {
@@ -284,8 +284,7 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
   });
   const auto dims = lv.dims();
   const std::size_t valid = lv.valid_count();
-  amr::AmrDataset single(h.skeleton.field_name(), {std::move(lv)},
-                         h.skeleton.refinement_ratio());
+  amr::AmrDataset single(h.field_name, {std::move(lv)}, h.refinement_ratio);
   {
     TAC_SPAN("cli.write");
     amr::save_dataset(out, single);
@@ -293,7 +292,7 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
   std::printf("%s -> %s: field '%s' level %ld of %zu, %zux%zux%zu, "
               "%zu valid cells\n",
               in.c_str(), out.c_str(), single.field_name().c_str(), level,
-              h.skeleton.num_levels(), dims.nx, dims.ny, dims.nz, valid);
+              h.num_levels(), dims.nx, dims.ny, dims.nz, valid);
   return 0;
 }
 
@@ -314,8 +313,8 @@ void print_payload_timing(const std::vector<std::uint8_t>& bytes,
   {
     TAC_SPAN_NAMED(root, "info.timing");
     root.set_bytes(bytes.size());
-    if (h.index.entries.size() == h.skeleton.num_levels()) {
-      for (std::size_t l = 0; l < h.skeleton.num_levels(); ++l) {
+    if (h.index.entries.size() == h.num_levels()) {
+      for (std::size_t l = 0; l < h.num_levels(); ++l) {
         TAC_SPAN("info.payload_decode");
         (void)decode_step([&] {
           return core::backend_for(h.method).decompress_level(container, h, l);
@@ -340,7 +339,7 @@ int print_container_info(const std::string& path,
   std::printf("%s: compressed container v%u, method %s, field '%s', "
               "%zu levels, %zu bytes\n",
               path.c_str(), h.version, core::to_string(h.method),
-              h.skeleton.field_name().c_str(), h.skeleton.num_levels(),
+              h.field_name.c_str(), h.num_levels(),
               bytes.size());
   if (h.index.entries.empty()) {
     std::printf("  no payload index (v1 container; no random access, "

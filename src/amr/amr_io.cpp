@@ -41,6 +41,15 @@ std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
   if (packed.size() < (count + 7) / 8)
     throw std::runtime_error("unpack_mask: truncated mask");
   std::vector<std::uint8_t> out(count);
+  unpack_mask_into(packed, out);
+  return out;
+}
+
+void unpack_mask_into(std::span<const std::uint8_t> packed,
+                      std::span<std::uint8_t> out) {
+  const std::size_t count = out.size();
+  if (packed.size() < (count + 7) / 8)
+    throw std::runtime_error("unpack_mask: truncated mask");
   std::size_t i = 0;
   if constexpr (std::endian::native == std::endian::little) {
     // Spread one packed byte to eight 0/1 bytes: replicate it, isolate
@@ -55,7 +64,6 @@ std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
     }
   }
   for (; i < count; ++i) out[i] = (packed[i / 8] >> (i % 8)) & 1u;
-  return out;
 }
 
 std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
@@ -97,10 +105,11 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     d.nx = static_cast<std::size_t>(r.get_varint());
     d.ny = static_cast<std::size_t>(r.get_varint());
     d.nz = static_cast<std::size_t>(r.get_varint());
-    AmrLevel lv(d);
     const auto packed = lossless::decompress(r.get_blob());
-    const auto mask = unpack_mask(packed, d.volume());
-    std::copy(mask.begin(), mask.end(), lv.mask.data());
+    if (packed.size() < (d.volume() + 7) / 8)
+      throw std::runtime_error("amr_io: truncated mask");
+    AmrLevel lv(d);
+    unpack_mask_into(packed, lv.mask.span());
     const auto value_bytes = r.get_blob();
     if (value_bytes.size() % sizeof(double) != 0)
       throw std::runtime_error("amr_io: bad value payload");

@@ -30,6 +30,12 @@ void save_dataset(const std::string& path, const AmrDataset& ds);
 [[nodiscard]] std::vector<std::uint8_t> unpack_mask(
     std::span<const std::uint8_t> packed, std::size_t count);
 
+/// unpack_mask straight into caller storage (e.g. an AmrLevel's mask):
+/// fills all of `out` with 0/1 bytes. Throws if `packed` holds fewer than
+/// ceil(out.size()/8) bytes.
+void unpack_mask_into(std::span<const std::uint8_t> packed,
+                      std::span<std::uint8_t> out);
+
 }  // namespace tac::amr
 
 #endif  // TAC_AMR_AMR_IO_HPP

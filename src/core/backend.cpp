@@ -10,16 +10,16 @@ namespace tac::core {
 amr::AmrLevel CompressorBackend::decompress_level(
     std::span<const std::uint8_t> container, const CommonHeader& header,
     std::size_t level) const {
-  if (level >= header.skeleton.num_levels())
+  if (level >= header.num_levels())
     throw std::out_of_range(
         "decompress_level: level " + std::to_string(level) +
         " out of range (container has " +
-        std::to_string(header.skeleton.num_levels()) + " levels)");
+        std::to_string(header.num_levels()) + " levels)");
   // Full-decode fallback: every payload is read, so verify them all.
   verify_payloads(container, header.index);
   ByteReader r(container);
   r.seek(header.payload_offset);
-  amr::AmrDataset full = decompress(r, header.skeleton, header);
+  amr::AmrDataset full = decompress(r, materialize_skeleton(header), header);
   return std::move(full.level(level));
 }
 

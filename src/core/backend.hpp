@@ -52,12 +52,12 @@ class CompressorBackend {
 
   /// Decodes this backend's payload into the skeleton (structure decoded
   /// from the common header, data arrays zeroed) and returns the filled
-  /// dataset. `r` is positioned immediately after the common header (and,
-  /// for v2+ containers, after the payload index). `header` supplies the
-  /// payload index — in particular `payload_profile(header, i)`, the codec
-  /// profile each payload's lossless streams must decode under. Callers
-  /// may have moved the skeleton out of `header`, so backends must not
-  /// touch `header.skeleton` — use the `skeleton` parameter.
+  /// dataset. The caller builds the skeleton once per decode
+  /// (materialize_skeleton) and hands it over by value. `r` is positioned
+  /// immediately after the common header (and, for v2+ containers, after
+  /// the payload index). `header` supplies the payload index — in
+  /// particular `payload_profile(header, i)`, the codec profile each
+  /// payload's lossless streams must decode under.
   [[nodiscard]] virtual amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const = 0;
@@ -68,8 +68,9 @@ class CompressorBackend {
   /// The base implementation verifies every indexed payload, decodes the
   /// whole container and keeps the requested level — correct for any
   /// backend, O(dataset). Backends that store one payload per level (TAC,
-  /// 1D) override it to verify and visit only that level's indexed bytes,
-  /// making partial decompression O(level). Backends whose single payload
+  /// 1D) override it to verify and visit only that level's indexed bytes
+  /// and to build only that level (materialize_level), making partial
+  /// decompression O(level). Backends whose single payload
   /// interleaves all levels (zMesh, 3D) cannot do better than the
   /// fallback and simply inherit it.
   [[nodiscard]] virtual amr::AmrLevel decompress_level(

@@ -1,5 +1,6 @@
 #include "core/container.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,53 @@ HeaderPrefix read_header_prefix(ByteReader& r) {
         "container: unknown method tag " + std::to_string(tag) +
         " (no registered compressor backend)");
   return {static_cast<Method>(tag), version};
+}
+
+// A level header is three dims varints plus a length-prefixed mask blob:
+// at least four bytes, so a level count above remaining/4 is a lie.
+constexpr std::size_t kMinLevelHeaderBytes = 4;
+
+// A materialized cell costs a double of data plus a mask byte.
+constexpr std::size_t kLevelBytesPerCell = sizeof(double) + 1;
+
+/// Reads level `l`'s dims and rejects extents whose cell count — or the
+/// bytes a materialized level of that many cells needs — overflows.
+Dims3 read_level_dims(ByteReader& r, std::size_t l) {
+  const std::uint64_t nx = r.get_varint();
+  const std::uint64_t ny = r.get_varint();
+  const std::uint64_t nz = r.get_varint();
+  std::size_t volume = 0;
+  if (__builtin_mul_overflow(nx, ny, &volume) ||
+      __builtin_mul_overflow(volume, nz, &volume) ||
+      volume > SIZE_MAX / kLevelBytesPerCell)
+    throw std::runtime_error(
+        "container: level " + std::to_string(l) + " dims " +
+        std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+        std::to_string(nz) + " overflow the addressable cell count");
+  return {static_cast<std::size_t>(nx), static_cast<std::size_t>(ny),
+          static_cast<std::size_t>(nz)};
+}
+
+/// materialize_level without its span, so materialize_skeleton records one
+/// span for the whole skeleton.
+amr::AmrLevel build_level(const CommonHeader& header, std::size_t l) {
+  if (l >= header.num_levels())
+    throw std::out_of_range(
+        "container: level " + std::to_string(l) +
+        " out of range (container has " +
+        std::to_string(header.num_levels()) + " levels)");
+  const LevelHeader& lh = header.levels[l];
+  const std::size_t volume = lh.dims.volume();
+  const auto packed = lossless::decompress(lh.mask_blob);
+  if (packed.size() < (volume + 7) / 8)
+    throw std::runtime_error(
+        "container: level " + std::to_string(l) + " mask holds " +
+        std::to_string(packed.size()) + " bytes but its " +
+        std::to_string(volume) + " cells need " +
+        std::to_string((volume + 7) / 8));
+  amr::AmrLevel lv(lh.dims);
+  amr::unpack_mask_into(packed, lv.mask.span());
+  return lv;
 }
 
 }  // namespace
@@ -154,23 +202,21 @@ CommonHeader read_common_header(ByteReader& r) {
   const HeaderPrefix prefix = read_header_prefix(r);
   h.method = prefix.method;
   h.version = prefix.version;
-  const std::string field = r.get_string();
-  const int ratio = static_cast<int>(r.get_varint());
-  const std::size_t nlevels = static_cast<std::size_t>(r.get_varint());
-  std::vector<amr::AmrLevel> levels;
-  levels.reserve(nlevels);
-  for (std::size_t l = 0; l < nlevels; ++l) {
-    Dims3 d;
-    d.nx = static_cast<std::size_t>(r.get_varint());
-    d.ny = static_cast<std::size_t>(r.get_varint());
-    d.nz = static_cast<std::size_t>(r.get_varint());
-    amr::AmrLevel lv(d);
-    const auto packed = lossless::decompress(r.get_blob());
-    const auto mask = amr::unpack_mask(packed, d.volume());
-    std::copy(mask.begin(), mask.end(), lv.mask.data());
-    levels.push_back(std::move(lv));
+  h.field_name = r.get_string();
+  h.refinement_ratio = static_cast<int>(r.get_varint());
+  const std::uint64_t nlevels = r.get_varint();
+  if (nlevels > r.remaining() / kMinLevelHeaderBytes)
+    throw std::runtime_error(
+        "container: header claims " + std::to_string(nlevels) +
+        " levels but only " + std::to_string(r.remaining()) +
+        " bytes remain");
+  h.levels.resize(static_cast<std::size_t>(nlevels));
+  for (std::size_t l = 0; l < h.levels.size(); ++l) {
+    LevelHeader& lh = h.levels[l];
+    lh.dims = read_level_dims(r, l);
+    const auto blob = r.get_blob();
+    lh.mask_blob.assign(blob.begin(), blob.end());
   }
-  h.skeleton = amr::AmrDataset(field, std::move(levels), ratio);
   h.index_offset = r.position();
   if (h.version >= 2) {
     const std::size_t entry_bytes = h.version >= 4   ? kPayloadEntryV4Bytes
@@ -204,6 +250,21 @@ CommonHeader read_common_header(ByteReader& r) {
   }
   h.payload_offset = r.position();
   return h;
+}
+
+amr::AmrLevel materialize_level(const CommonHeader& header, std::size_t l) {
+  TAC_SPAN("container.level_skeleton");
+  return build_level(header, l);
+}
+
+amr::AmrDataset materialize_skeleton(const CommonHeader& header) {
+  TAC_SPAN("container.level_skeleton");
+  std::vector<amr::AmrLevel> levels;
+  levels.reserve(header.num_levels());
+  for (std::size_t l = 0; l < header.num_levels(); ++l)
+    levels.push_back(build_level(header, l));
+  return amr::AmrDataset(header.field_name, std::move(levels),
+                         header.refinement_ratio);
 }
 
 std::optional<lossless::CodecProfile> payload_profile(
@@ -265,13 +326,12 @@ void verify_payloads(std::span<const std::uint8_t> container,
 std::optional<ByteReader> indexed_level_reader(
     std::span<const std::uint8_t> container, const CommonHeader& header,
     std::size_t level) {
-  if (header.index.entries.size() != header.skeleton.num_levels())
-    return std::nullopt;
-  if (level >= header.skeleton.num_levels())
+  if (header.index.entries.size() != header.num_levels()) return std::nullopt;
+  if (level >= header.num_levels())
     throw std::out_of_range(
         "decompress_level: level " + std::to_string(level) +
         " out of range (container has " +
-        std::to_string(header.skeleton.num_levels()) + " levels)");
+        std::to_string(header.num_levels()) + " levels)");
   verify_payload(container, header.index, level);
   const PayloadEntry& e = header.index.entries[level];
   return ByteReader(container.subspan(static_cast<std::size_t>(e.offset),

@@ -237,19 +237,49 @@ class PayloadIndexBuilder {
     std::size_t n_payloads,
     lossless::CodecProfile profile = lossless::default_profile());
 
-/// The decoded outer header: a structurally complete dataset whose level
-/// data arrays are zero, ready for a method-specific payload to fill.
+/// One level's structure as the header stores it: the grid extents and
+/// the still-compressed bit-packed mask (a few KB even for a 256^3
+/// level). Nothing here is proportional to the level's volume.
+struct LevelHeader {
+  Dims3 dims;
+  std::vector<std::uint8_t> mask_blob;  ///< lossless::compress(pack_mask)
+};
+
+/// The decoded outer header and payload index: structure only. Parsing
+/// it allocates nothing in proportion to any level's volume; the level
+/// arrays a backend fills are built on demand by materialize_level /
+/// materialize_skeleton.
 struct CommonHeader {
   Method method = Method::kTac;
   std::uint8_t version = kFormatVersion;
-  amr::AmrDataset skeleton;
+  std::string field_name;
+  int refinement_ratio = 2;
+  std::vector<LevelHeader> levels;
   PayloadIndex index;            ///< empty for v1 containers
   std::size_t index_offset = 0;  ///< where the index starts (v2) — equals
                                  ///< payload_offset for v1
   std::size_t payload_offset = 0;  ///< first byte after header + index
+
+  [[nodiscard]] std::size_t num_levels() const { return levels.size(); }
 };
 
+/// Parses the header and payload index. Rejects, with std::runtime_error
+/// and before anything volume-sized exists, a level count the remaining
+/// bytes cannot describe and level dims whose cell count (or its 9 bytes
+/// per cell of data + mask) overflows.
 [[nodiscard]] CommonHeader read_common_header(ByteReader& r);
+
+/// Builds level `l` of the header's structure: the mask blob is
+/// decompressed and checked to hold at least ceil(volume/8) bytes
+/// (std::runtime_error otherwise) before the level is allocated, the mask
+/// is unpacked in place and the data array is zero. Throws
+/// std::out_of_range for a level the header does not have.
+[[nodiscard]] amr::AmrLevel materialize_level(const CommonHeader& header,
+                                              std::size_t l);
+
+/// Every level of the header's structure (materialize_level for each),
+/// as the skeleton CompressorBackend::decompress fills.
+[[nodiscard]] amr::AmrDataset materialize_skeleton(const CommonHeader& header);
 
 /// The codec profile declared for payload `i`, or nullopt when the
 /// container predates per-payload profiles (v1/v2) — callers then decode

@@ -248,7 +248,9 @@ void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
           if (cy + y >= cells.ny) continue;
           for (std::size_t x = 0; x < bd.nx; ++x) {
             if (cx + x >= cells.nx) continue;
-            level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
+            level.data(cx + x, cy + y, cz + z) =
+                level.mask(cx + x, cy + y, cz + z) ? src[bd.index(x, y, z)]
+                                                   : 0.0;
           }
         }
       }

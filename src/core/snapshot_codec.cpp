@@ -188,7 +188,7 @@ std::vector<std::string> snapshot_field_names(
   names.reserve(parsed.blobs.size());
   for (const auto blob : parsed.blobs) {
     ByteReader r(blob);
-    names.push_back(read_common_header(r).skeleton.field_name());
+    names.push_back(read_common_header(r).field_name);
   }
   return names;
 }
@@ -205,7 +205,7 @@ std::span<const std::uint8_t> snapshot_field_bytes(
   } else {
     for (const auto blob : parsed.blobs) {
       ByteReader r(blob);
-      if (read_common_header(r).skeleton.field_name() == name) return blob;
+      if (read_common_header(r).field_name == name) return blob;
     }
   }
   throw std::runtime_error("snapshot container: no field named \"" + name +
@@ -236,7 +236,7 @@ std::vector<SnapshotFieldInfo> snapshot_fields(
       info.checksum_ok = crc32(parsed.blobs[i]) == parsed.entries[i].crc32;
     } else {
       ByteReader r(parsed.blobs[i]);
-      info.name = read_common_header(r).skeleton.field_name();
+      info.name = read_common_header(r).field_name;
     }
     info.bytes = parsed.blobs[i];
     out.push_back(std::move(info));

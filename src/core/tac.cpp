@@ -92,18 +92,18 @@ DecodedGroups deserialize_groups(
   return out;
 }
 
-/// Zeroes every invalid cell — padded or residual values inside extracted
-/// blocks must not leak into the reconstructed level.
+/// Zeroes every invalid cell — padded values of a GSP/ZF grid must not
+/// leak into the reconstructed level.
 void apply_mask(amr::AmrLevel& lv) {
   for (std::size_t i = 0; i < lv.data.size(); ++i)
     if (!lv.mask[i]) lv.data[i] = 0.0;
 }
 
 /// Decodes one level's payload (strategy tag, block size, streams) into
-/// `lv`, whose mask is already filled from the header. Shared by the full
-/// decode and the indexed single-level path. `expected` is the codec
-/// profile the container's index declares for this payload (nullopt for
-/// pre-v3 containers → lenient decode).
+/// `lv`, whose mask is already filled from the header and whose data is
+/// zero. Shared by the full decode and the indexed single-level path.
+/// `expected` is the codec profile the container's index declares for
+/// this payload (nullopt for pre-v3 containers → lenient decode).
 void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
                       std::optional<lossless::CodecProfile> expected) {
   TAC_SPAN("tac.level_decode");
@@ -116,6 +116,8 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kNaST:
     case Strategy::kOpST:
     case Strategy::kAKDTree: {
+      // scatter_groups zeroes masked-out cells inside blocks; cells no
+      // block covers keep the zero they were materialized with.
       const DecodedGroups dg = deserialize_groups(r, block_size, expected);
       scatter_groups(lv, grid, dg.groups);
       break;
@@ -127,12 +129,12 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
       if (grid_data.size() != lv.dims().volume())
         throw std::runtime_error("tac: level payload size mismatch");
       lv.data = Array3D<double>(lv.dims(), std::move(grid_data));
+      apply_mask(lv);
       break;
     }
     default:
       throw std::runtime_error("tac: unknown strategy tag");
   }
-  apply_mask(lv);
 }
 
 /// Encodes one level standalone (strategy tag, block size, streams) —
@@ -300,7 +302,7 @@ class TacBackend final : public CompressorBackend {
     auto r = indexed_level_reader(container, header, level);
     if (!r)  // v1 container (no index): fall back to the full decode.
       return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = header.skeleton.level(level);
+    amr::AmrLevel lv = materialize_level(header, level);
     decode_tac_level(*r, lv, payload_profile(header, level));
     return lv;
   }
@@ -341,13 +343,11 @@ CompressedAmr tac_compress(const amr::AmrDataset& ds, const TacConfig& cfg) {
 amr::AmrDataset decompress_any(std::span<const std::uint8_t> bytes) {
   TAC_SPAN_BYTES("core.decompress_any", bytes.size());
   ByteReader r(bytes);
-  CommonHeader h = read_common_header(r);
+  const CommonHeader h = read_common_header(r);
   // v2+: every payload is about to be read — catch corruption up front as
   // a checksum error rather than a decoder misparse. No-op for v1.
   verify_payloads(bytes, h.index);
-  // The header (still valid: only the skeleton is moved from) carries the
-  // per-payload codec profiles the backend dispatches on.
-  return backend_for(h.method).decompress(r, std::move(h.skeleton), h);
+  return backend_for(h.method).decompress(r, materialize_skeleton(h), h);
 }
 
 amr::AmrLevel decompress_level(std::span<const std::uint8_t> bytes,

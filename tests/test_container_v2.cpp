@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "amr/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "core/adaptive.hpp"
@@ -239,6 +240,73 @@ TEST(ContainerV2, IndexEntryRangeCorruptionIsStructuralError) {
   const std::uint64_t huge = ~std::uint64_t{0};
   std::memcpy(corrupted.data() + first_entry + 8, &huge, sizeof(huge));
   EXPECT_THROW((void)decompress_any(corrupted), std::runtime_error);
+}
+
+// ------------------------------------------------------------- allocations
+
+using test::bytes_allocated_by;
+
+/// What reading a header may allocate beyond level arrays: copies of the
+/// compressed masks and the index, bounded by the container size.
+std::size_t header_slack(std::span<const std::uint8_t> container) {
+  return 2 * container.size() + 4096;
+}
+
+TEST(ContainerAllocation, DecompressLevelBuildsOnlyThatLevel) {
+  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns operator new";
+  const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
+  for (const Method m : {Method::kTac, Method::kOneD, Method::kAuto}) {
+    const auto bytes = compress_with(m, ds);
+    const CommonHeader h = header_of(bytes);
+    ASSERT_EQ(h.index.entries.size(), ds.num_levels()) << to_string(m);
+    for (std::size_t k = 0; k < ds.num_levels(); ++k) {
+      // Warm up once so one-time pool and arena blocks are not counted.
+      amr::AmrLevel out = decompress_level(bytes, k);
+      // The payload decode alone, into an already built level: the part
+      // of decompress_level that depends on the codec, not the header.
+      amr::AmrLevel lv = materialize_level(h, k);
+      const PayloadEntry& e = h.index.entries[k];
+      ByteReader payload(std::span<const std::uint8_t>(bytes).subspan(
+          static_cast<std::size_t>(e.offset),
+          static_cast<std::size_t>(e.length)));
+      const std::size_t decode = bytes_allocated_by([&] {
+        backend_for(payload_method(h, k).value_or(m))
+            .decompress_level_payload(payload, lv,
+                                      payload_profile(h, k).value());
+      });
+      const std::size_t total =
+          bytes_allocated_by([&] { out = decompress_level(bytes, k); });
+      // Level k's data (8 bytes per cell) and mask (1), its bit-packed
+      // mask while unpacking (1/8), the decode, and the header.
+      const std::size_t volume = h.levels[k].dims.volume();
+      const std::size_t bound =
+          9 * volume + (volume + 7) / 8 + decode + header_slack(bytes);
+      EXPECT_LE(total, bound) << to_string(m) << " level " << k
+                              << ": decode alone " << decode;
+    }
+  }
+}
+
+TEST(ContainerAllocation, V1SnapshotFieldNamesBuildNoLevels) {
+  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns operator new";
+  const auto base = small_dataset(32, {0.1, 0.3, 0.6});
+  // v1 snapshots keep no name index: each name is read from its field's
+  // container header.
+  ByteWriter w;
+  w.put<std::uint32_t>(0x53434154);  // "TACS"
+  w.put<std::uint8_t>(1);
+  w.put_varint(2);
+  for (const char* name : {"baryon_density", "temperature"}) {
+    const amr::AmrDataset field(name, base.levels(), base.refinement_ratio());
+    w.put_blob(compress_with(Method::kTac, field));
+  }
+  const auto v1 = w.take();
+  std::vector<std::string> names;
+  const std::size_t allocated =
+      bytes_allocated_by([&] { names = snapshot_field_names(v1); });
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[1], "temperature");
+  EXPECT_LE(allocated, header_slack(v1));
 }
 
 // ---------------------------------------------------------------- snapshot

@@ -2,10 +2,10 @@
 
 #include <random>
 
-#include "core/adaptive.hpp"
-#include "core/baselines.hpp"
+#include "alloc_counter.hpp"
+#include "core/backend.hpp"
 #include "core/container.hpp"
-#include "core/tac.hpp"
+#include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 #include "sz/sz.hpp"
 
@@ -25,17 +25,9 @@ amr::AmrDataset small_dataset() {
 
 std::vector<std::uint8_t> compress_with(core::Method method,
                                         const amr::AmrDataset& ds) {
-  const sz::SzConfig scfg{.error_bound = 1e6};
-  core::TacConfig tcfg;
-  tcfg.sz = scfg;
-  switch (method) {
-    case core::Method::kTac: return core::tac_compress(ds, tcfg).bytes;
-    case core::Method::kOneD: return core::oned_compress(ds, scfg).bytes;
-    case core::Method::kZMesh: return core::zmesh_compress(ds, scfg).bytes;
-    case core::Method::kUpsample3D:
-      return core::upsample3d_compress(ds, scfg).bytes;
-  }
-  return {};
+  core::TacConfig cfg;
+  cfg.sz = sz::SzConfig{.error_bound = 1e6};
+  return core::backend_for(method).compress(ds, cfg).bytes;
 }
 
 class TruncationTest : public ::testing::TestWithParam<core::Method> {};
@@ -162,6 +154,101 @@ TEST(Robustness, ZeroBlockSizeRejected) {
   core::TacConfig cfg;
   cfg.block_size = 0;
   EXPECT_THROW((void)core::tac_compress(ds, cfg), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- hostile headers
+// A decoder must not allocate in proportion to a size it has not checked
+// against the bytes it holds: each case below throws before any level
+// array exists.
+
+using test::bytes_allocated_by;
+
+/// A TAC container of a few dozen bytes: a header declaring `nlevels`
+/// levels of which only the first is written, with the given dims, a
+/// one-byte mask and an empty payload index.
+std::vector<std::uint8_t> hand_built_container(std::uint64_t nlevels,
+                                               std::uint64_t nx,
+                                               std::uint64_t ny,
+                                               std::uint64_t nz) {
+  ByteWriter w;
+  w.put<std::uint32_t>(0x43434154);  // "TACC"
+  w.put<std::uint8_t>(core::kFormatVersion);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Method::kTac));
+  w.put_string("hostile");
+  w.put_varint(2);  // refinement ratio
+  w.put_varint(nlevels);
+  w.put_varint(nx);
+  w.put_varint(ny);
+  w.put_varint(nz);
+  const std::uint8_t packed_mask[] = {0xFF};
+  w.put_blob(lossless::compress(packed_mask));
+  w.put_varint(0);  // payload index entries
+  return w.take();
+}
+
+TEST(HostileHeader, OversizedDimsThrowBeforeAllocating) {
+  // 2048^3 cells: 64 GiB of doubles behind a one-byte mask.
+  const auto bytes = hand_built_container(1, 2048, 2048, 2048);
+  EXPECT_LT(bytes.size(), 64u);
+  // The header itself is structure only, so it parses.
+  ByteReader r(bytes);
+  const core::CommonHeader h = core::read_common_header(r);
+  ASSERT_EQ(h.num_levels(), 1u);
+  EXPECT_EQ(h.levels[0].dims.volume(), std::size_t{1} << 33);
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)core::materialize_level(h, 0), std::runtime_error);
+    EXPECT_THROW((void)core::decompress_any(bytes), std::runtime_error);
+    EXPECT_THROW((void)core::decompress_level(bytes, 0), std::runtime_error);
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+TEST(HostileHeader, LevelCountBeyondTheBytesThrows) {
+  const auto bytes = hand_built_container(std::uint64_t{1} << 40, 4, 4, 4);
+  ByteReader r(bytes);
+  EXPECT_THROW((void)core::read_common_header(r), std::runtime_error);
+  EXPECT_THROW((void)core::decompress_any(bytes), std::runtime_error);
+}
+
+TEST(HostileHeader, OverflowingDimsThrow) {
+  // nx*ny wraps to 0 in 64 bits; the second volume fits but not 9 bytes
+  // per cell.
+  for (const auto& bytes :
+       {hand_built_container(1, std::uint64_t{1} << 32,
+                             std::uint64_t{1} << 32, 1),
+        hand_built_container(1, std::uint64_t{1} << 21,
+                             std::uint64_t{1} << 21,
+                             std::uint64_t{1} << 21)}) {
+    ByteReader r(bytes);
+    EXPECT_THROW((void)core::read_common_header(r), std::runtime_error);
+    EXPECT_THROW((void)core::decompress_any(bytes), std::runtime_error);
+  }
+}
+
+TEST(HostileHeader, DimsVarintBitFlipThrowsBeforeAllocating) {
+  const auto ds = small_dataset();
+  const auto bytes = compress_with(core::Method::kTac, ds);
+  // Level 0's dims follow the fixed prefix (magic, version, method), the
+  // field name, the ratio and the level count.
+  ByteWriter prefix;
+  prefix.put_string(ds.field_name());
+  prefix.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
+  prefix.put_varint(ds.num_levels());
+  const std::size_t dims_at = 6 + prefix.size();
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    auto corrupted = bytes;
+    ASSERT_EQ(corrupted[dims_at + axis], 32u) << "axis " << axis;
+    corrupted[dims_at + axis] ^= 0x40;  // 32 -> 96 cells on this axis
+    const std::size_t allocated = bytes_allocated_by([&] {
+      EXPECT_THROW((void)core::decompress_any(corrupted), std::runtime_error)
+          << "axis " << axis;
+      EXPECT_THROW((void)core::decompress_level(corrupted, 0),
+                   std::runtime_error)
+          << "axis " << axis;
+    });
+    // One byte per declared cell: less than any level array would take.
+    EXPECT_LT(allocated, std::size_t{96} * 32 * 32) << "axis " << axis;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,53 +18,9 @@
 /// allocations when disabled, and the observation-only invariant
 /// (identical container bytes with tracing on and off).
 
-// ---- global allocation counter for the zero-cost-when-off test -------------
-// Replacing operator new binds for the whole test binary; the counter is
-// only compared across the measured region, so gtest's own allocations
-// elsewhere do not matter. Under ASan the sanitizer owns the global
-// operators (a malloc-backed replacement trips its alloc/dealloc-mismatch
-// checker), so the replacement is compiled out and the zero-allocation
-// assertion skips — every other telemetry test still runs sanitized.
-
-#if defined(__SANITIZE_ADDRESS__)
-#define TAC_TEST_COUNTS_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TAC_TEST_COUNTS_ALLOCS 0
-#endif
-#endif
-#ifndef TAC_TEST_COUNTS_ALLOCS
-#define TAC_TEST_COUNTS_ALLOCS 1
-#endif
-
-namespace {
-std::atomic<std::size_t> g_new_calls{0};
-}  // namespace
-
-#if TAC_TEST_COUNTS_ALLOCS
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-// GCC's IPA pass pairs new-expressions it chose not to inline with these
-// inlined free() calls and reports a mismatch; the replacement operators
-// above guarantee every new in this binary is malloc-backed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
-#endif  // TAC_TEST_COUNTS_ALLOCS
+// The zero-cost-when-off test counts operator new calls; the counting
+// replacement is compiled out under ASan (see alloc_counter.hpp).
+#include "alloc_counter.hpp"
 
 namespace tac {
 namespace {
@@ -323,14 +277,14 @@ TEST(TelemetryExport, CountersModePrintsFlatTable) {
 
 TEST(TelemetryOff, NoAllocationsAndNoRecords) {
   TelemetryGuard guard(telemetry::Mode::kOff);
-  const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
+  const std::size_t before = test::g_new_calls.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     TAC_SPAN("test.off_span");
     TAC_SPAN_BYTES("test.off_bytes", 512);
     TAC_COUNTER_ADD("test.off_counter", 1);
     TAC_COUNTER_MAX("test.off_max", i);
   }
-  const std::size_t after = g_new_calls.load(std::memory_order_relaxed);
+  const std::size_t after = test::g_new_calls.load(std::memory_order_relaxed);
 #if TAC_TEST_COUNTS_ALLOCS
   EXPECT_EQ(after - before, 0u) << "disabled telemetry must not allocate";
 #else
