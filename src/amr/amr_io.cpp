@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "lossless/codec.hpp"
@@ -12,7 +13,50 @@ namespace tac::amr {
 namespace {
 constexpr std::uint32_t kMagic = 0x524D4154;  // "TAMR"
 constexpr std::uint8_t kVersion = 1;
+
+// A level record is three dims varints plus two length-prefixed blobs
+// (mask, values): at least five bytes.
+constexpr std::size_t kMinLevelBytes = 5;
+
+// A materialized cell costs a double of data plus a mask byte.
+constexpr std::size_t kLevelBytesPerCell = sizeof(double) + 1;
+
+/// Expands packed bits LSB-first into 0/1 bytes: out[i] = bit i.
+void spread_bits(std::span<const std::uint8_t> packed,
+                 std::span<std::uint8_t> out) {
+  const std::size_t count = out.size();
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // Spread one packed byte to eight 0/1 bytes: replicate it, isolate
+    // bit i in byte i, then force each nonzero byte to exactly 1.
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kSelect = 0x8040201008040201ULL;
+    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+    for (; i + 8 <= count; i += 8) {
+      const std::uint64_t m = (packed[i / 8] * kOnes) & kSelect;
+      const std::uint64_t bits = ((m + kLow7) >> 7) & kOnes;
+      std::memcpy(out.data() + i, &bits, 8);
+    }
+  }
+  for (; i < count; ++i) out[i] = (packed[i / 8] >> (i % 8)) & 1u;
+}
 }  // namespace
+
+Dims3 read_level_dims(ByteReader& r, std::size_t level, const char* context) {
+  const std::uint64_t nx = r.get_varint();
+  const std::uint64_t ny = r.get_varint();
+  const std::uint64_t nz = r.get_varint();
+  std::size_t volume = 0;
+  if (__builtin_mul_overflow(nx, ny, &volume) ||
+      __builtin_mul_overflow(volume, nz, &volume) ||
+      volume > SIZE_MAX / kLevelBytesPerCell)
+    throw std::runtime_error(
+        std::string(context) + ": level " + std::to_string(level) + " dims " +
+        std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+        std::to_string(nz) + " overflow the addressable cell count");
+  return {static_cast<std::size_t>(nx), static_cast<std::size_t>(ny),
+          static_cast<std::size_t>(nz)};
+}
 
 std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
   std::vector<std::uint8_t> out((mask.size() + 7) / 8, 0);
@@ -50,20 +94,16 @@ void unpack_mask_into(std::span<const std::uint8_t> packed,
   const std::size_t count = out.size();
   if (packed.size() < (count + 7) / 8)
     throw std::runtime_error("unpack_mask: truncated mask");
+  // `out` is zeroed: 64 empty cells (one all-zero packed word) cost no
+  // write, so the mask pages of a sparse level's empty regions are never
+  // touched.
   std::size_t i = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Spread one packed byte to eight 0/1 bytes: replicate it, isolate
-    // bit i in byte i, then force each nonzero byte to exactly 1.
-    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-    constexpr std::uint64_t kSelect = 0x8040201008040201ULL;
-    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-    for (; i + 8 <= count; i += 8) {
-      const std::uint64_t m = (packed[i / 8] * kOnes) & kSelect;
-      const std::uint64_t bits = ((m + kLow7) >> 7) & kOnes;
-      std::memcpy(out.data() + i, &bits, 8);
-    }
+  for (; i + 64 <= count; i += 64) {
+    std::uint64_t word;
+    std::memcpy(&word, packed.data() + i / 8, sizeof(word));
+    if (word != 0) spread_bits(packed.subspan(i / 8, 8), out.subspan(i, 64));
   }
-  for (; i < count; ++i) out[i] = (packed[i / 8] >> (i % 8)) & 1u;
+  spread_bits(packed.subspan(i / 8), out.subspan(i));
 }
 
 std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
@@ -97,14 +137,15 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     throw std::runtime_error("amr_io: unsupported version");
   const std::string name = r.get_string();
   const int ratio = static_cast<int>(r.get_varint());
-  const std::size_t nlevels = static_cast<std::size_t>(r.get_varint());
+  const std::uint64_t nlevels = r.get_varint();
+  if (nlevels > r.remaining() / kMinLevelBytes)
+    throw std::runtime_error("amr_io: header claims " +
+                             std::to_string(nlevels) + " levels but only " +
+                             std::to_string(r.remaining()) + " bytes remain");
   std::vector<AmrLevel> levels;
-  levels.reserve(nlevels);
+  levels.reserve(static_cast<std::size_t>(nlevels));
   for (std::size_t l = 0; l < nlevels; ++l) {
-    Dims3 d;
-    d.nx = static_cast<std::size_t>(r.get_varint());
-    d.ny = static_cast<std::size_t>(r.get_varint());
-    d.nz = static_cast<std::size_t>(r.get_varint());
+    const Dims3 d = read_level_dims(r, l, "amr_io");
     const auto packed = lossless::decompress(r.get_blob());
     if (packed.size() < (d.volume() + 7) / 8)
       throw std::runtime_error("amr_io: truncated mask");

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "amr/dataset.hpp"
+#include "common/bytes.hpp"
 
 namespace tac::amr {
 
@@ -30,11 +31,21 @@ void save_dataset(const std::string& path, const AmrDataset& ds);
 [[nodiscard]] std::vector<std::uint8_t> unpack_mask(
     std::span<const std::uint8_t> packed, std::size_t count);
 
-/// unpack_mask straight into caller storage (e.g. an AmrLevel's mask):
-/// fills all of `out` with 0/1 bytes. Throws if `packed` holds fewer than
+/// unpack_mask straight into caller storage (e.g. a fresh AmrLevel's
+/// mask). `out` must arrive zeroed: set bits become 1, and runs of 64
+/// clear bits are skipped without a write, so the untouched pages of a
+/// sparse mask never become resident. Throws if `packed` holds fewer than
 /// ceil(out.size()/8) bytes.
 void unpack_mask_into(std::span<const std::uint8_t> packed,
                       std::span<std::uint8_t> out);
+
+/// Reads one level's extents — three varints, the layout both this file
+/// format and the compression container use — and throws
+/// std::runtime_error, prefixed with `context`, when the cell count or
+/// the bytes a materialized level of that many cells needs (a double plus
+/// a mask byte each) overflows. Callers run it before allocating a level.
+[[nodiscard]] Dims3 read_level_dims(ByteReader& r, std::size_t level,
+                                    const char* context);
 
 }  // namespace tac::amr
 

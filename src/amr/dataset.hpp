@@ -55,8 +55,10 @@ struct AmrLevel {
   /// valid_count() elements.
   std::size_t gather_valid_into(std::span<double> out) const;
 
-  /// Scatters `values` (raster order over valid cells) back; empty cells
-  /// are reset to 0. Throws if the count does not match.
+  /// Scatters `values` (raster order over valid cells) back. Empty cells
+  /// are left as they are — zero on a freshly constructed level, whose
+  /// untouched pages then never become resident. Throws if the count does
+  /// not match.
   void scatter_valid(std::span<const double> values);
 
   /// Min/max over valid cells; {0, 0} if none.

@@ -8,7 +8,7 @@ namespace tac::amr {
 
 Array3D<double> compose_uniform(const AmrDataset& ds) {
   const Dims3 fine = ds.finest_dims();
-  Array3D<double> out(fine, 0.0);
+  Array3D<double> out(fine);
   for (std::size_t l = 0; l < ds.num_levels(); ++l) {
     const AmrLevel& lv = ds.level(l);
     const std::size_t s = ds.scale_to_finest(l);
@@ -38,8 +38,8 @@ void distribute_uniform(const Array3D<double>& uniform, AmrDataset& ds) {
     parallel_for(0, d.nz, [&](std::size_t z) {
       for (std::size_t y = 0; y < d.ny; ++y)
         for (std::size_t x = 0; x < d.nx; ++x)
-          lv.data(x, y, z) =
-              lv.mask(x, y, z) ? uniform(x * s, y * s, z * s) : 0.0;
+          if (lv.mask(x, y, z))
+            lv.data(x, y, z) = uniform(x * s, y * s, z * s);
     }, /*grain=*/1);
   }
 }

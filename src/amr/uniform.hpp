@@ -22,7 +22,8 @@ namespace tac::amr {
 
 /// Inverse of compose_uniform given the dataset *structure*: fills each
 /// level's valid cells from the uniform grid, reading the fine cell at the
-/// origin corner of each coarse cell. For data produced by
+/// origin corner of each coarse cell. Empty cells are left as they are
+/// (zero in a freshly materialized skeleton). For data produced by
 /// compose_uniform + error-bounded compression this preserves the bound
 /// (every replicated fine cell is within eb of the original coarse value).
 void distribute_uniform(const Array3D<double>& uniform, AmrDataset& ds);

@@ -156,6 +156,19 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   if (error) std::rethrow_exception(error);
 }
 
+/// Fewest elements (cells, values) worth a chunk of their own. Waking a
+/// worker costs tens of microseconds, and a whole scheduler tick while it
+/// shares a CPU with the caller, so a loop over less runs inline and its
+/// time does not depend on where the scheduler put the workers.
+inline constexpr std::size_t kMinElementsPerChunk = std::size_t{1} << 15;
+
+/// parallel_for grain for a loop whose iterations each cover `elements`
+/// elements (a block's cells, say): chunks of at least kMinElementsPerChunk.
+[[nodiscard]] inline std::size_t grain_for(std::size_t elements) {
+  const std::size_t e = std::max<std::size_t>(elements, 1);
+  return (kMinElementsPerChunk + e - 1) / e;
+}
+
 }  // namespace tac
 
 #endif  // TAC_COMMON_PARALLEL_HPP

@@ -15,9 +15,12 @@
 /// `write_common_header` with this backend's tag) followed by a payload
 /// only this backend can read; `decompress` receives the reader positioned
 /// at that payload plus the structural skeleton decoded from the header,
-/// and must fill every level's data. Backends must be stateless and
-/// thread-safe — the snapshot codec compresses fields concurrently through
-/// one shared instance.
+/// and must fill every level's valid cells. Levels arrive zero-filled, so
+/// a decoder writes valid cells only: empty cells keep their +0.0, and the
+/// pages of a sparse level that hold no valid cell are never touched
+/// (their lazily zeroed memory never becomes resident). Backends must be
+/// stateless and thread-safe — the snapshot codec compresses fields
+/// concurrently through one shared instance.
 
 #include <memory>
 #include <span>

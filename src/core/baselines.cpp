@@ -309,7 +309,7 @@ class Upsample3DBackend final : public CompressorBackend {
     const Dims3 fd = skeleton.finest_dims();
     if (flat.size() != fd.volume())
       throw std::runtime_error("3D baseline: payload size mismatch");
-    const Array3D<double> uniform(fd, std::vector<double>(flat));
+    const Array3D<double> uniform(fd, std::span<const double>(flat));
     amr::distribute_uniform(uniform, skeleton);
     return skeleton;
   }

@@ -60,27 +60,6 @@ HeaderPrefix read_header_prefix(ByteReader& r) {
 // at least four bytes, so a level count above remaining/4 is a lie.
 constexpr std::size_t kMinLevelHeaderBytes = 4;
 
-// A materialized cell costs a double of data plus a mask byte.
-constexpr std::size_t kLevelBytesPerCell = sizeof(double) + 1;
-
-/// Reads level `l`'s dims and rejects extents whose cell count — or the
-/// bytes a materialized level of that many cells needs — overflows.
-Dims3 read_level_dims(ByteReader& r, std::size_t l) {
-  const std::uint64_t nx = r.get_varint();
-  const std::uint64_t ny = r.get_varint();
-  const std::uint64_t nz = r.get_varint();
-  std::size_t volume = 0;
-  if (__builtin_mul_overflow(nx, ny, &volume) ||
-      __builtin_mul_overflow(volume, nz, &volume) ||
-      volume > SIZE_MAX / kLevelBytesPerCell)
-    throw std::runtime_error(
-        "container: level " + std::to_string(l) + " dims " +
-        std::to_string(nx) + "x" + std::to_string(ny) + "x" +
-        std::to_string(nz) + " overflow the addressable cell count");
-  return {static_cast<std::size_t>(nx), static_cast<std::size_t>(ny),
-          static_cast<std::size_t>(nz)};
-}
-
 /// materialize_level without its span, so materialize_skeleton records one
 /// span for the whole skeleton.
 amr::AmrLevel build_level(const CommonHeader& header, std::size_t l) {
@@ -213,7 +192,7 @@ CommonHeader read_common_header(ByteReader& r) {
   h.levels.resize(static_cast<std::size_t>(nlevels));
   for (std::size_t l = 0; l < h.levels.size(); ++l) {
     LevelHeader& lh = h.levels[l];
-    lh.dims = read_level_dims(r, l);
+    lh.dims = amr::read_level_dims(r, l, "container");
     const auto blob = r.get_blob();
     lh.mask_blob.assign(blob.begin(), blob.end());
   }

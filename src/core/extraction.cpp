@@ -224,7 +224,7 @@ std::vector<BlockGroup> gather_groups(const amr::AmrLevel& level,
           }
         }
       }
-    }, /*grain=*/1);
+    }, grain_for(vol));
   }
   return groups;
 }
@@ -248,13 +248,12 @@ void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
           if (cy + y >= cells.ny) continue;
           for (std::size_t x = 0; x < bd.nx; ++x) {
             if (cx + x >= cells.nx) continue;
-            level.data(cx + x, cy + y, cz + z) =
-                level.mask(cx + x, cy + y, cz + z) ? src[bd.index(x, y, z)]
-                                                   : 0.0;
+            if (level.mask(cx + x, cy + y, cz + z))
+              level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
           }
         }
       }
-    }, /*grain=*/1);
+    }, grain_for(vol));
   }
 }
 

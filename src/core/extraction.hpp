@@ -61,8 +61,8 @@ struct BlockGroup {
     const std::vector<SubBlock>& sub_blocks, ArenaScope& scratch);
 
 /// Scatters decompressed group buffers back into the level's data array.
-/// Cells past the level boundary are skipped; cells inside a block whose
-/// mask is 0 are written 0.0, and cells no block covers are left as they
+/// Only valid cells (mask 1) are written: cells past the level boundary,
+/// empty cells inside a block and cells no block covers are left as they
 /// are (zero in a freshly materialized level).
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups);

@@ -92,16 +92,11 @@ DecodedGroups deserialize_groups(
   return out;
 }
 
-/// Zeroes every invalid cell — padded values of a GSP/ZF grid must not
-/// leak into the reconstructed level.
-void apply_mask(amr::AmrLevel& lv) {
-  for (std::size_t i = 0; i < lv.data.size(); ++i)
-    if (!lv.mask[i]) lv.data[i] = 0.0;
-}
-
 /// Decodes one level's payload (strategy tag, block size, streams) into
 /// `lv`, whose mask is already filled from the header and whose data is
-/// zero. Shared by the full decode and the indexed single-level path.
+/// zero. Only valid cells are written, so empty cells keep that zero and
+/// the untouched pages of a sparse level are never faulted in. Shared by
+/// the full decode and the indexed single-level path.
 /// `expected` is the codec profile the container's index declares for
 /// this payload (nullopt for pre-v3 containers → lenient decode).
 void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
@@ -116,8 +111,6 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kNaST:
     case Strategy::kOpST:
     case Strategy::kAKDTree: {
-      // scatter_groups zeroes masked-out cells inside blocks; cells no
-      // block covers keep the zero they were materialized with.
       const DecodedGroups dg = deserialize_groups(r, block_size, expected);
       scatter_groups(lv, grid, dg.groups);
       break;
@@ -125,11 +118,12 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kGSP:
     case Strategy::kZF: {
       const auto stream = r.get_blob();
-      auto grid_data = sz::decompress<double>(stream, expected);
+      const auto grid_data = sz::decompress<double>(stream, expected);
       if (grid_data.size() != lv.dims().volume())
         throw std::runtime_error("tac: level payload size mismatch");
-      lv.data = Array3D<double>(lv.dims(), std::move(grid_data));
-      apply_mask(lv);
+      // Padded values of a GSP/ZF grid must not leak into empty cells.
+      for (std::size_t i = 0; i < grid_data.size(); ++i)
+        if (lv.mask[i]) lv.data[i] = grid_data[i];
       break;
     }
     default:

@@ -1009,7 +1009,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
                              recon.data() + b * vol, plan,
                              cfg.profile == lossless::CodecProfile::kFast);
         },
-        /*grain=*/1);
+        grain_for(vol));
   }
 
   offsets[0] = 0;
@@ -1031,7 +1031,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
           for (std::size_t i = 0; i < vol; ++i)
             if (bc[i] == 0) outliers[k++] = bd[i];
         },
-        /*grain=*/1);
+        grain_for(vol));
   }
 
   ByteWriter counts_w;
@@ -1232,7 +1232,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
                             offsets[b + 1] - offsets[b], out.data() + b * vol,
                             plans.empty() ? nullptr : &plans[b], wide);
         },
-        /*grain=*/1);
+        grain_for(vol));
   }
   TAC_COUNTER_ADD("sz.decompress_bytes_out", out.size() * sizeof(T));
   return out;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <random>
+#include <span>
 
 #include "amr/amr_io.hpp"
 #include "amr/dataset.hpp"
@@ -38,6 +42,101 @@ AmrDataset make_two_level(Dims3 fine_dims, Box3 refined_coarse,
   return AmrDataset("test_field", {std::move(fine), std::move(coarse)});
 }
 
+bool all_bits_zero(const Array3D<double>& a) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &a[i], sizeof(bits));
+    if (bits != 0) return false;
+  }
+  return true;
+}
+
+TEST(Array3D, ZeroConstructorZeroFills) {
+  const Array3D<double> a({5, 4, 3});
+  EXPECT_EQ(a.dims(), (Dims3{5, 4, 3}));
+  EXPECT_EQ(a.size(), 60u);
+  EXPECT_EQ(a.span().size(), 60u);
+  EXPECT_TRUE(all_bits_zero(a));
+  const Array3D<std::uint8_t> m({7, 1, 1});
+  for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m[i], 0u);
+}
+
+TEST(Array3D, ZeroConstructorZeroFillsReusedMemory) {
+  // Leave a junk-filled block of the same size on the free list first: a
+  // zero array built right after must not see the junk.
+  for (const std::size_t n : {std::size_t{1} << 10, std::size_t{1} << 20}) {
+    void* junk = std::malloc(n * sizeof(double));
+    ASSERT_NE(junk, nullptr);
+    std::memset(junk, 0xA5, n * sizeof(double));
+    std::free(junk);
+    const Array3D<double> a({n, 1, 1});
+    EXPECT_TRUE(all_bits_zero(a)) << n << " cells";
+  }
+}
+
+TEST(Array3D, FillConstructorFillsEveryCell) {
+  const Array3D<double> a({3, 3, 3}, 2.5);
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], 2.5);
+  const Array3D<std::uint8_t> m({2, 2, 2}, 7);
+  for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m[i], 7u);
+}
+
+TEST(Array3D, SpanConstructorCopiesValues) {
+  std::vector<double> v(24);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
+  const Array3D<double> a({4, 3, 2}, std::span<const double>(v));
+  v[5] = -1.0;  // the array owns a copy
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(a[i], static_cast<double>(i));
+  EXPECT_EQ(a(1, 1, 1), 4.0 + 1.0 + 12.0);
+}
+
+TEST(Array3D, CopiesAreDeep) {
+  Array3D<double> a({2, 2, 2}, 1.0);
+  Array3D<double> b(a);
+  b[0] = 9.0;
+  EXPECT_EQ(a[0], 1.0);
+  EXPECT_NE(a.data(), b.data());
+  Array3D<double> c({1, 1, 1});
+  c = a;
+  EXPECT_EQ(c, a);
+  c[3] = 9.0;
+  EXPECT_EQ(a[3], 1.0);
+}
+
+TEST(Array3D, MovedFromArrayIsEmpty) {
+  Array3D<double> a({4, 4, 4}, 3.0);
+  const double* storage = a.data();
+  Array3D<double> b(std::move(a));
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b.dims(), (Dims3{4, 4, 4}));
+  EXPECT_EQ(b[63], 3.0);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(a.dims(), Dims3{});
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_TRUE(a.span().empty());
+
+  Array3D<double> c;
+  c = std::move(b);
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.data(), nullptr);
+  a = c;  // a moved-from array is assignable
+  EXPECT_EQ(a, c);
+}
+
+TEST(Array3D, EqualityComparesExtentsAndCells) {
+  EXPECT_EQ(Array3D<double>(), Array3D<double>());
+  EXPECT_EQ(Array3D<double>({2, 3, 1}, 1.0), Array3D<double>({2, 3, 1}, 1.0));
+  EXPECT_NE(Array3D<double>({2, 3, 1}, 1.0), Array3D<double>({3, 2, 1}, 1.0));
+  Array3D<double> a({2, 3, 1}, 1.0);
+  a(1, 2, 0) = 2.0;
+  EXPECT_NE(a, Array3D<double>({2, 3, 1}, 1.0));
+  // Cell comparison is T's ==, not a byte compare.
+  EXPECT_EQ(Array3D<double>({1, 1, 1}, -0.0), Array3D<double>({1, 1, 1}));
+}
+
 TEST(AmrLevel, DensityCountsValidCells) {
   AmrLevel lv({4, 4, 4});
   EXPECT_EQ(lv.valid_count(), 0u);
@@ -61,6 +160,28 @@ TEST(AmrLevel, GatherScatterRoundTrip) {
   lv2.mask = lv.mask;
   lv2.scatter_valid(values);
   EXPECT_EQ(lv2.data, lv.data);
+}
+
+TEST(AmrLevel, ScatterSkipsEmptyWordsAndFillsTheTail) {
+  // 5*5*3 = 75 cells: nine full 8-cell mask words and a 3-cell tail. Valid
+  // cells sit alone in a word, at word edges and in the tail; whole words
+  // stay empty.
+  AmrLevel lv({5, 5, 3});
+  for (const std::size_t i : {std::size_t{0}, std::size_t{7},
+                              std::size_t{8}, std::size_t{29},
+                              std::size_t{63}, std::size_t{72},
+                              std::size_t{74}}) {
+    lv.mask[i] = 1;
+    lv.data[i] = 1.5 + static_cast<double>(i);
+  }
+  AmrLevel lv2(lv.dims());
+  lv2.mask = lv.mask;
+  lv2.scatter_valid(lv.gather_valid());
+  EXPECT_EQ(lv2.data, lv.data);
+  EXPECT_THROW(lv2.scatter_valid(std::vector<double>(6, 1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(lv2.scatter_valid(std::vector<double>(8, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(AmrLevel, ScatterRejectsWrongCount) {
@@ -189,13 +310,17 @@ TEST(AmrIo, CorruptMagicRejected) {
 }
 
 TEST(MaskPack, RoundTripOddSizes) {
-  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
-    std::vector<std::uint8_t> mask(n);
-    std::mt19937 rng(static_cast<unsigned>(n));
-    for (auto& m : mask) m = rng() % 2;
-    const auto packed = pack_mask(mask);
-    EXPECT_EQ(packed.size(), (n + 7) / 8);
-    EXPECT_EQ(unpack_mask(packed, n), mask);
+  // One valid cell in `period`: at 1 in 100 most 64-cell words are all
+  // clear, which unpacking skips without a write.
+  for (const unsigned period : {2u, 100u}) {
+    for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
+      std::vector<std::uint8_t> mask(n);
+      std::mt19937 rng(static_cast<unsigned>(n));
+      for (auto& m : mask) m = rng() % period == 0;
+      const auto packed = pack_mask(mask);
+      EXPECT_EQ(packed.size(), (n + 7) / 8);
+      EXPECT_EQ(unpack_mask(packed, n), mask) << n << " cells, 1 in " << period;
+    }
   }
 }
 

@@ -253,7 +253,7 @@ std::size_t header_slack(std::span<const std::uint8_t> container) {
 }
 
 TEST(ContainerAllocation, DecompressLevelBuildsOnlyThatLevel) {
-  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns operator new";
+  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
   const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
   for (const Method m : {Method::kTac, Method::kOneD, Method::kAuto}) {
     const auto bytes = compress_with(m, ds);
@@ -287,8 +287,19 @@ TEST(ContainerAllocation, DecompressLevelBuildsOnlyThatLevel) {
   }
 }
 
+TEST(ContainerAllocation, CounterSeesMappedLevelArrays) {
+  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
+  // A level this large maps its own pages instead of calling calloc; the
+  // bounds above only hold if those mappings are counted too.
+  const Dims3 d{128, 128, 128};
+  ASSERT_GE(d.volume() * sizeof(double), Array3D<double>::kMapBytes);
+  const std::size_t allocated =
+      bytes_allocated_by([&] { const amr::AmrLevel lv(d); });
+  EXPECT_GE(allocated, d.volume() * (sizeof(double) + 1));
+}
+
 TEST(ContainerAllocation, V1SnapshotFieldNamesBuildNoLevels) {
-  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns operator new";
+  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
   const auto base = small_dataset(32, {0.1, 0.3, 0.6});
   // v1 snapshots keep no name index: each name is read from its field's
   // container header.

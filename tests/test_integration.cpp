@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <tuple>
 
 #include "amr/uniform.hpp"
 #include "analysis/metrics.hpp"
 #include "core/adaptive.hpp"
+#include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
 #include "simnyx/generator.hpp"
@@ -168,6 +173,89 @@ TEST(Integration, AdaptiveMatchesManualSelection) {
                             ? core::tac_compress(ds, cfg)
                             : core::upsample3d_compress(ds, cfg.sz);
     EXPECT_EQ(compressed.bytes, manual.bytes);
+  }
+}
+
+// ------------------------------------------------------------ decode reuse
+// Decoders write valid cells only and rely on every level arriving zeroed.
+// Decoding in a loop hands each new level memory an earlier iteration
+// freed — dirtied on purpose below — so a decoder or allocation path that
+// leaves stale bytes in an empty cell shows up here.
+
+bool same_bits(const Array3D<double>& a, const Array3D<double>& b) {
+  return a.dims() == b.dims() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Empty cells of `lv` whose bits are not +0.0.
+std::size_t dirty_empty_cells(const amr::AmrLevel& lv) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < lv.data.size(); ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &lv.data[i], sizeof(bits));
+    if (!lv.mask[i] && bits != 0) ++n;
+  }
+  return n;
+}
+
+/// Allocates, fills with junk and frees a block the size of each level's
+/// data, so the next decode may be handed junk-filled memory.
+void dirty_free_memory(const amr::AmrDataset& ds) {
+  for (const amr::AmrLevel& lv : ds.levels()) {
+    const std::size_t bytes = lv.data.size() * sizeof(double);
+    void* p = std::malloc(bytes);
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0xA5, bytes);
+    std::free(p);
+  }
+}
+
+struct DecodeCase {
+  const char* name;
+  core::Method method;
+  std::optional<core::Strategy> strategy;
+};
+
+TEST(DecodeReuse, EmptyCellsStayPositiveZeroAcrossDecodes) {
+  const auto ds = dataset_with_density(0.3);
+  const DecodeCase cases[] = {
+      {"TAC/NaST", core::Method::kTac, core::Strategy::kNaST},
+      {"TAC/OpST", core::Method::kTac, core::Strategy::kOpST},
+      {"TAC/AKDTree", core::Method::kTac, core::Strategy::kAKDTree},
+      {"TAC/GSP", core::Method::kTac, core::Strategy::kGSP},
+      {"TAC/ZF", core::Method::kTac, core::Strategy::kZF},
+      {"1D", core::Method::kOneD, std::nullopt},
+      {"zMesh", core::Method::kZMesh, std::nullopt},
+      {"3D", core::Method::kUpsample3D, std::nullopt},
+      {"auto", core::Method::kAuto, std::nullopt},
+  };
+  for (const DecodeCase& c : cases) {
+    core::TacConfig cfg;
+    cfg.sz.error_bound = 1e6;
+    cfg.force_strategy = c.strategy;
+    const auto bytes = core::backend_for(c.method).compress(ds, cfg).bytes;
+    std::optional<amr::AmrDataset> first;
+    for (int it = 0; it < 4; ++it) {
+      dirty_free_memory(ds);
+      const amr::AmrDataset back = core::decompress_any(bytes);
+      ASSERT_EQ(back.num_levels(), ds.num_levels()) << c.name;
+      for (std::size_t l = 0; l < back.num_levels(); ++l) {
+        const amr::AmrLevel& lv = back.level(l);
+        EXPECT_EQ(dirty_empty_cells(lv), 0u)
+            << c.name << " level " << l << " iteration " << it;
+        const amr::AmrLevel single = core::decompress_level(bytes, l);
+        EXPECT_EQ(dirty_empty_cells(single), 0u)
+            << c.name << " decompress_level " << l << " iteration " << it;
+        EXPECT_TRUE(same_bits(single.data, lv.data))
+            << c.name << " decompress_level " << l << " iteration " << it;
+        if (first) {
+          EXPECT_TRUE(same_bits(lv.data, first->level(l).data))
+              << c.name << " level " << l << " iteration " << it;
+        }
+      }
+      if (!first) first = back;
+    }
   }
 }
 

@@ -111,5 +111,27 @@ TEST(ParallelFor, GrainKeepsShortLoopsInline) {
   EXPECT_EQ(*ids.begin(), caller);
 }
 
+TEST(ParallelFor, GrainForKeepsSmallBlockLoopsInline) {
+  EXPECT_EQ(grain_for(0), kMinElementsPerChunk);
+  EXPECT_EQ(grain_for(1000), (kMinElementsPerChunk + 999) / 1000);
+  EXPECT_EQ(grain_for(kMinElementsPerChunk), 1u);
+  EXPECT_EQ(grain_for(10 * kMinElementsPerChunk), 1u);
+
+  ParallelismGuard guard(4);
+  const auto caller = std::this_thread::get_id();
+  std::set<std::thread::id> ids;
+  // 16 blocks of 512 cells: 8192 cells in all, one chunk's worth.
+  parallel_for(0, 16,
+               [&](std::size_t) { ids.insert(std::this_thread::get_id()); },
+               grain_for(512));
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), caller);
+  // Blocks large enough for a chunk each still cover every index once.
+  std::vector<std::atomic<int>> hits(8);
+  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
+               grain_for(kMinElementsPerChunk));
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 }  // namespace
 }  // namespace tac

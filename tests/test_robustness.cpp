@@ -3,6 +3,7 @@
 #include <random>
 
 #include "alloc_counter.hpp"
+#include "amr/amr_io.hpp"
 #include "core/backend.hpp"
 #include "core/container.hpp"
 #include "lossless/codec.hpp"
@@ -248,6 +249,62 @@ TEST(HostileHeader, DimsVarintBitFlipThrowsBeforeAllocating) {
     });
     // One byte per declared cell: less than any level array would take.
     EXPECT_LT(allocated, std::size_t{96} * 32 * 32) << "axis " << axis;
+  }
+}
+
+// -------------------------------------------------------- hostile .amr files
+// The uncompressed snapshot format shares the container's level-dims check
+// and bounds its level count by the bytes it holds.
+
+/// An .amr file declaring `nlevels` levels of which only the first is
+/// written: the given dims, a one-byte all-empty mask and no values.
+std::vector<std::uint8_t> hand_built_amr(std::uint64_t nlevels,
+                                         std::uint64_t nx, std::uint64_t ny,
+                                         std::uint64_t nz) {
+  ByteWriter w;
+  w.put<std::uint32_t>(0x524D4154);  // "TAMR"
+  w.put<std::uint8_t>(1);
+  w.put_string("hostile");
+  w.put_varint(2);  // refinement ratio
+  w.put_varint(nlevels);
+  w.put_varint(nx);
+  w.put_varint(ny);
+  w.put_varint(nz);
+  const std::uint8_t packed_mask[] = {0x00};
+  w.put_blob(lossless::compress(packed_mask));
+  w.put_blob({});  // no valid cells, no values
+  return w.take();
+}
+
+TEST(HostileAmrFile, HandBuiltFileParses) {
+  // The hostile cases below differ from this one only in the field named.
+  const auto ds = amr::dataset_from_bytes(hand_built_amr(1, 2, 2, 2));
+  ASSERT_EQ(ds.num_levels(), 1u);
+  EXPECT_EQ(ds.level(0).dims(), (Dims3{2, 2, 2}));
+  EXPECT_EQ(ds.level(0).valid_count(), 0u);
+}
+
+TEST(HostileAmrFile, LevelCountBeyondTheBytesThrows) {
+  const auto bytes = hand_built_amr(std::uint64_t{1} << 40, 2, 2, 2);
+  EXPECT_LT(bytes.size(), 32u);
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)amr::dataset_from_bytes(bytes), std::runtime_error);
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+TEST(HostileAmrFile, WrappingDimsThrow) {
+  // (2^22)^3 and 2^32 * 2^32 cells both wrap to a volume of 0 in 64 bits,
+  // which a one-byte mask would satisfy.
+  for (const auto& bytes :
+       {hand_built_amr(1, std::uint64_t{1} << 22, std::uint64_t{1} << 22,
+                       std::uint64_t{1} << 22),
+        hand_built_amr(1, std::uint64_t{1} << 32, std::uint64_t{1} << 32,
+                       1)}) {
+    const std::size_t allocated = bytes_allocated_by([&] {
+      EXPECT_THROW((void)amr::dataset_from_bytes(bytes), std::runtime_error);
+    });
+    EXPECT_LT(allocated, std::size_t{1} << 20);
   }
 }
 

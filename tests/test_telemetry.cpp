@@ -18,8 +18,8 @@
 /// allocations when disabled, and the observation-only invariant
 /// (identical container bytes with tracing on and off).
 
-// The zero-cost-when-off test counts operator new calls; the counting
-// replacement is compiled out under ASan (see alloc_counter.hpp).
+// The zero-cost-when-off test counts heap allocations; the counting
+// replacements are compiled out under ASan (see alloc_counter.hpp).
 #include "alloc_counter.hpp"
 
 namespace tac {
@@ -277,19 +277,21 @@ TEST(TelemetryExport, CountersModePrintsFlatTable) {
 
 TEST(TelemetryOff, NoAllocationsAndNoRecords) {
   TelemetryGuard guard(telemetry::Mode::kOff);
-  const std::size_t before = test::g_new_calls.load(std::memory_order_relaxed);
+  const std::size_t before =
+      test::g_alloc_calls.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     TAC_SPAN("test.off_span");
     TAC_SPAN_BYTES("test.off_bytes", 512);
     TAC_COUNTER_ADD("test.off_counter", 1);
     TAC_COUNTER_MAX("test.off_max", i);
   }
-  const std::size_t after = test::g_new_calls.load(std::memory_order_relaxed);
+  const std::size_t after =
+      test::g_alloc_calls.load(std::memory_order_relaxed);
 #if TAC_TEST_COUNTS_ALLOCS
   EXPECT_EQ(after - before, 0u) << "disabled telemetry must not allocate";
 #else
   (void)before;
-  (void)after;  // ASan owns operator new; only the no-records half runs
+  (void)after;  // ASan owns the allocator; only the no-records half runs
 #endif
   EXPECT_TRUE(telemetry::collect_spans().empty());
   for (const auto& c : telemetry::collect_counters())
