@@ -68,7 +68,7 @@ inline void force_scalar(bool on) {
   return scalar_forced() ? Level::kScalar : detected;
 }
 
-/// Interior rows the fast-profile Lorenzo wavefront keeps in flight
+/// Interior rows the Lorenzo quantizer's wavefront keeps in flight
 /// (sz.cpp). Four independent loop-carried chains cover the quantize
 /// round-trip latency; measured A/B against 6- and 8-row variants, wider
 /// fronts spill the per-row pointer/carry state past the 16 general

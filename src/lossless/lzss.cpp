@@ -294,6 +294,11 @@ std::vector<std::uint8_t> lzss2_decompress(
   const std::uint8_t* p = payload.data();
   const std::uint8_t* const pe = p + payload.size();
 
+  // A byte expands to at most 255 output bytes (one match-length
+  // extension byte); literal bytes and the 3-byte minimum match token
+  // yield less. Reject a larger declared size before allocating it.
+  if (n > 255 * payload.size())
+    throw std::runtime_error("lzss2: declared size exceeds the payload");
   std::vector<std::uint8_t> out(n);
   std::size_t w = 0;
   const auto need = [&](std::size_t k) {
@@ -352,6 +357,11 @@ std::vector<std::uint8_t> lzss_decompress(
   const std::uint64_t n = r.get_varint();
   const auto payload = r.get_bytes(r.remaining());
 
+  // A 25-bit match token yields at most kMaxMatch bytes and a 9-bit
+  // literal token one. Reject a larger declared size before allocating it.
+  const std::uint64_t bits = static_cast<std::uint64_t>(payload.size()) * 8;
+  if (n > bits / 25 * kMaxMatch + bits % 25 / 9)
+    throw std::runtime_error("lzss: declared size exceeds the payload");
   std::vector<std::uint8_t> out(static_cast<std::size_t>(n));
   std::size_t w = 0;
   BitReader br(payload);

@@ -2,14 +2,16 @@
 /// \brief The SIMD/scalar contract: every dispatched hot path must produce
 /// byte-identical results at every size, including the awkward ones
 /// (empty, sub-vector-width, vector width +/- 1, page-ish). Also pins the
-/// CRC32 known-answer vector, the Huffman up-front truncation check, and
-/// the arena's steady-state no-new-blocks guarantee.
+/// Lorenzo wavefront kernel against a raster-order reference, the CRC32
+/// known-answer vector, the Huffman up-front truncation check, and the
+/// arena's steady-state no-new-blocks guarantee.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "common/crc32.hpp"
 #include "common/simd.hpp"
 #include "lossless/huffman.hpp"
+#include "sz/predictor.hpp"
+#include "sz/quantizer.hpp"
 #include "sz/sz.hpp"
 
 namespace tac {
@@ -141,6 +145,114 @@ TEST(HotpathEquivalence, FullSzStreamsMatchScalar) {
       }
     }
   }
+}
+
+/// What sz::compress must reconstruct, computed one cell at a time in
+/// raster order: predict from this function's own reconstruction buffer,
+/// quantize, keep the value as T only if it still meets the bound, else
+/// store the input exactly as an outlier. No wavefront, no row pointers.
+template <class T>
+std::vector<T> raster_lorenzo_reference(const std::vector<T>& data,
+                                        Dims3 dims, std::size_t nblocks,
+                                        double eb, std::uint32_t radius,
+                                        std::size_t& n_outliers) {
+  std::vector<T> recon(data.size());
+  const std::size_t vol = dims.volume();
+  n_outliers = 0;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const T* in = data.data() + b * vol;
+    T* rb = recon.data() + b * vol;
+    const sz::ReconView<T> view{rb, dims};
+    for (std::size_t z = 0; z < dims.nz; ++z)
+      for (std::size_t y = 0; y < dims.ny; ++y)
+        for (std::size_t x = 0; x < dims.nx; ++x) {
+          const std::size_t i = dims.index(x, y, z);
+          const double value = static_cast<double>(in[i]);
+          const sz::QuantResult q = sz::quantize(
+              value, sz::lorenzo_predict(view, x, y, z), eb, radius);
+          const T stored = static_cast<T>(q.reconstructed);
+          if (!q.outlier &&
+              std::fabs(static_cast<double>(stored) - value) <= eb) {
+            rb[i] = stored;
+          } else {
+            rb[i] = in[i];
+            ++n_outliers;
+          }
+        }
+  }
+  return recon;
+}
+
+/// A smooth field with the cells the kernel must treat specially: NaN,
+/// +/-Inf, -0.0, and spikes far outside the quantization range.
+template <class T>
+std::vector<T> lorenzo_field(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<T> v(n);
+  double acc = 100.0;
+  for (auto& x : v) x = static_cast<T>(acc += 0.01 * u(rng));
+  for (std::size_t i = 3; i < n; i += 37)
+    v[i] = std::numeric_limits<T>::quiet_NaN();
+  for (std::size_t i = 11; i < n; i += 53)
+    v[i] = std::numeric_limits<T>::infinity();
+  for (std::size_t i = 17; i < n; i += 59)
+    v[i] = -std::numeric_limits<T>::infinity();
+  for (std::size_t i = 5; i < n; i += 29) v[i] = static_cast<T>(-0.0);
+  for (std::size_t i = 7; i < n; i += 23) v[i] = static_cast<T>(1e7 * u(rng));
+  return v;
+}
+
+template <class T>
+void check_lorenzo_against_raster_reference() {
+  using lossless::CodecProfile;
+  const std::size_t nxs[] = {1, 2, 3, 8, 17};
+  // Every (ny - 1) mod 4: the wavefront's remainder front is 0..3 rows.
+  const std::size_t nys[] = {1, 2, 3, 4, 5, 8, 9, 16};
+  std::uint32_t seed = 1;
+  for (const std::size_t nx : nxs)
+    for (const std::size_t ny : nys)
+      for (std::size_t nz = 1; nz <= 3; ++nz)
+        for (const std::size_t nblocks : {std::size_t{1}, std::size_t{3}})
+          // 1e-2 quantizes most cells; 1e-6 is below float's spacing near
+          // 100, so many float cells fail the stored-as-T check.
+          for (const double eb : {1e-2, 1e-6}) {
+            const Dims3 dims{nx, ny, nz};
+            if (dims.volume() * nblocks < 2) continue;  // constant stream
+            const auto data = lorenzo_field<T>(dims.volume() * nblocks, ++seed);
+            sz::SzConfig cfg{.mode = sz::ErrorBoundMode::kAbsolute,
+                             .error_bound = eb};
+            std::size_t want_outliers = 0;
+            const auto want = raster_lorenzo_reference(
+                data, dims, nblocks, eb, cfg.quant_radius, want_outliers);
+            const auto where = ::testing::Message()
+                               << nx << "x" << ny << "x" << nz << " x"
+                               << nblocks << " eb=" << eb;
+
+            const auto check = [&](const std::vector<std::uint8_t>& stream,
+                                   std::optional<CodecProfile> expected) {
+              EXPECT_EQ(sz::peek(stream).n_outliers, want_outliers) << where;
+              const auto got = sz::decompress<T>(stream, expected);
+              ASSERT_EQ(got.size(), want.size()) << where;
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    want.size() * sizeof(T)),
+                        0)
+                  << where << " expected profile "
+                  << (expected ? lossless::to_string(*expected) : "none");
+            };
+            cfg.profile = CodecProfile::kFast;
+            const auto fast = sz::compress<T>(data, dims, cfg, nblocks);
+            check(fast, std::nullopt);
+            check(fast, CodecProfile::kFast);
+            cfg.profile = CodecProfile::kLegacy;
+            check(sz::compress<T>(data, dims, cfg, nblocks),
+                  CodecProfile::kLegacy);
+          }
+}
+
+TEST(HotpathEquivalence, LorenzoMatchesRasterReference) {
+  check_lorenzo_against_raster_reference<float>();
+  check_lorenzo_against_raster_reference<double>();
 }
 
 TEST(HotpathEquivalence, HuffmanTableDecodeMatchesReference) {

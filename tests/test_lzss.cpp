@@ -34,6 +34,11 @@ TEST(Lzss, ConstantRunCompressesHard) {
   const auto c = lzss_compress(in);
   EXPECT_EQ(lzss_decompress(c), in);
   EXPECT_LT(c.size(), in.size() / 50);
+  // The densest stream each encoder writes: the decoders' bound on the
+  // declared size must still accept it.
+  const auto c2 = lzss2_compress(in);
+  EXPECT_EQ(lzss2_decompress(c2), in);
+  EXPECT_LT(c2.size(), in.size() / 50);
 }
 
 TEST(Lzss, OverlappingMatchSelfCopy) {

@@ -308,5 +308,57 @@ TEST(HostileAmrFile, WrappingDimsThrow) {
   }
 }
 
+// ------------------------------------------------------ hostile lzss streams
+// A lossless stream leads with its decoded size. Both LZSS decoders bound it
+// by what the payload can encode before allocating the output.
+
+/// A lossless stream of `method` (1 = lzss, 2 = lzss2) declaring
+/// `declared` output bytes over `payload`.
+std::vector<std::uint8_t> hand_built_lzss(
+    std::uint8_t method, std::uint64_t declared,
+    std::span<const std::uint8_t> payload) {
+  ByteWriter w;
+  w.put<std::uint8_t>(method);
+  w.put_varint(declared);
+  for (const std::uint8_t b : payload) w.put<std::uint8_t>(b);
+  return w.take();
+}
+
+TEST(HostileLzss, HugeDeclaredSizeThrowsBeforeAllocating) {
+  const std::uint8_t one_byte[] = {0};
+  for (const std::uint8_t method : {1, 2}) {
+    const auto bytes =
+        hand_built_lzss(method, std::uint64_t{1} << 40, one_byte);
+    EXPECT_EQ(bytes.size(), 8u);
+    const std::size_t allocated = bytes_allocated_by([&] {
+      EXPECT_THROW((void)lossless::decompress(bytes), std::runtime_error)
+          << "method " << int{method};
+      EXPECT_THROW((void)lossless::decompress(
+                       bytes, method == 1 ? lossless::CodecProfile::kLegacy
+                                          : lossless::CodecProfile::kFast),
+                   std::runtime_error)
+          << "method " << int{method};
+    });
+    EXPECT_LT(allocated, std::size_t{1} << 20) << "method " << int{method};
+  }
+}
+
+TEST(HostileLzss, SizeJustPastThePayloadsCapacityThrows) {
+  // 25 bytes = 200 bits: at most 8 matches of 259 bytes in lzss, and at
+  // most 255 bytes per payload byte in lzss2.
+  const std::vector<std::uint8_t> payload(25, 0xFF);
+  for (const auto& [method, declared] :
+       {std::pair<std::uint8_t, std::uint64_t>{1, 8 * 259 + 1},
+        std::pair<std::uint8_t, std::uint64_t>{2, 25 * 255 + 1}}) {
+    const std::size_t allocated = bytes_allocated_by([&] {
+      EXPECT_THROW((void)lossless::decompress(
+                       hand_built_lzss(method, declared, payload)),
+                   std::runtime_error)
+          << "method " << int{method};
+    });
+    EXPECT_LT(allocated, declared) << "method " << int{method};
+  }
+}
+
 }  // namespace
 }  // namespace tac
