@@ -11,13 +11,14 @@
 ///
 /// Scoreboard expectations wired into CI:
 ///   - huffman_decode must beat the bit-at-a-time reference by >= 4x,
-///   - the fast-profile LZSS encoder (lzss2) must beat the legacy
-///     bit-stream encoder by >= 1.2x on the mixed corpus,
+///   - the LZSS v2 encoder (lzss2) must compress the mixed corpus at
+///     >= 82 MB/s (see kLzssCompressFloorMbps),
 ///   - every vectorized kernel must be no slower than its scalar fallback,
 ///   - disabled telemetry (TAC_TRACE off) must cost <= 1% on the
 ///     instrumented huffman_decompress wrapper.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -232,25 +233,66 @@ std::vector<std::uint8_t> lzss_corpus() {
   return corpus;
 }
 
+/// Absolute floor on the lzss_compress row, as strict as the relative
+/// floor it replaces: lzss2 had to beat the LZSS v1 bit-stream encoder,
+/// which no longer exists, by >= 1.2x. The committed BENCH_hotpaths.json
+/// of that gate reads lzss2 at 364.6 MB/s and 5.357x, so the v1 encoder
+/// ran at 364.6 / 5.357 = 68 MB/s, and 1.2 x 68 = 82 MB/s.
+constexpr double kLzssCompressFloorMbps = 82.0;
+
 KernelResult bench_lzss_compress() {
   const auto corpus = lzss_corpus();
-  auto r = ab(
-      "lzss_compress", corpus.size(),
-      [&] { (void)lossless::lzss2_compress(corpus); },
-      [&] { (void)lossless::lzss_compress(corpus); });
-  r.baseline = "legacy bit-stream";
+  // No second encoder to race: the row reports absolute throughput,
+  // gated by kLzssCompressFloorMbps, with the ratio against itself.
+  const auto compress = [&] { (void)lossless::lzss2_compress(corpus); };
+  auto r = ab("lzss_compress", corpus.size(), compress, compress);
+  r.baseline = "self";
   return r;
+}
+
+/// Byte-at-a-time LZSS v2 decoder: the obvious loop over the token format
+/// (lzss.hpp), with no memcpy/memset fast paths. Trusts its input.
+std::vector<std::uint8_t> lzss2_decode_reference(
+    std::span<const std::uint8_t> stream) {
+  ByteReader r(stream);
+  const auto n = static_cast<std::size_t>(r.get_varint());
+  const std::uint8_t* p = stream.data() + r.position();
+  const auto ext = [&] {  // LZ4-style: add bytes until one is not 255
+    std::size_t v = 0;
+    while (*p == 255) v += *p++;
+    return v + *p++;
+  };
+  std::vector<std::uint8_t> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const std::uint8_t token = *p++;
+    std::size_t lits = token >> 4;
+    if (lits == 15) lits += ext();
+    for (std::size_t i = 0; i < lits; ++i) out.push_back(*p++);
+    if (out.size() == n) break;
+    const std::size_t off = (p[0] | std::size_t{p[1]} << 8) + 1;
+    p += 2;
+    std::size_t len = token & 0xf;
+    if (len == 15) len += ext();
+    for (std::size_t i = 0; i < len + 4; ++i)
+      out.push_back(out[out.size() - off]);
+  }
+  return out;
 }
 
 KernelResult bench_lzss_decompress() {
   const auto corpus = lzss_corpus();
-  const auto fast = lossless::lzss2_compress(corpus);
-  const auto legacy = lossless::lzss_compress(corpus);
+  const auto stream = lossless::lzss2_compress(corpus);
+  if (lzss2_decode_reference(stream) != corpus) {
+    std::printf("FAIL: the lzss2 reference decoder disagrees with the "
+                "corpus\n");
+    std::exit(1);
+  }
   auto r = ab(
       "lzss_decompress", corpus.size(),
-      [&] { (void)lossless::lzss2_decompress(fast); },
-      [&] { (void)lossless::lzss_decompress(legacy); });
-  r.baseline = "legacy bit-stream";
+      [&] { (void)lossless::lzss2_decompress(stream); },
+      [&] { (void)lzss2_decode_reference(stream); });
+  r.baseline = "bytewise reference";
   return r;
 }
 
@@ -372,9 +414,9 @@ int main() {
                   r.speedup());
       ok = false;
     }
-    if (r.name == "lzss_compress" && r.speedup() < 1.2) {
-      std::printf("FAIL: lzss_compress speedup %.2fx < 1.2x target\n",
-                  r.speedup());
+    if (r.name == "lzss_compress" && r.mb_per_s < kLzssCompressFloorMbps) {
+      std::printf("FAIL: lzss_compress %.1f MB/s < %.0f MB/s floor\n",
+                  r.mb_per_s, kLzssCompressFloorMbps);
       ok = false;
     }
     if (r.name == "telemetry_off" && r.speedup() < 0.99) {

@@ -4,15 +4,14 @@
 ///
 ///   tac_file_tool gen <out.amr> [n=64]        generate a demo snapshot
 ///   tac_file_tool compress <in.amr> <out.tac> [rel_eb=1e-4]
-///                 [--method=m | m] [--objective=ratio|throughput|balanced]
+///                 [--method=m | m]
 ///   tac_file_tool decompress <in.tac> <out.amr>
 ///   tac_file_tool extract <in.tac> <out.amr> --level=k [--field=f]
 ///   tac_file_tool info <file> [--timing]      inspect any format
 ///   tac_file_tool stats <file>                decode + telemetry report
 ///
 /// method: tac (default, adaptive), 1d, zmesh, 3d, auto (per-level
-/// trial selection over the backend registry; --objective picks what the
-/// trials optimize, default ratio)
+/// trial selection over the backend registry: the smallest trial wins)
 ///
 /// `extract` uses the v2 payload index for random access: --level=k decodes
 /// only level k's payload (TAC/1D containers), and --field=f picks one
@@ -141,27 +140,14 @@ int cmd_gen(const std::string& out, std::size_t n) {
 }
 
 int cmd_compress(const std::string& in, const std::string& out,
-                 double rel_eb, const std::string& method,
-                 const std::string& objective) {
-  const auto ds = [&] {
+                 double rel_eb, const std::string& method) {
+  auto ds = [&] {
     TAC_SPAN("cli.load");
     return amr::load_dataset(in);
   }();
   core::TacConfig cfg;
   cfg.sz.mode = sz::ErrorBoundMode::kRelative;
   cfg.sz.error_bound = rel_eb;
-  if (objective == "ratio") {
-    cfg.selector.objective = core::SelectorObjective::kRatio;
-  } else if (objective == "throughput") {
-    cfg.selector.objective = core::SelectorObjective::kThroughput;
-  } else if (objective == "balanced") {
-    cfg.selector.objective = core::SelectorObjective::kBalanced;
-  } else if (!objective.empty()) {
-    std::fprintf(stderr,
-                 "unknown objective '%s' (ratio, throughput, balanced)\n",
-                 objective.c_str());
-    return kExitUsage;
-  }
 
   core::CompressedAmr compressed;
   if (method == "tac") {
@@ -182,9 +168,9 @@ int cmd_compress(const std::string& in, const std::string& out,
   write_file(out, compressed.bytes);
   std::printf("%s -> %s: %s, CR %.1f, %.1f MB/s compress\n", in.c_str(),
               out.c_str(), core::to_string(compressed.report.method),
-              analysis::compression_ratio(ds.original_bytes(),
+              analysis::compression_ratio(compressed.report.original_bytes,
                                           compressed.bytes.size()),
-              throughput_mbs(ds.original_bytes(),
+              throughput_mbs(compressed.report.original_bytes,
                              compressed.report.seconds));
   if (compressed.report.method == core::Method::kAuto) {
     std::printf("  per-level winners:");
@@ -192,6 +178,13 @@ int cmd_compress(const std::string& in, const std::string& out,
       std::printf(" %zu:%s", l,
                   core::to_string(compressed.report.levels[l].method));
     std::printf("\n");
+  }
+  {
+    // Free the input and the container inside a child span: their
+    // teardown is part of the command's time, not a gap after cli.write.
+    TAC_SPAN("cli.release");
+    const auto released_input = std::move(ds);
+    const auto released_output = std::move(compressed);
   }
   return 0;
 }
@@ -471,7 +464,7 @@ int cmd_stats(const std::string& path) {
 int demo() {
   std::printf("no arguments: running the self-contained demo\n");
   if (const int rc = cmd_gen("demo.amr", 64)) return rc;
-  if (const int rc = cmd_compress("demo.amr", "demo.tac", 1e-4, "tac", ""))
+  if (const int rc = cmd_compress("demo.amr", "demo.tac", 1e-4, "tac"))
     return rc;
   if (const int rc = cmd_info("demo.tac", /*timing=*/false)) return rc;
   if (const int rc = cmd_decompress("demo.tac", "demo_out.amr")) return rc;
@@ -492,8 +485,7 @@ int demo() {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s gen <out.amr> [n] | compress <in> <out> "
-               "[rel_eb] [--method=tac|1d|zmesh|3d|auto] "
-               "[--objective=ratio|throughput|balanced] | "
+               "[rel_eb] [--method=tac|1d|zmesh|3d|auto] | "
                "decompress <in> <out> | "
                "extract <in.tac> <out.amr> --level=k [--field=f] | "
                "info <file> [--timing] | "
@@ -546,14 +538,11 @@ int dispatch(int argc, char** argv) {
   if (cmd == "compress" && argc >= 4) {
     double rel_eb = 1e-4;
     std::string method = "tac";
-    std::string objective;
     bool saw_eb = false, saw_method = false;
     for (int i = 4; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--method=", 0) == 0) {
         method = arg.substr(9);
-      } else if (arg.rfind("--objective=", 0) == 0) {
-        objective = arg.substr(12);
       } else if (!saw_eb && parse_num(argv[i], rel_eb)) {
         saw_eb = true;  // positional [rel_eb]
       } else if (!saw_method) {
@@ -563,7 +552,7 @@ int dispatch(int argc, char** argv) {
         return usage(argv[0]);
       }
     }
-    return cmd_compress(argv[2], argv[3], rel_eb, method, objective);
+    return cmd_compress(argv[2], argv[3], rel_eb, method);
   }
   if (cmd == "decompress" && argc >= 4)
     return cmd_decompress(argv[2], argv[3]);

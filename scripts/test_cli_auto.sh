@@ -14,8 +14,8 @@ cd "$WORK"
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
 "$TOOL" gen in.amr 64 >/dev/null || fail "gen"
-"$TOOL" compress in.amr out.tac 1e-4 --method=auto --objective=ratio \
-  >compress.log || fail "compress --method=auto"
+"$TOOL" compress in.amr out.tac 1e-4 --method=auto >compress.log ||
+  fail "compress --method=auto"
 grep -q "per-level winners" compress.log || fail "no winners line"
 
 "$TOOL" info out.tac >info.log || fail "info"

@@ -137,13 +137,10 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     throw std::runtime_error("amr_io: unsupported version");
   const std::string name = r.get_string();
   const int ratio = static_cast<int>(r.get_varint());
-  const std::uint64_t nlevels = r.get_varint();
-  if (nlevels > r.remaining() / kMinLevelBytes)
-    throw std::runtime_error("amr_io: header claims " +
-                             std::to_string(nlevels) + " levels but only " +
-                             std::to_string(r.remaining()) + " bytes remain");
+  const std::size_t nlevels =
+      r.get_count("amr_io: level count", kMinLevelBytes);
   std::vector<AmrLevel> levels;
-  levels.reserve(static_cast<std::size_t>(nlevels));
+  levels.reserve(nlevels);
   for (std::size_t l = 0; l < nlevels; ++l) {
     const Dims3 d = read_level_dims(r, l, "amr_io");
     const auto packed = lossless::decompress(r.get_blob());

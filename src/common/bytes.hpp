@@ -110,6 +110,22 @@ class ByteReader {
     }
   }
 
+  /// Reads a varint item count and checks it against the bytes left: a
+  /// count above remaining() / min_bytes_per_item cannot be real, so it
+  /// throws std::runtime_error naming `what` before the caller reserves
+  /// anything for it. `min_bytes_per_item` is the fewest bytes one item
+  /// can be serialized in (at least 1).
+  [[nodiscard]] std::size_t get_count(const char* what,
+                                      std::size_t min_bytes_per_item) {
+    const std::uint64_t n = get_varint();
+    if (n > remaining() / min_bytes_per_item)
+      throw std::runtime_error(std::string(what) + ": claims " +
+                               std::to_string(n) + " items but only " +
+                               std::to_string(remaining()) +
+                               " bytes remain");
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::span<const std::uint8_t> get_bytes(std::size_t n) {
     require(n);
     auto s = data_.subspan(pos_, n);

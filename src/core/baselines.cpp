@@ -81,8 +81,8 @@ class OneDBackend final : public CompressorBackend {
         /*grain=*/1);
 
     ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kOneD, ds, ds.num_levels(), cfg.sz.profile);
+    PayloadIndexBuilder index =
+        write_common_header(w, Method::kOneD, ds, ds.num_levels());
     for (auto& lvl : levels) {
       index.begin_payload();
       w.put_bytes(lvl.bytes);
@@ -197,8 +197,8 @@ class ZMeshBackend final : public CompressorBackend {
     // One interleaved stream spanning every level: a single payload (and
     // a single index entry) — partial decompression uses the full-decode
     // fallback for this backend.
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kZMesh, ds, /*n_payloads=*/1, cfg.sz.profile);
+    PayloadIndexBuilder index =
+        write_common_header(w, Method::kZMesh, ds, /*n_payloads=*/1);
 
     CompressReport report;
     report.method = Method::kZMesh;
@@ -263,8 +263,8 @@ class Upsample3DBackend final : public CompressorBackend {
     ByteWriter w;
     // Levels merge into one up-sampled uniform grid: a single payload —
     // partial decompression uses the full-decode fallback here too.
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kUpsample3D, ds, /*n_payloads=*/1, cfg.sz.profile);
+    PayloadIndexBuilder index =
+        write_common_header(w, Method::kUpsample3D, ds, /*n_payloads=*/1);
 
     CompressReport report;
     report.method = Method::kUpsample3D;

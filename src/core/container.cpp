@@ -131,7 +131,7 @@ void PayloadIndexBuilder::end_payload(Method chosen) {
   e.offset = open_begin_;
   e.length = end - open_begin_;
   e.crc32 = crc32(written.subspan(open_begin_, end - open_begin_));
-  e.profile = static_cast<std::uint8_t>(profile_);
+  e.profile = static_cast<std::uint8_t>(lossless::default_profile());
   e.selector = static_cast<std::uint8_t>(chosen);
   patch_payload_entry_v4(*w_, entries_pos_ + sealed_ * kPayloadEntryV4Bytes,
                          e);
@@ -152,8 +152,7 @@ void PayloadIndexBuilder::finish() const {
 
 PayloadIndexBuilder write_common_header(ByteWriter& w, Method method,
                                         const amr::AmrDataset& ds,
-                                        std::size_t n_payloads,
-                                        lossless::CodecProfile profile) {
+                                        std::size_t n_payloads) {
   TAC_SPAN("container.header_write");
   w.put<std::uint32_t>(kMagic);
   w.put<std::uint8_t>(kFormatVersion);
@@ -167,12 +166,12 @@ PayloadIndexBuilder write_common_header(ByteWriter& w, Method method,
     w.put_varint(lv.dims().ny);
     w.put_varint(lv.dims().nz);
     const auto packed = amr::pack_mask(lv.mask.span());
-    w.put_blob(lossless::compress(packed, profile));
+    w.put_blob(lossless::compress(packed));
   }
   w.put_varint(n_payloads);
   const std::size_t entries_pos =
       w.reserve(n_payloads * kPayloadEntryV4Bytes);
-  return PayloadIndexBuilder(w, entries_pos, n_payloads, profile, method);
+  return PayloadIndexBuilder(w, entries_pos, n_payloads, method);
 }
 
 CommonHeader read_common_header(ByteReader& r) {
@@ -183,13 +182,8 @@ CommonHeader read_common_header(ByteReader& r) {
   h.version = prefix.version;
   h.field_name = r.get_string();
   h.refinement_ratio = static_cast<int>(r.get_varint());
-  const std::uint64_t nlevels = r.get_varint();
-  if (nlevels > r.remaining() / kMinLevelHeaderBytes)
-    throw std::runtime_error(
-        "container: header claims " + std::to_string(nlevels) +
-        " levels but only " + std::to_string(r.remaining()) +
-        " bytes remain");
-  h.levels.resize(static_cast<std::size_t>(nlevels));
+  h.levels.resize(
+      r.get_count("container: level count", kMinLevelHeaderBytes));
   for (std::size_t l = 0; l < h.levels.size(); ++l) {
     LevelHeader& lh = h.levels[l];
     lh.dims = amr::read_level_dims(r, l, "container");
@@ -201,12 +195,8 @@ CommonHeader read_common_header(ByteReader& r) {
     const std::size_t entry_bytes = h.version >= 4   ? kPayloadEntryV4Bytes
                                     : h.version >= 3 ? kPayloadEntryV3Bytes
                                                      : kPayloadEntryBytes;
-    const std::size_t n = static_cast<std::size_t>(r.get_varint());
-    if (n > r.remaining() / entry_bytes)
-      throw std::runtime_error(
-          "container: payload index claims " + std::to_string(n) +
-          " entries but only " + std::to_string(r.remaining()) +
-          " bytes remain");
+    const std::size_t n =
+        r.get_count("container: payload index entry count", entry_bytes);
     h.index.entries.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const PayloadEntry e = h.version >= 4   ? read_payload_entry_v4(r)

@@ -23,10 +23,10 @@
 ///
 /// Format v3 widens each index entry by a codec-profile byte
 /// (lossless::CodecProfile): the lossless encoder family that produced
-/// that payload's byte streams. Readers dispatch the legacy vs fast
-/// decode paths on it and reject streams whose method bytes contradict
-/// the declared profile. v1/v2 containers carry no profile and decode
-/// leniently.
+/// that payload's byte streams. Writers always declare kFast; readers
+/// also accept kLegacy, from earlier writers, and reject streams whose
+/// method bytes contradict the declared profile. v1/v2 containers carry
+/// no profile and decode leniently.
 ///
 /// Format v4 widens each index entry by a selector byte: the Method tag
 /// of the backend that produced that payload. Fixed backends stamp their
@@ -201,17 +201,10 @@ class PayloadIndexBuilder {
  private:
   friend PayloadIndexBuilder write_common_header(ByteWriter& w, Method method,
                                                  const amr::AmrDataset& ds,
-                                                 std::size_t n_payloads,
-                                                 lossless::CodecProfile
-                                                     profile);
+                                                 std::size_t n_payloads);
   PayloadIndexBuilder(ByteWriter& w, std::size_t entries_pos,
-                      std::size_t count, lossless::CodecProfile profile,
-                      Method method)
-      : w_(&w),
-        entries_pos_(entries_pos),
-        count_(count),
-        profile_(profile),
-        method_(method) {}
+                      std::size_t count, Method method)
+      : w_(&w), entries_pos_(entries_pos), count_(count), method_(method) {}
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -220,22 +213,20 @@ class PayloadIndexBuilder {
   std::size_t count_ = 0;
   std::size_t sealed_ = 0;
   std::size_t open_begin_ = kNone;
-  lossless::CodecProfile profile_ = lossless::CodecProfile::kLegacy;
   Method method_ = Method::kTac;  ///< default selector stamp
 };
 
 /// Writes the v4 outer header — method, field, ratio, level masks — and
 /// reserves a payload index with `n_payloads` entries, each stamped with
-/// `profile` (the lossless encoder family the backend will use for this
-/// container's streams, including the mask blobs written here) and, at
-/// end_payload time, a selector byte (the container method unless the
-/// `end_payload(Method)` overload names a per-payload winner). The
-/// returned builder must seal exactly `n_payloads` payloads appended
-/// directly after the header.
+/// the kFast codec profile (lossless::default_profile(), the encoder
+/// family of every stream a writer emits, including the mask blobs
+/// written here) and, at end_payload time, a selector byte (the container
+/// method unless the `end_payload(Method)` overload names a per-payload
+/// winner). The returned builder must seal exactly `n_payloads` payloads
+/// appended directly after the header.
 [[nodiscard]] PayloadIndexBuilder write_common_header(
     ByteWriter& w, Method method, const amr::AmrDataset& ds,
-    std::size_t n_payloads,
-    lossless::CodecProfile profile = lossless::default_profile());
+    std::size_t n_payloads);
 
 /// One level's structure as the header stores it: the grid extents and
 /// the still-compressed bit-packed mask (a few KB even for a 256^3

@@ -83,37 +83,6 @@ amr::AmrLevel build_sample_level(const amr::AmrLevel& lv,
   return sample;
 }
 
-/// Scores the trials in place per the objective. kRatio compares raw byte
-/// counts (deterministic); the time-based objectives normalize each term
-/// by the best candidate's value so the blend weight is scale-free.
-void score_trials(std::vector<CandidateTrial>& trials,
-                  const SelectorConfig& cfg) {
-  switch (cfg.objective) {
-    case SelectorObjective::kRatio:
-      for (auto& t : trials) t.score = static_cast<double>(t.trial_bytes);
-      return;
-    case SelectorObjective::kThroughput:
-      for (auto& t : trials) t.score = t.trial_seconds;
-      return;
-    case SelectorObjective::kBalanced: {
-      double best_bytes = trials.front().trial_bytes;
-      double best_secs = trials.front().trial_seconds;
-      for (const auto& t : trials) {
-        best_bytes = std::min(best_bytes, static_cast<double>(t.trial_bytes));
-        best_secs = std::min(best_secs, t.trial_seconds);
-      }
-      if (best_bytes <= 0) best_bytes = 1;
-      if (best_secs <= 0) best_secs = 1e-9;
-      const double w = std::clamp(cfg.balance, 0.0, 1.0);
-      for (auto& t : trials)
-        t.score = w * (static_cast<double>(t.trial_bytes) / best_bytes) +
-                  (1.0 - w) * (t.trial_seconds / best_secs);
-      return;
-    }
-  }
-  throw std::invalid_argument("selector: unknown objective");
-}
-
 }  // namespace
 
 std::vector<Method> selector_candidates(const SelectorConfig& cfg) {
@@ -176,26 +145,20 @@ SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
     CandidateTrial t;
     t.method = m;
     TAC_SPAN_NAMED(trial_span, "selector.trial");
-    Timer encode;
     const LevelPayload p =
         backend_for(m).compress_level_payload(sample, level, trial_cfg);
-    t.trial_seconds = encode.seconds();
     t.trial_bytes = p.bytes.size();
     trial_span.set_bytes(p.bytes.size());
     d.trials.push_back(t);
   }
   TAC_COUNTER_ADD("selector.trials", d.trials.size());
-  score_trials(d.trials, cfg.selector);
 
-  // Strict less-than over tag-ascending trials: ties deterministically go
-  // to the lowest method tag.
-  d.winner = d.trials.front().method;
-  double best = d.trials.front().score;
+  // The smallest trial wins. Strict less-than over tag-ascending trials:
+  // ties deterministically go to the lowest method tag.
+  const CandidateTrial* best = &d.trials.front();
   for (const auto& t : d.trials)
-    if (t.score < best) {
-      best = t.score;
-      d.winner = t.method;
-    }
+    if (t.trial_bytes < best->trial_bytes) best = &t;
+  d.winner = best->method;
   TAC_COUNTER_ADD("selector.trials_won", 1);
   TAC_COUNTER_ADD("selector.trials_lost", d.trials.size() - 1);
   d.seconds = total.seconds();
@@ -236,9 +199,9 @@ class AutoBackend final : public CompressorBackend {
     report.original_bytes = ds.original_bytes();
 
     // Same level pipeline as TAC: select + encode each level concurrently
-    // into private chunks, merge in level order. With the default kRatio
-    // objective the winners — and therefore the container bytes — are
-    // identical at any thread count.
+    // into private chunks, merge in level order. The winners compare byte
+    // counts, so they — and therefore the container bytes — are identical
+    // at any thread count.
     struct LevelOutput {
       Method winner = Method::kTac;
       LevelPayload payload;
@@ -258,8 +221,8 @@ class AutoBackend final : public CompressorBackend {
         /*grain=*/1);
 
     ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kAuto, ds, ds.num_levels(), cfg.sz.profile);
+    PayloadIndexBuilder index =
+        write_common_header(w, Method::kAuto, ds, ds.num_levels());
     for (auto& lvl : levels) {
       index.begin_payload();
       w.put_bytes(lvl.payload.bytes);

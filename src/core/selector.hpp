@@ -9,18 +9,17 @@
 /// the 1D baseline wins sparse, near-constant ones. The selector exploits
 /// that per level: it trial-compresses a small deterministic sample of
 /// each level's occupied unit blocks with every level-capable registered
-/// backend (CompressorBackend::supports_level_payloads), scores the
-/// trials by a configurable objective (SelectorConfig), and encodes the
-/// level with the winner. The chosen method is recorded in the v4 payload
-/// index's selector byte, so decoding needs no side channel: each payload
-/// dispatches to the backend its entry names.
+/// backend (CompressorBackend::supports_level_payloads), and encodes the
+/// level with the backend whose trial came out smallest. The chosen
+/// method is recorded in the v4 payload index's selector byte, so
+/// decoding needs no side channel: each payload dispatches to the backend
+/// its entry names.
 ///
 /// Determinism: block sampling is a pure function of (occupancy, level,
-/// seed), and the default kRatio objective compares trial byte counts —
-/// which are byte-stable across thread counts and SIMD tiers — so the
-/// same input and config produce the same per-level choices and a
-/// byte-identical container anywhere. The kThroughput/kBalanced
-/// objectives trade that reproducibility for wall-time awareness.
+/// seed), and the verdict compares trial byte counts — which are
+/// byte-stable across thread counts and SIMD tiers — with ties going to
+/// the lowest method tag, so the same input and config produce the same
+/// per-level choices and a byte-identical container anywhere.
 
 #include <vector>
 
@@ -31,9 +30,7 @@ namespace tac::core {
 /// One candidate's trial on the sampled stand-in level.
 struct CandidateTrial {
   Method method = Method::kTac;
-  std::size_t trial_bytes = 0;  ///< sampled-payload size
-  double trial_seconds = 0;     ///< wall time of the trial encode
-  double score = 0;             ///< objective value; lower wins
+  std::size_t trial_bytes = 0;  ///< sampled-payload size; smallest wins
 };
 
 /// The verdict for one level: the winning backend plus every trial that

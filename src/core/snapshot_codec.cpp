@@ -29,10 +29,9 @@ constexpr std::uint8_t kMinVersion = 1;
 ///
 /// Codec profiles are per-field, not per-snapshot: each field blob is a
 /// complete container whose own (v3) payload index records the profile
-/// its streams were encoded under, so `compress_snapshot` threads
-/// `cfg.sz.profile` through adaptive_compress and `decompress_snapshot`
-/// dispatches via decompress_any — the snapshot index itself stays on
-/// the 20-byte v2 entry layout.
+/// its streams were encoded under, and `decompress_snapshot` dispatches
+/// via decompress_any — the snapshot index itself stays on the 20-byte
+/// v2 entry layout.
 struct ParsedSnapshot {
   std::uint8_t version = kVersion;
   std::vector<std::string> names;                       ///< v2 only
@@ -53,18 +52,11 @@ ParsedSnapshot parse_snapshot(std::span<const std::uint8_t> bytes) {
         "snapshot container: unsupported version " +
         std::to_string(out.version) + " (this build reads versions " +
         std::to_string(kMinVersion) + ".." + std::to_string(kVersion) + ")");
-  const std::size_t n = static_cast<std::size_t>(r.get_varint());
-  // Bound the count before any reserve: a corrupt varint must surface as
-  // a clean error, not a huge allocation. Every field costs at least one
-  // blob-length byte (v1) or an empty name byte plus a fixed index entry
-  // (v2).
-  const std::size_t min_field_bytes =
-      out.version == 1 ? 1 : 1 + kPayloadEntryBytes;
-  if (n > r.remaining() / min_field_bytes)
-    throw std::runtime_error(
-        "snapshot container: claims " + std::to_string(n) +
-        " fields but only " + std::to_string(r.remaining()) +
-        " bytes remain");
+  // Every field costs at least one blob-length byte (v1) or an empty name
+  // byte plus a fixed index entry (v2).
+  const std::size_t n =
+      r.get_count("snapshot container: field count",
+                  out.version == 1 ? 1 : 1 + kPayloadEntryBytes);
   if (out.version == 1) {
     out.blobs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) out.blobs.push_back(r.get_blob());

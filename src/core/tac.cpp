@@ -262,8 +262,8 @@ class TacBackend final : public CompressorBackend {
         /*grain=*/1);
 
     ByteWriter w;
-    PayloadIndexBuilder index = write_common_header(
-        w, Method::kTac, ds, ds.num_levels(), cfg.sz.profile);
+    PayloadIndexBuilder index =
+        write_common_header(w, Method::kTac, ds, ds.num_levels());
     for (auto& lvl : levels) {
       index.begin_payload();
       w.put_bytes(lvl.bytes);

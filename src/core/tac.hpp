@@ -21,21 +21,6 @@
 
 namespace tac::core {
 
-/// What the auto-selector optimizes when ranking candidate backends.
-enum class SelectorObjective : std::uint8_t {
-  /// Minimize trial compressed bytes — fully deterministic (trial sizes
-  /// are byte-stable across thread counts and SIMD tiers), the default.
-  kRatio = 0,
-  /// Minimize trial encode wall time. Machine- and load-dependent: the
-  /// per-level choices (and therefore the container bytes) may differ
-  /// between runs.
-  kThroughput = 1,
-  /// Blend of both, each normalized by the best candidate's value;
-  /// `SelectorConfig::balance` weights the ratio term. Inherits the
-  /// throughput term's nondeterminism.
-  kBalanced = 2,
-};
-
 /// Knobs of the per-level adaptive backend selector (core/selector.hpp),
 /// consumed by the `auto` pseudo-backend.
 struct SelectorConfig {
@@ -47,11 +32,8 @@ struct SelectorConfig {
   /// tiny levels still get a meaningful sample.
   std::size_t min_sample_blocks = 4;
   /// Seed of the deterministic block-sampling sequence. Same input +
-  /// same seed -> same samples -> same per-level choices (kRatio).
+  /// same seed -> same samples -> same per-level choices.
   std::uint64_t seed = 0;
-  SelectorObjective objective = SelectorObjective::kRatio;
-  /// kBalanced only: weight of the ratio term in [0, 1].
-  double balance = 0.5;
   /// Restrict the candidate set (empty = every registered backend that
   /// supports per-level payloads). Methods without level support are
   /// ignored; an empty effective set is an error.

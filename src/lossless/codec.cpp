@@ -1,7 +1,5 @@
 #include "lossless/codec.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -12,19 +10,6 @@
 namespace tac::lossless {
 namespace {
 enum class Method : std::uint8_t { kStored = 0, kLzss = 1, kLzss2 = 2 };
-
-// -1 = follow the environment; otherwise a CodecProfile value.
-std::atomic<int> g_profile_override{-1};
-
-CodecProfile profile_from_env() {
-  const char* env = std::getenv("TAC_CODEC_PROFILE");
-  if (env == nullptr || *env == '\0') return CodecProfile::kFast;
-  const std::string v(env);
-  if (v == "legacy" || v == "0") return CodecProfile::kLegacy;
-  if (v == "fast" || v == "1") return CodecProfile::kFast;
-  throw ProfileError("TAC_CODEC_PROFILE: unknown value \"" + v +
-                     "\" (expected \"legacy\" or \"fast\")");
-}
 
 bool method_allowed(Method m, CodecProfile profile) {
   switch (profile) {
@@ -73,27 +58,13 @@ const char* to_string(CodecProfile p) {
   return "unknown";
 }
 
-CodecProfile default_profile() {
-  const int ov = g_profile_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return static_cast<CodecProfile>(ov);
-  static const CodecProfile env_profile = profile_from_env();
-  return env_profile;
-}
-
-void set_default_profile(CodecProfile p) {
-  g_profile_override.store(static_cast<int>(p), std::memory_order_relaxed);
-}
-
-std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input,
-                                   CodecProfile profile) {
+std::vector<std::uint8_t> compress(std::span<const std::uint8_t> input) {
   TAC_SPAN_BYTES("lzss.compress", input.size());
   TAC_COUNTER_ADD("lzss.compress_bytes_in", input.size());
-  auto packed = profile == CodecProfile::kFast ? lzss2_compress(input)
-                                               : lzss_compress(input);
+  const auto packed = lzss2_compress(input);
   ByteWriter w;
   if (packed.size() < input.size()) {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(
-        profile == CodecProfile::kFast ? Method::kLzss2 : Method::kLzss));
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(Method::kLzss2));
     w.put_bytes(packed);
   } else {
     w.put<std::uint8_t>(static_cast<std::uint8_t>(Method::kStored));

@@ -8,12 +8,14 @@
 /// codes its symbols, then runs the whole payload through this dictionary
 /// stage. Falls back to a stored block when compression does not pay.
 ///
-/// Two codec profiles exist. `kLegacy` reproduces the original
-/// bit-packed LZSS stream byte-for-byte (golden containers depend on it);
-/// `kFast` selects the byte-aligned LZSS v2 stream (chained + lazy
-/// matcher with a skip heuristic — see lzss.hpp). The profile of every
-/// container payload is recorded in the v3 payload index, so readers can
-/// validate that a stream carries the method bytes its profile promises.
+/// Every writer emits the byte-aligned LZSS v2 stream (chained + lazy
+/// matcher with a skip heuristic — see lzss.hpp), or a stored block. The
+/// codec profile names the encoder family behind a stream: `kFast` for
+/// that writer, `kLegacy` for the bit-packed LZSS v1 stream earlier
+/// writers emitted. The container's v3 payload index records the profile
+/// of every payload, so readers can validate that a stream carries the
+/// method bytes its profile promises; legacy streams are read, never
+/// written.
 
 #include <cstdint>
 #include <span>
@@ -37,23 +39,16 @@ class ProfileError : public std::runtime_error {
 
 [[nodiscard]] const char* to_string(CodecProfile p);
 
-/// Session default: `TAC_CODEC_PROFILE` env ("legacy" / "fast"), read
-/// once; `kFast` when unset. Throws ProfileError on an unknown value.
-[[nodiscard]] CodecProfile default_profile();
+/// The profile every writer emits.
+[[nodiscard]] constexpr CodecProfile default_profile() {
+  return CodecProfile::kFast;
+}
 
-/// Test knob: overrides the env-derived default for subsequent
-/// `default_profile()` calls (process-wide).
-void set_default_profile(CodecProfile p);
-
-/// Compresses arbitrary bytes; never loses data, never grows the payload by
+/// Compresses arbitrary bytes as an LZSS v2 stream, or as a stored block
+/// when that is not smaller. Never loses data, never grows the payload by
 /// more than one header byte plus the varint size.
 [[nodiscard]] std::vector<std::uint8_t> compress(
-    std::span<const std::uint8_t> input, CodecProfile profile);
-
-[[nodiscard]] inline std::vector<std::uint8_t> compress(
-    std::span<const std::uint8_t> input) {
-  return compress(input, default_profile());
-}
+    std::span<const std::uint8_t> input);
 
 /// Lenient decode: dispatches on the stream's own method byte, accepting
 /// any known method (v1/v2 containers carry no per-payload profile).

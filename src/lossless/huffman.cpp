@@ -473,12 +473,13 @@ std::vector<std::uint8_t> huffman_table_serialize(const HuffmanTable& table) {
 
 HuffmanTable huffman_table_deserialize(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const std::uint64_t n = r.get_varint();
+  // Each entry is a symbol-delta varint plus a length byte.
+  const std::size_t n = r.get_count("huffman table: entry count", 2);
   HuffmanTable table;
   table.symbols.reserve(n);
   table.lengths.reserve(n);
   std::uint32_t prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     prev += static_cast<std::uint32_t>(r.get_varint());
     const auto len = r.get<std::uint8_t>();
     if (len == 0 || len > HuffmanTable::kMaxLen)

@@ -80,85 +80,11 @@ std::size_t match_length(const std::uint8_t* input, std::size_t a,
   return len;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> input,
-                                        const LzssConfig& cfg) {
-  ByteWriter header;
-  header.put_varint(input.size());
-
-  BitWriter bw;
-  const std::size_t n = input.size();
-  MatchTable& mt = MatchTable::local();
-  mt.next_generation();
-  ArenaScope scratch;
-  // prev[] entries are only read after being written this call (chains
-  // reach only generation-tagged positions), so no clearing is needed.
-  const auto prev = scratch.alloc<std::uint64_t>(n);
-
-  std::size_t pos = 0;
-  while (pos < n) {
-    std::size_t best_len = 0;
-    std::size_t best_off = 0;
-    if (pos + kMinMatch <= n) {
-      const std::uint32_t h = hash4(input.data() + pos);
-      std::uint64_t entry = mt.head[h];
-      unsigned walked = 0;
-      const std::size_t limit = std::min(kMaxMatch, n - pos);
-      while (mt.valid(entry) && walked < cfg.max_chain) {
-        const auto c = static_cast<std::size_t>(entry & MatchTable::kPosMask);
-        if (pos - c > kWindow) break;
-        const std::size_t len = match_length(input.data(), c, pos, limit);
-        if (len > best_len) {
-          best_len = len;
-          best_off = pos - c;
-          if (len == limit) break;
-        }
-        entry = prev[c];
-        ++walked;
-      }
-    }
-
-    if (best_len >= kMinMatch) {
-      bw.write_bit(true);
-      bw.write(best_off - 1, 16);
-      bw.write(best_len - kMinMatch, 8);
-      // Insert all covered positions into the chains so future matches can
-      // start inside this match (vital for run-like data).
-      const std::size_t end = pos + best_len;
-      while (pos < end) {
-        if (pos + kMinMatch <= n) {
-          const std::uint32_t h = hash4(input.data() + pos);
-          prev[pos] = mt.head[h];
-          mt.head[h] = mt.tag(pos);
-        }
-        ++pos;
-      }
-    } else {
-      bw.write_bit(false);
-      bw.write(input[pos], 8);
-      if (pos + kMinMatch <= n) {
-        const std::uint32_t h = hash4(input.data() + pos);
-        prev[pos] = mt.head[h];
-        mt.head[h] = mt.tag(pos);
-      }
-      ++pos;
-    }
-  }
-
-  auto out = header.take();
-  const auto payload = bw.finish();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-namespace {
-
-// --- LZSS v2 (fast profile) -------------------------------------------
+// --- LZSS v2 (the stream every writer emits) ---------------------------
 //
-// The v1 encoder above is frozen: golden containers depend on its exact
-// output bytes. Everything below is the fast-profile twin — shared hash
-// chains, different stream format and search policy.
+// The legacy profile's v1 stream is decoded only (lzss_decompress, at the
+// end of this file): no writer emits it, and the golden containers under
+// tests/data/legacy/ pin its format.
 
 constexpr std::size_t kSkipTrigger = 6;  ///< skip step doubles every 64 misses
 constexpr std::size_t kLazyCutoff = 64;  ///< lazy-probe only modest matches

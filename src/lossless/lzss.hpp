@@ -18,19 +18,11 @@ struct LzssConfig {
   unsigned max_chain = 64;  ///< cap on hash-chain walks per position
 };
 
-/// Compresses `input`. Output always decodes back exactly; incompressible
-/// input grows by ~1/8 (flag bits) plus a small header.
-[[nodiscard]] std::vector<std::uint8_t> lzss_compress(
-    std::span<const std::uint8_t> input, const LzssConfig& cfg = {});
-
-[[nodiscard]] std::vector<std::uint8_t> lzss_decompress(
-    std::span<const std::uint8_t> compressed);
-
-/// LZSS v2: the fast-profile stream (see `lossless::CodecProfile`). Same
-/// 64 KiB window and hash-chain index as v1, but a byte-aligned token
-/// format (no flag-bit stream), one-step lazy matching, unbounded match
-/// lengths, and a skip heuristic that accelerates through incompressible
-/// runs instead of probing every byte.
+/// LZSS v2: the stream every writer emits (the fast codec profile, see
+/// `lossless::CodecProfile`). A 64 KiB window searched through hash
+/// chains, a byte-aligned token format, one-step lazy matching,
+/// unbounded match lengths, and a skip heuristic that accelerates through
+/// incompressible runs instead of probing every byte.
 ///
 /// Stream layout: varint uncompressed size, then tokens. Each token is a
 /// control byte `(literal_run << 4) | (match_len - 4)` — either nibble
@@ -43,6 +35,14 @@ struct LzssConfig {
     std::span<const std::uint8_t> input, const LzssConfig& cfg = {});
 
 [[nodiscard]] std::vector<std::uint8_t> lzss2_decompress(
+    std::span<const std::uint8_t> compressed);
+
+/// Decodes an LZSS v1 stream: the bit-packed format of the legacy codec
+/// profile, which earlier writers emitted and no writer emits any more.
+/// Layout: varint uncompressed size, then an MSB-first bit stream of
+/// tokens — flag 0 + 8-bit literal, or flag 1 + 16-bit offset-minus-1
+/// (window 1..65536) + 8-bit length-minus-4 (matches of 4..259 bytes).
+[[nodiscard]] std::vector<std::uint8_t> lzss_decompress(
     std::span<const std::uint8_t> compressed);
 
 }  // namespace tac::lossless

@@ -4,9 +4,8 @@
 /// \file config.hpp
 /// \brief User-facing configuration of the SZ-style compressor.
 
+#include <cstddef>
 #include <cstdint>
-
-#include "lossless/codec.hpp"
 
 namespace tac::sz {
 
@@ -45,12 +44,6 @@ struct SzConfig {
   Predictor predictor = Predictor::kLorenzo;
   /// Side of the prediction tiles in kHybrid mode (SZ2 uses 6).
   std::size_t pred_block = 6;
-  /// Lossless encoder family for every byte stream this compressor emits;
-  /// the predictor is the same under every profile. Not serialized in
-  /// the sz stream itself — the container's v3 payload index records it;
-  /// the decoder is told the expected profile (or decodes leniently for
-  /// pre-v3 containers).
-  lossless::CodecProfile profile = lossless::default_profile();
 
   [[nodiscard]] SzConfig with_error_bound(double eb) const {
     SzConfig c = *this;

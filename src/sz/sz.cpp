@@ -856,7 +856,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
     w.put_varint(cfg.pred_block);
     w.put<std::uint8_t>(static_cast<std::uint8_t>(StreamKind::kPwRel));
     w.put_blob(inner);
-    w.put_blob(lossless::compress(pack_sign_bits(data), cfg.profile));
+    w.put_blob(lossless::compress(pack_sign_bits(data)));
     w.put_varint(exceptions.size());
     std::uint64_t prev = 0;
     for (const auto& [idx, val] : exceptions) {
@@ -959,13 +959,13 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
 
   const auto huff = lossless::huffman_compress(
       std::span<const std::uint32_t>(codes.data(), codes.size()));
-  const auto huff_packed = lossless::compress(huff, cfg.profile);
+  const auto huff_packed = lossless::compress(huff);
   w.put_blob(huff_packed);
 
   std::span<const std::uint8_t> outlier_bytes{
       reinterpret_cast<const std::uint8_t*>(outliers.data()),
       outliers.size() * sizeof(T)};
-  const auto outliers_packed = lossless::compress(outlier_bytes, cfg.profile);
+  const auto outliers_packed = lossless::compress(outlier_bytes);
   w.put_blob(outliers_packed);
   w.put_blob(counts_w.buffer());
 
@@ -988,8 +988,8 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
         coeff_bytes.insert(coeff_bytes.end(), pc, pc + sizeof(c));
       }
     }
-    w.put_blob(lossless::compress(mode_bits, cfg.profile));
-    w.put_blob(lossless::compress(coeff_bytes, cfg.profile));
+    w.put_blob(lossless::compress(mode_bits));
+    w.put_blob(lossless::compress(coeff_bytes));
   }
   auto out = w.take();
   TAC_COUNTER_ADD("sz.bytes_out", out.size());

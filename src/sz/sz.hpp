@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/dims.hpp"
+#include "lossless/codec.hpp"
 #include "sz/config.hpp"
 
 namespace tac::sz {

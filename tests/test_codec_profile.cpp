@@ -1,25 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "amr/amr_io.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
+#include "container_downgrade.hpp"
+#include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/tac.hpp"
 #include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
-#include "sz/sz.hpp"
 
 /// Codec profiles (lossless::CodecProfile): the per-payload profile byte
-/// introduced by container format v3, the legacy vs fast lossless stream
-/// families it selects, and the compatibility guarantees between them —
-/// identical decoded values, typed errors on mismatch, v2 backward
-/// compatibility for legacy-profile containers.
+/// of container format v3+. Every writer declares `fast`; `legacy`
+/// streams are read only. The legacy side is pinned by golden containers
+/// an earlier writer produced (tests/data/legacy/, see its README): they
+/// must decode bit-identically to a fresh compress of the same input,
+/// also when downgraded to the v2 and v1 layouts, and a profile byte that
+/// contradicts the streams is a typed error.
 
 namespace tac::core {
 namespace {
@@ -27,34 +33,53 @@ namespace {
 using lossless::CodecProfile;
 using lossless::ProfileError;
 
-/// Restores the process-wide default profile on scope exit so tests stay
-/// order-independent (and pass under the TAC_CODEC_PROFILE=legacy CI leg).
-class ScopedProfile {
- public:
-  explicit ScopedProfile(CodecProfile p) : saved_(lossless::default_profile()) {
-    lossless::set_default_profile(p);
-  }
-  ~ScopedProfile() { lossless::set_default_profile(saved_); }
+const std::string kLegacyDir = TAC_LEGACY_DATA_DIR;
 
- private:
-  CodecProfile saved_;
+/// The golden containers: `tac_file_tool compress gen32.amr <file> 1e-3
+/// --method=<cli>` under the legacy profile. Every header mask blob is an
+/// LZSS v1 stream. In the payloads, LZSS v1 beat a stored block only for
+/// the 3D baseline's one large stream; the other payloads hold stored
+/// blocks only, which belong to either profile.
+struct Golden {
+  const char* cli;  ///< tac_file_tool --method= value
+  const char* file;
+  bool v1_payload_streams;
 };
+constexpr Golden kGoldens[] = {{"tac", "legacy_tac.tac", false},
+                               {"1d", "legacy_1d.tac", false},
+                               {"zmesh", "legacy_zmesh.tac", false},
+                               {"3d", "legacy_3d.tac", true},
+                               {"auto", "legacy_auto.tac", false}};
+/// The lossless method byte of an LZSS v1 stream (lossless/codec.cpp).
+constexpr std::uint8_t kLzssV1Method = 1;
+constexpr double kGoldenRelEb = 1e-3;
 
-amr::AmrDataset small_dataset(std::size_t n = 32,
-                              std::vector<double> densities = {0.3, 0.7}) {
-  simnyx::GeneratorConfig gc;
-  gc.finest_dims = {n, n, n};
-  gc.level_densities = std::move(densities);
-  gc.region_size = 8;
-  gc.seed = 2024;
-  return simnyx::generate_baryon_density(gc);
+std::vector<std::uint8_t> read_golden(const char* file) {
+  std::ifstream in(kLegacyDir + "/" + file, std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden " << file;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
-TacConfig test_config() {
+const amr::AmrDataset& golden_input() {
+  static const amr::AmrDataset ds =
+      amr::load_dataset(kLegacyDir + "/gen32.amr");
+  return ds;
+}
+
+/// What `tac_file_tool compress` writes today for `cli` at the golden
+/// bound.
+std::vector<std::uint8_t> fresh_compress(const std::string& cli) {
   TacConfig cfg;
-  cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
-  cfg.sz.error_bound = 1e6;
-  return cfg;
+  cfg.sz.mode = sz::ErrorBoundMode::kRelative;
+  cfg.sz.error_bound = kGoldenRelEb;
+  const amr::AmrDataset& ds = golden_input();
+  if (cli == "tac") return adaptive_compress(ds, cfg).bytes;
+  const Method m = cli == "1d"      ? Method::kOneD
+                   : cli == "zmesh" ? Method::kZMesh
+                   : cli == "3d"    ? Method::kUpsample3D
+                                    : Method::kAuto;
+  return backend_for(m).compress(ds, cfg).bytes;
 }
 
 CommonHeader header_of(std::span<const std::uint8_t> bytes) {
@@ -62,17 +87,158 @@ CommonHeader header_of(std::span<const std::uint8_t> bytes) {
   return read_common_header(r);
 }
 
-std::vector<std::uint8_t> compress_with_profile(CodecProfile p,
-                                                const amr::AmrDataset& ds) {
-  ScopedProfile guard(p);
-  return backend_for(Method::kTac).compress(ds, test_config()).bytes;
-}
-
 /// Byte offset of index entry `i`'s codec-profile byte inside a v4
 /// container (varint entry count is one byte for every dataset here).
 std::size_t profile_byte_offset(const CommonHeader& h, std::size_t i) {
   EXPECT_LT(h.index.entries.size(), 128u);
   return h.index_offset + 1 + i * kPayloadEntryV4Bytes + kPayloadEntryBytes;
+}
+
+std::vector<std::uint8_t> relabel(std::vector<std::uint8_t> bytes,
+                                  CodecProfile p) {
+  const CommonHeader h = header_of(bytes);
+  for (std::size_t i = 0; i < h.index.entries.size(); ++i)
+    bytes[profile_byte_offset(h, i)] = static_cast<std::uint8_t>(p);
+  return bytes;
+}
+
+/// Bitwise equality of every level's data and mask.
+void expect_same_levels(const amr::AmrDataset& a, const amr::AmrDataset& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.num_levels(), b.num_levels()) << what;
+  for (std::size_t l = 0; l < a.num_levels(); ++l) {
+    ASSERT_EQ(a.level(l).dims(), b.level(l).dims()) << what << " level " << l;
+    EXPECT_EQ(std::memcmp(a.level(l).data.span().data(),
+                          b.level(l).data.span().data(),
+                          a.level(l).data.size() * sizeof(double)),
+              0)
+        << what << " level " << l;
+    EXPECT_EQ(std::memcmp(a.level(l).mask.span().data(),
+                          b.level(l).mask.span().data(),
+                          a.level(l).mask.size()),
+              0)
+        << what << " level " << l << " mask";
+  }
+}
+
+TEST(LegacyGolden, DecodesLikeAFreshCompressWithinTheBound) {
+  const amr::AmrDataset& input = golden_input();
+  double lo = INFINITY;
+  double hi = -INFINITY;
+  for (std::size_t l = 0; l < input.num_levels(); ++l)
+    for (std::size_t i = 0; i < input.level(l).data.size(); ++i)
+      if (input.level(l).mask[i]) {
+        lo = std::min(lo, input.level(l).data[i]);
+        hi = std::max(hi, input.level(l).data[i]);
+      }
+  // Each backend resolves the relative bound against a level's or the
+  // whole dataset's range; both are within the dataset's.
+  const double bound = kGoldenRelEb * (hi - lo);
+
+  for (const Golden& g : kGoldens) {
+    const auto golden = read_golden(g.file);
+    const CommonHeader h = header_of(golden);
+    ASSERT_EQ(h.version, 4) << g.file;
+    for (std::size_t i = 0; i < h.index.entries.size(); ++i)
+      EXPECT_EQ(payload_profile(h, i), CodecProfile::kLegacy)
+          << g.file << " payload " << i;
+    for (const LevelHeader& lh : h.levels)
+      EXPECT_EQ(lh.mask_blob.at(0), kLzssV1Method) << g.file;
+
+    const amr::AmrDataset decoded = decompress_any(golden);
+    expect_same_levels(decoded, decompress_any(fresh_compress(g.cli)),
+                       g.file);
+    for (std::size_t l = 0; l < decoded.num_levels(); ++l) {
+      const amr::AmrLevel lv = decompress_level(golden, l);
+      EXPECT_EQ(std::memcmp(lv.data.span().data(),
+                            decoded.level(l).data.span().data(),
+                            lv.data.size() * sizeof(double)),
+                0)
+          << g.file << " decompress_level " << l;
+
+      double worst = 0;
+      const amr::AmrLevel& orig = input.level(l);
+      for (std::size_t i = 0; i < orig.data.size(); ++i)
+        if (orig.mask[i])
+          worst = std::max(worst,
+                           std::abs(orig.data[i] - decoded.level(l).data[i]));
+      EXPECT_LE(worst, bound) << g.file << " level " << l;
+    }
+  }
+}
+
+// Containers written before the profile byte (v2) and before the index
+// (v1) decode leniently through each stream's method byte. A legacy v4
+// container is byte-identical to its v2 and v1 ancestors apart from the
+// index, so the downgrades rebuild exactly what the older writers
+// emitted. The auto backend needs the v4 selector byte, so its golden has
+// no older layout.
+TEST(LegacyGolden, DowngradedToV2AndV1DecodesIdentically) {
+  for (const Golden& g : kGoldens) {
+    if (std::string(g.cli) == "auto") continue;
+    const auto v4 = read_golden(g.file);
+    const amr::AmrDataset want = decompress_any(v4);
+
+    const auto v2 = test::downgrade_to_v2(v4);
+    const CommonHeader h2 = header_of(v2);
+    EXPECT_EQ(h2.version, 2);
+    EXPECT_FALSE(payload_profile(h2, 0).has_value());
+    EXPECT_NO_THROW(verify_payloads(v2, h2.index));
+    expect_same_levels(decompress_any(v2), want, std::string(g.file) + " v2");
+
+    const auto v1 = test::downgrade_to_v1(v4);
+    EXPECT_EQ(header_of(v1).version, 1);
+    expect_same_levels(decompress_any(v1), want, std::string(g.file) + " v1");
+  }
+}
+
+// The index is not covered by the payload CRCs, so a profile byte that
+// contradicts the streams must be caught by the strict decode itself.
+TEST(LegacyGolden, StrictDecodeRejectsAMislabeledProfile) {
+  for (const Golden& g : kGoldens) {
+    const auto golden = read_golden(g.file);
+    const auto as_fast = relabel(golden, CodecProfile::kFast);
+    EXPECT_NO_THROW(verify_payloads(as_fast, header_of(as_fast).index));
+    if (g.v1_payload_streams)
+      EXPECT_THROW((void)decompress_any(as_fast), ProfileError) << g.file;
+    else  // stored blocks only: the fast label is true of them too
+      expect_same_levels(decompress_any(as_fast), decompress_any(golden),
+                         g.file);
+
+    const auto as_legacy =
+        relabel(fresh_compress(g.cli), CodecProfile::kLegacy);
+    EXPECT_NO_THROW(verify_payloads(as_legacy, header_of(as_legacy).index));
+    EXPECT_THROW((void)decompress_any(as_legacy), ProfileError) << g.cli;
+  }
+}
+
+TEST(CodecProfile, FlippedProfileByteIsATypedError) {
+  const auto bytes = read_golden("legacy_tac.tac");
+  auto unknown = bytes;
+  unknown[profile_byte_offset(header_of(bytes), 0)] = 9;
+  // An out-of-range profile byte is rejected while reading the header,
+  // with the payload called out.
+  try {
+    (void)decompress_any(unknown);
+    FAIL() << "decompress_any should have rejected the profile byte";
+  } catch (const ProfileError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("profile"), std::string::npos) << msg;
+    EXPECT_NE(msg.find('9'), std::string::npos) << msg;
+  }
+}
+
+TEST(CodecProfile, WritersDeclareTheFastProfile) {
+  EXPECT_EQ(lossless::default_profile(), CodecProfile::kFast);
+  for (const Golden& g : kGoldens) {
+    const auto bytes = fresh_compress(g.cli);
+    const CommonHeader h = header_of(bytes);
+    EXPECT_EQ(h.version, kFormatVersion);
+    ASSERT_FALSE(h.index.entries.empty());
+    for (std::size_t i = 0; i < h.index.entries.size(); ++i)
+      EXPECT_EQ(payload_profile(h, i), CodecProfile::kFast)
+          << g.cli << " payload " << i;
+  }
 }
 
 /// A corpus that exercises every encoder regime: long runs (deep hash
@@ -103,206 +269,36 @@ std::vector<std::uint8_t> mixed_corpus(std::size_t n) {
   return buf;
 }
 
-// Every input size 0..4097 must round-trip under both profiles, both
-// through the lenient decoder and the strict (profile-checked) one.
-TEST(CodecProfile, LosslessRoundTripsEverySizeUnderBothProfiles) {
+// Every input size 0..4097 round-trips through the lenient and the
+// strict decoder.
+TEST(CodecProfile, LosslessRoundTripsEverySize) {
   const auto corpus = mixed_corpus(4097);
-  for (const CodecProfile p : {CodecProfile::kLegacy, CodecProfile::kFast}) {
-    for (std::size_t n = 0; n <= corpus.size(); ++n) {
-      const std::span<const std::uint8_t> input(corpus.data(), n);
-      const auto packed = lossless::compress(input, p);
-      const auto lenient = lossless::decompress(packed);
-      ASSERT_TRUE(std::equal(input.begin(), input.end(), lenient.begin(),
-                             lenient.end()))
-          << lossless::to_string(p) << " size " << n;
-      const auto strict = lossless::decompress(packed, p);
-      ASSERT_TRUE(std::equal(input.begin(), input.end(), strict.begin(),
-                             strict.end()))
-          << lossless::to_string(p) << " strict size " << n;
-    }
+  for (std::size_t n = 0; n <= corpus.size(); ++n) {
+    const std::span<const std::uint8_t> input(corpus.data(), n);
+    const auto packed = lossless::compress(input);
+    const auto lenient = lossless::decompress(packed);
+    ASSERT_TRUE(std::equal(input.begin(), input.end(), lenient.begin(),
+                           lenient.end()))
+        << "size " << n;
+    const auto strict = lossless::decompress(packed, CodecProfile::kFast);
+    ASSERT_TRUE(std::equal(input.begin(), input.end(), strict.begin(),
+                           strict.end()))
+        << "strict size " << n;
   }
 }
 
-TEST(CodecProfile, StrictDecodeRejectsTheOtherProfilesStream) {
-  // Compressible input: both encoders beat stored, so the method byte is
-  // profile-specific (a stored block would legitimately satisfy either).
-  const std::vector<std::uint8_t> runs(8192, 0x55);
-  const auto legacy = lossless::compress(runs, CodecProfile::kLegacy);
-  const auto fast = lossless::compress(runs, CodecProfile::kFast);
-  ASSERT_NE(legacy[0], fast[0]);  // distinct method bytes
-  EXPECT_THROW((void)lossless::decompress(legacy, CodecProfile::kFast),
-               ProfileError);
-  EXPECT_THROW((void)lossless::decompress(fast, CodecProfile::kLegacy),
-               ProfileError);
-  try {
-    (void)lossless::decompress(fast, CodecProfile::kLegacy);
-    FAIL() << "strict decompress should have thrown";
-  } catch (const ProfileError& e) {
-    EXPECT_NE(std::string(e.what()).find("legacy"), std::string::npos)
-        << e.what();
-  }
-}
-
-// The fast profile swaps the dictionary stage, but decoded values must
-// stay bit-identical to the legacy path: same predictions, same
-// quantization, same outliers.
-TEST(CodecProfile, SzDecodedValuesBitIdenticalAcrossProfiles) {
-  struct Case {
-    Dims3 dims;
-    unsigned seed;
-  };
-  for (const auto& [dims, seed] :
-       {Case{Dims3{33, 17, 5}, 7u}, Case{Dims3{64, 64, 4}, 8u},
-        Case{Dims3{4097, 1, 1}, 9u}}) {
-    std::mt19937 rng(seed);
-    std::normal_distribution<double> noise(0.0, 1.0);
-    std::vector<double> v(dims.volume());
-    for (std::size_t i = 0; i < v.size(); ++i)
-      v[i] = std::sin(0.01 * static_cast<double>(i)) * 1e9 + noise(rng) * 1e5;
-    // Non-finite values take the exact outlier path; -0.0 is finite and
-    // quantizes lossily, but its reconstruction must still agree across
-    // profiles bit-for-bit (the memcmp below covers all three).
-    v[v.size() / 3] = std::numeric_limits<double>::quiet_NaN();
-    v[v.size() / 2] = -0.0;
-    v[v.size() - 1] = std::numeric_limits<double>::infinity();
-
-    sz::SzConfig cfg;
-    cfg.error_bound = 1e4;
-    cfg.profile = CodecProfile::kLegacy;
-    const auto legacy_stream = sz::compress<double>(v, dims, cfg);
-    cfg.profile = CodecProfile::kFast;
-    const auto fast_stream = sz::compress<double>(v, dims, cfg);
-
-    const auto a = sz::decompress<double>(legacy_stream, CodecProfile::kLegacy);
-    const auto b = sz::decompress<double>(fast_stream, CodecProfile::kFast);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-        << dims.nx << "x" << dims.ny << "x" << dims.nz;
-    EXPECT_TRUE(std::isnan(b[v.size() / 3]));
-    EXPECT_EQ(b[v.size() - 1], std::numeric_limits<double>::infinity());
-  }
-}
-
-TEST(CodecProfile, ContainerIndexRecordsTheWritingProfile) {
-  const auto ds = small_dataset();
-  for (const CodecProfile p : {CodecProfile::kLegacy, CodecProfile::kFast}) {
-    const auto bytes = compress_with_profile(p, ds);
-    const CommonHeader h = header_of(bytes);
-    EXPECT_EQ(h.version, kFormatVersion);
-    ASSERT_FALSE(h.index.entries.empty());
-    for (std::size_t i = 0; i < h.index.entries.size(); ++i) {
-      const auto declared = payload_profile(h, i);
-      ASSERT_TRUE(declared.has_value());
-      EXPECT_EQ(*declared, p) << "payload " << i;
-      EXPECT_EQ(bytes[profile_byte_offset(h, i)],
-                static_cast<std::uint8_t>(p));
-    }
-    // Decoded values are profile-independent at the container level too.
-    const auto back = decompress_any(bytes);
-    EXPECT_EQ(back.num_levels(), ds.num_levels());
-  }
-  const auto legacy = decompress_any(compress_with_profile(
-      CodecProfile::kLegacy, ds));
-  const auto fast = decompress_any(compress_with_profile(
-      CodecProfile::kFast, ds));
-  for (std::size_t l = 0; l < legacy.num_levels(); ++l)
-    EXPECT_EQ(std::memcmp(legacy.level(l).data.span().data(),
-                          fast.level(l).data.span().data(),
-                          legacy.level(l).data.size() * sizeof(double)),
-              0)
-        << "level " << l;
-}
-
-/// Rebuilds the v2 serialization of a v4 container: identical except for
-/// the version byte and the two-bytes-narrower index entries — no profile
-/// or selector byte — so every payload shifts back by twice the entry
-/// count.
-std::vector<std::uint8_t> downgrade_to_v2(const std::vector<std::uint8_t>& v3) {
-  const CommonHeader h = header_of(v3);
-  const std::uint64_t n = h.index.entries.size();
-  EXPECT_LT(n, 128u);  // varint count stays one byte
-  std::vector<std::uint8_t> v2(
-      v3.begin(), v3.begin() + static_cast<long>(h.index_offset));
-  v2[4] = 2;  // magic:4 bytes, then the format version byte
-  v2.push_back(v3[h.index_offset]);  // entry count
-  for (const PayloadEntry& e : h.index.entries) {
-    const std::uint64_t off = e.offset - 2 * n;
-    const std::uint64_t len = e.length;
-    for (int b = 0; b < 8; ++b)
-      v2.push_back(static_cast<std::uint8_t>(off >> (8 * b)));
-    for (int b = 0; b < 8; ++b)
-      v2.push_back(static_cast<std::uint8_t>(len >> (8 * b)));
-    for (int b = 0; b < 4; ++b)
-      v2.push_back(static_cast<std::uint8_t>(e.crc32 >> (8 * b)));
-  }
-  v2.insert(v2.end(), v3.begin() + static_cast<long>(h.payload_offset),
-            v3.end());
-  return v2;
-}
-
-// Containers written before the profile byte existed (v2 layout) must
-// keep decoding through the lenient path. A legacy-profile v3 container
-// is byte-identical to its v2 ancestor apart from the index widening, so
-// the downgrade reconstructs exactly what the old writer emitted.
-TEST(CodecProfile, LegacyProfileContainersDecodeIdenticallyAsV2) {
-  const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
-  const auto v3 = compress_with_profile(CodecProfile::kLegacy, ds);
-  const auto v2 = downgrade_to_v2(v3);
-  ASSERT_EQ(v2.size(), v3.size() - 2 * header_of(v3).index.entries.size());
-
-  const CommonHeader h2 = header_of(v2);
-  EXPECT_EQ(h2.version, 2);
-  EXPECT_FALSE(payload_profile(h2, 0).has_value());
-  EXPECT_NO_THROW(verify_payloads(v2, h2.index));
-
-  const auto from_v2 = decompress_any(v2);
-  const auto from_v3 = decompress_any(v3);
-  ASSERT_EQ(from_v2.num_levels(), from_v3.num_levels());
-  for (std::size_t l = 0; l < from_v2.num_levels(); ++l)
-    EXPECT_EQ(std::memcmp(from_v2.level(l).data.span().data(),
-                          from_v3.level(l).data.span().data(),
-                          from_v2.level(l).data.size() * sizeof(double)),
-              0)
-        << "level " << l;
-}
-
-TEST(CodecProfile, FlippedProfileByteIsATypedError) {
-  const auto ds = small_dataset();
-  const auto bytes = compress_with_profile(CodecProfile::kFast, ds);
-  const CommonHeader h = header_of(bytes);
-
-  // Declaring legacy over fast streams: the index parses (0 is a valid
-  // profile) but the first payload's method byte contradicts it. Payload
-  // CRCs still pass — the index is not covered by them — so this must be
-  // caught by the profile check, not the checksums.
-  auto mislabeled = bytes;
-  for (std::size_t i = 0; i < h.index.entries.size(); ++i)
-    mislabeled[profile_byte_offset(h, i)] =
-        static_cast<std::uint8_t>(CodecProfile::kLegacy);
-  EXPECT_NO_THROW(verify_payloads(mislabeled, header_of(mislabeled).index));
-  EXPECT_THROW((void)decompress_any(mislabeled), ProfileError);
-
-  // An out-of-range profile byte is rejected while reading the header,
-  // with the payload called out.
-  auto unknown = bytes;
-  unknown[profile_byte_offset(h, 0)] = 9;
-  try {
-    (void)decompress_any(unknown);
-    FAIL() << "decompress_any should have rejected the profile byte";
-  } catch (const ProfileError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("profile"), std::string::npos) << msg;
-    EXPECT_NE(msg.find('9'), std::string::npos) << msg;
-  }
-}
-
-// The Lorenzo wavefront and the fast profile's chained matcher must not
-// leak scheduling into the bytes: any thread count, SIMD or scalar, one
-// container.
-TEST(CodecProfile, FastProfileOutputStableAcrossThreadsAndSimd) {
-  ScopedProfile profile(CodecProfile::kFast);
-  const auto ds = small_dataset(64, {0.1, 0.3, 0.6});
-  const TacConfig cfg = test_config();
+// The Lorenzo wavefront and the chained matcher must not leak scheduling
+// into the bytes: any thread count, SIMD or scalar, one container.
+TEST(CodecProfile, WriterOutputStableAcrossThreadsAndSimd) {
+  simnyx::GeneratorConfig gc;
+  gc.finest_dims = {64, 64, 64};
+  gc.level_densities = {0.1, 0.3, 0.6};
+  gc.region_size = 8;
+  gc.seed = 2024;
+  const auto ds = simnyx::generate_baryon_density(gc);
+  TacConfig cfg;
+  cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
+  cfg.sz.error_bound = 1e6;
 
   std::vector<std::uint8_t> reference;
   {

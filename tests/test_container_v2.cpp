@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "container_downgrade.hpp"
 #include "amr/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "core/adaptive.hpp"
@@ -49,18 +50,7 @@ CommonHeader header_of(std::span<const std::uint8_t> bytes) {
   return read_common_header(r);
 }
 
-/// Rebuilds the v1 serialization of a v2 container: v1 is byte-identical
-/// except for the version byte and the absent payload index.
-std::vector<std::uint8_t> downgrade_to_v1(
-    const std::vector<std::uint8_t>& v2) {
-  const CommonHeader h = header_of(v2);
-  std::vector<std::uint8_t> v1(v2.begin(),
-                               v2.begin() + static_cast<long>(h.index_offset));
-  v1.insert(v1.end(), v2.begin() + static_cast<long>(h.payload_offset),
-            v2.end());
-  v1[4] = 1;  // magic:4 bytes, then the format version byte
-  return v1;
-}
+using test::downgrade_to_v1;
 
 TEST(ContainerV2, HeaderCarriesPayloadIndex) {
   const auto ds = small_dataset();

@@ -7,6 +7,7 @@
 #include "core/backend.hpp"
 #include "core/container.hpp"
 #include "lossless/codec.hpp"
+#include "lossless/huffman.hpp"
 #include "simnyx/generator.hpp"
 #include "sz/sz.hpp"
 
@@ -358,6 +359,31 @@ TEST(HostileLzss, SizeJustPastThePayloadsCapacityThrows) {
     });
     EXPECT_LT(allocated, declared) << "method " << int{method};
   }
+}
+
+// ---------------------------------------------------- hostile huffman tables
+// A Huffman table leads with its entry count; every entry takes at least a
+// symbol-delta varint and a length byte, so the count is bounded by half
+// the table bytes before anything is reserved for it.
+
+TEST(HostileHuffman, HugeTableCountThrowsBeforeAllocating) {
+  ByteWriter table;
+  table.put_varint(std::uint64_t{1} << 40);
+  const auto table_bytes = table.take();
+  ASSERT_EQ(table_bytes.size(), 6u);
+  ByteWriter stream;  // huffman_compress layout: count, table, payload
+  stream.put_varint(1);
+  stream.put_blob(table_bytes);
+  stream.put_blob(std::vector<std::uint8_t>{});
+  const auto stream_bytes = stream.take();
+
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)lossless::huffman_table_deserialize(table_bytes),
+                 std::runtime_error);
+    EXPECT_THROW((void)lossless::huffman_decompress(stream_bytes),
+                 std::runtime_error);
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
 }
 
 }  // namespace

@@ -22,15 +22,10 @@
 namespace tac::core {
 namespace {
 
-using lossless::CodecProfile;
-
-/// Pin the codec profile so trial byte counts — and therefore the
-/// recorded winners — do not depend on the TAC_CODEC_PROFILE CI leg.
 TacConfig auto_config(double abs_eb = 1e8) {
   TacConfig cfg;
   cfg.sz.mode = sz::ErrorBoundMode::kAbsolute;
   cfg.sz.error_bound = abs_eb;
-  cfg.sz.profile = CodecProfile::kFast;
   return cfg;
 }
 
@@ -137,8 +132,8 @@ TEST(Selector, MixedContainerRoundTripsWithinBound) {
 }
 
 // Same input + seed -> same winners and a byte-identical container at any
-// thread count, SIMD or scalar (the default kRatio objective compares
-// trial byte counts, which are deterministic by construction).
+// thread count, SIMD or scalar (the selector compares trial byte counts,
+// which are deterministic by construction).
 TEST(Selector, AutoContainerStableAcrossThreadsAndSimd) {
   const auto ds = mixed_winner_dataset();
   const TacConfig cfg = auto_config();
