@@ -6,19 +6,19 @@
 /// so it builds without the benchmark package: CI runs it on every push.
 /// Each kernel is measured in alternating A/B rounds inside the same time
 /// window (the ratio is what matters — absolute numbers drift with machine
-/// noise, the interleaved ratio does not) and the results are written to
+/// noise, the interleaved ratio does not); a kernel with nothing to race
+/// is timed alone and reports throughput only. The results are written to
 /// BENCH_hotpaths.json next to the console table.
 ///
 /// Scoreboard expectations wired into CI:
 ///   - huffman_decode must beat the bit-at-a-time reference by >= 4x,
 ///   - the LZSS v2 encoder (lzss2) must compress the mixed corpus at
-///     >= 82 MB/s (see kLzssCompressFloorMbps),
+///     >= 82 MB/s (see kLzssCompressFloorMbps; host-dependent),
 ///   - every vectorized kernel must be no slower than its scalar fallback,
 ///   - disabled telemetry (TAC_TRACE off) must cost <= 1% on the
 ///     instrumented huffman_decompress wrapper.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <random>
 #include <string>
@@ -50,7 +50,7 @@ struct KernelResult {
   std::string name;
   double a_seconds = 0;  ///< optimized path, summed over rounds
   double b_seconds = 0;  ///< baseline path, summed over rounds
-  const char* baseline = "scalar";
+  const char* baseline = "scalar";  ///< nullptr: no baseline was timed
   double mb_per_s = 0;  ///< optimized-path throughput over the input bytes
 
   [[nodiscard]] double speedup() const {
@@ -82,6 +82,23 @@ KernelResult ab(const std::string& name, std::size_t bytes, A&& a, B&& b) {
     t.reset();
     b();
     r.b_seconds += t.seconds();
+  }
+  r.mb_per_s = static_cast<double>(bytes) * kRounds / r.a_seconds / 1.0e6;
+  return r;
+}
+
+/// Times `a` alone, for a kernel with nothing to race: the row reports
+/// absolute throughput and no speedup.
+template <class A>
+KernelResult timed(const std::string& name, std::size_t bytes, A&& a) {
+  KernelResult r;
+  r.name = name;
+  r.baseline = nullptr;
+  a();  // warm (page in buffers, build tables)
+  for (int round = 0; round < kRounds; ++round) {
+    Timer t;
+    a();
+    r.a_seconds += t.seconds();
   }
   r.mb_per_s = static_cast<double>(bytes) * kRounds / r.a_seconds / 1.0e6;
   return r;
@@ -188,14 +205,11 @@ KernelResult bench_mask_roundtrip() {
   }
   const auto packed = amr::pack_mask(mask);
   // No dispatched scalar twin (the word-wise path is endian-gated, not
-  // CPUID-gated): measure absolute round-trip throughput, ratio vs itself.
-  auto roundtrip = [&] {
+  // CPUID-gated): measure absolute round-trip throughput.
+  return timed("mask_roundtrip", mask.size(), [&] {
     const auto p = amr::pack_mask(mask);
     (void)amr::unpack_mask(p, mask.size());
-  };
-  auto r = ab("mask_roundtrip", mask.size(), roundtrip, roundtrip);
-  r.baseline = "self";
-  return r;
+  });
 }
 
 /// The byte mix the lossless stage actually sees: a Huffman-coded payload
@@ -233,66 +247,35 @@ std::vector<std::uint8_t> lzss_corpus() {
   return corpus;
 }
 
-/// Absolute floor on the lzss_compress row, as strict as the relative
+/// Absolute floor on the lzss_compress row, in place of the relative
 /// floor it replaces: lzss2 had to beat the LZSS v1 bit-stream encoder,
 /// which no longer exists, by >= 1.2x. The committed BENCH_hotpaths.json
 /// of that gate reads lzss2 at 364.6 MB/s and 5.357x, so the v1 encoder
-/// ran at 364.6 / 5.357 = 68 MB/s, and 1.2 x 68 = 82 MB/s.
+/// ran at 364.6 / 5.357 = 68 MB/s, and 1.2 x 68 = 82 MB/s. Unlike the
+/// ratio, an absolute floor depends on the host: it is as strict as the
+/// old gate only on a host at least as fast as the one that wrote that
+/// file, and a slower runner can fail it with no code change.
 constexpr double kLzssCompressFloorMbps = 82.0;
 
 KernelResult bench_lzss_compress() {
   const auto corpus = lzss_corpus();
-  // No second encoder to race: the row reports absolute throughput,
-  // gated by kLzssCompressFloorMbps, with the ratio against itself.
-  const auto compress = [&] { (void)lossless::lzss2_compress(corpus); };
-  auto r = ab("lzss_compress", corpus.size(), compress, compress);
-  r.baseline = "self";
-  return r;
-}
-
-/// Byte-at-a-time LZSS v2 decoder: the obvious loop over the token format
-/// (lzss.hpp), with no memcpy/memset fast paths. Trusts its input.
-std::vector<std::uint8_t> lzss2_decode_reference(
-    std::span<const std::uint8_t> stream) {
-  ByteReader r(stream);
-  const auto n = static_cast<std::size_t>(r.get_varint());
-  const std::uint8_t* p = stream.data() + r.position();
-  const auto ext = [&] {  // LZ4-style: add bytes until one is not 255
-    std::size_t v = 0;
-    while (*p == 255) v += *p++;
-    return v + *p++;
-  };
-  std::vector<std::uint8_t> out;
-  out.reserve(n);
-  while (out.size() < n) {
-    const std::uint8_t token = *p++;
-    std::size_t lits = token >> 4;
-    if (lits == 15) lits += ext();
-    for (std::size_t i = 0; i < lits; ++i) out.push_back(*p++);
-    if (out.size() == n) break;
-    const std::size_t off = (p[0] | std::size_t{p[1]} << 8) + 1;
-    p += 2;
-    std::size_t len = token & 0xf;
-    if (len == 15) len += ext();
-    for (std::size_t i = 0; i < len + 4; ++i)
-      out.push_back(out[out.size() - off]);
-  }
-  return out;
+  return timed("lzss_compress", corpus.size(),
+               [&] { (void)lossless::lzss2_compress(corpus); });
 }
 
 KernelResult bench_lzss_decompress() {
   const auto corpus = lzss_corpus();
   const auto stream = lossless::lzss2_compress(corpus);
-  if (lzss2_decode_reference(stream) != corpus) {
-    std::printf("FAIL: the lzss2 reference decoder disagrees with the "
-                "corpus\n");
-    std::exit(1);
-  }
+  // The baseline is a plain copy of the decoded bytes: the floor any
+  // decoder that allocates its output has to pay.
   auto r = ab(
       "lzss_decompress", corpus.size(),
       [&] { (void)lossless::lzss2_decompress(stream); },
-      [&] { (void)lzss2_decode_reference(stream); });
-  r.baseline = "bytewise reference";
+      [&] {
+        const std::vector<std::uint8_t> copy(corpus);
+        g_sink = g_sink + copy.front();
+      });
+  r.baseline = "copy";
   return r;
 }
 
@@ -374,12 +357,17 @@ void write_json(const std::vector<KernelResult>& results) {
   std::fprintf(f, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"seconds\": %.6f, "
-                 "\"baseline\": \"%s\", \"baseline_seconds\": %.6f, "
-                 "\"speedup\": %.3f, \"mb_per_s\": %.1f}%s\n",
-                 r.name.c_str(), r.a_seconds, r.baseline, r.b_seconds,
-                 r.speedup(), r.mb_per_s, i + 1 < results.size() ? "," : "");
+    std::fprintf(f, "    {\"name\": \"%s\", \"seconds\": %.6f, ",
+                 r.name.c_str(), r.a_seconds);
+    if (r.baseline)
+      std::fprintf(f,
+                   "\"baseline\": \"%s\", \"baseline_seconds\": %.6f, "
+                   "\"speedup\": %.3f, ",
+                   r.baseline, r.b_seconds, r.speedup());
+    else
+      std::fprintf(f, "\"baseline\": null, \"speedup\": null, ");
+    std::fprintf(f, "\"mb_per_s\": %.1f}%s\n", r.mb_per_s,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -407,8 +395,13 @@ int main() {
 
   bool ok = true;
   for (const auto& r : results) {
-    std::printf("%-16s %12.4f %12.4f %8.2fx %10.1f  %s\n", r.name.c_str(),
-                r.a_seconds, r.b_seconds, r.speedup(), r.mb_per_s, r.baseline);
+    if (r.baseline)
+      std::printf("%-16s %12.4f %12.4f %8.2fx %10.1f  %s\n", r.name.c_str(),
+                  r.a_seconds, r.b_seconds, r.speedup(), r.mb_per_s,
+                  r.baseline);
+    else
+      std::printf("%-16s %12.4f %12s %9s %10.1f  -\n", r.name.c_str(),
+                  r.a_seconds, "-", "n/a", r.mb_per_s);
     if (r.name == "huffman_decode" && r.speedup() < 4.0) {
       std::printf("FAIL: huffman_decode speedup %.2fx < 4x target\n",
                   r.speedup());
