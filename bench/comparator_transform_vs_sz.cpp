@@ -37,7 +37,7 @@ int main() {
         uniform.span(), uniform.dims(),
         sz::SzConfig{.mode = sz::ErrorBoundMode::kAbsolute,
                      .error_bound = eb});
-    const auto r_sz = sz::decompress<double>(c_sz);
+    const auto r_sz = sz::decompress<double>(c_sz, uniform.size());
     const auto s_sz = analysis::distortion(uniform.span(), r_sz);
 
     const auto c_tc = zfplike::compress(

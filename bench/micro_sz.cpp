@@ -56,7 +56,7 @@ void BM_SzDecompress3D(benchmark::State& state) {
                          .error_bound = 1e7};
   const auto bytes = sz::compress<double>(v, d, cfg);
   for (auto _ : state) {
-    const auto back = sz::decompress<double>(bytes);
+    const auto back = sz::decompress<double>(bytes, v.size());
     benchmark::DoNotOptimize(back.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

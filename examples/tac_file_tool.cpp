@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -91,19 +92,21 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   TAC_SPAN_NAMED(span, "cli.load");
   std::ifstream f(path, std::ios::binary);
   if (!f) throw IoError("cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  for (;;) {
-    const std::size_t old = bytes.size();
-    bytes.resize(old + kIoChunk);
-    f.read(reinterpret_cast<char*>(bytes.data() + old),
-           static_cast<std::streamsize>(kIoChunk));
-    bytes.resize(old + static_cast<std::size_t>(f.gcount()));
-    if (f.eof()) {
-      span.set_bytes(bytes.size());
-      return bytes;
-    }
-    if (!f) throw IoError("read failed: " + path);
+  // Sized once from the file: one allocation and no regrowth per chunk.
+  // file_size also refuses a directory, which opens as a stream.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw IoError("cannot size " + path + ": " + ec.message());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
+    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
+    f.read(reinterpret_cast<char*>(bytes.data() + pos),
+           static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(f.gcount()) != n)
+      throw IoError("read failed: " + path);
   }
+  span.set_bytes(bytes.size());
+  return bytes;
 }
 
 void write_file(const std::string& path,

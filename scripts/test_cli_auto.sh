@@ -1,7 +1,9 @@
 #!/bin/sh
 # CLI round-trip for the auto selector: a mixed-method v4 container must
 # survive compress -> info -> decompress -> per-level extract through
-# tac_file_tool, and a damaged selector byte must exit with code 4.
+# tac_file_tool, and a damaged selector byte must exit with code 4, as
+# must a 1D payload whose sz stream declares far more values than its
+# level holds.
 #
 # Usage: test_cli_auto.sh <path-to-tac_file_tool>
 set -eu
@@ -46,5 +48,44 @@ rc=$?
 set -e
 [ "$rc" -eq 4 ] || fail "damaged selector byte: expected exit 4, got $rc"
 grep -q "selector" err.log || fail "damaged selector byte: untyped error"
+
+# Replace the last payload of a 1D container with a ~50-byte sz stream
+# declaring 2^38 doubles (2 TiB), and fix that payload's index entry
+# (length and CRC32). The decoder knows the level's valid-cell count, so
+# it must refuse the stream before allocating anything: exit 4 with the
+# declared count in the message, not an allocation failure.
+"$TOOL" compress in.amr oned.tac 1e-4 --method=1d >/dev/null ||
+  fail "compress --method=1d"
+"$TOOL" info oned.tac >oned_info.log || fail "info (1d)"
+python3 - oned.tac oned_info.log <<'PY'
+import re, struct, sys, zlib
+path, info = sys.argv[1], open(sys.argv[2]).read()
+offsets = [int(o) for o in re.findall(r"payload \d+: offset (\d+)", info)]
+def varint(v):
+    out = bytearray()
+    while True:
+        b, v = v & 0x7F, v >> 7
+        out.append(b | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+sz = (struct.pack("<HBB", 0x5A53, 1, 8) + varint(1 << 38) + varint(1) * 3
+      + b"\0" + struct.pack("<ddd", 1.0, 1.0, 0.0) + varint(32768) + b"\0"
+      + varint(8) + b"\0" + struct.pack("<d", 1.0))
+payload = varint(len(sz)) + sz
+d = bytearray(open(path, "rb").read())
+assert d[4] == 4, f"expected format v4, got {d[4]}"
+last = len(offsets) - 1
+entry = offsets[0] - len(offsets) * 22 + last * 22  # 22-byte v4 entries
+d = d[:offsets[last]] + payload  # the last payload runs to the end
+struct.pack_into("<QI", d, entry + 8, len(payload), zlib.crc32(payload))
+open(path, "wb").write(bytes(d))
+PY
+set +e
+"$TOOL" decompress oned.tac bad.amr >/dev/null 2>err.log
+rc=$?
+set -e
+[ "$rc" -eq 4 ] || fail "2^38-element sz stream: expected exit 4, got $rc"
+grep -q "declares 274877906944 elements" err.log ||
+  fail "2^38-element sz stream: not refused by its count: $(cat err.log)"
 
 echo "cli auto round-trip OK ($n payloads)"

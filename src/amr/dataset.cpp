@@ -7,42 +7,51 @@
 
 namespace tac::amr {
 
+std::size_t AmrLevel::valid_count() const {
+  // Per word, the high bit of each byte becomes its "nonzero" flag (the
+  // same kLow7 trick as amr_io's pack_mask) and one multiply sums the
+  // eight flags into the top byte. No popcount instruction: the build
+  // targets baseline x86-64, where __builtin_popcountll is a libgcc call.
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  const std::uint8_t* m = mask.data();
+  const std::size_t size = mask.size();
+  std::size_t n = 0;
+  std::size_t i = 0;
+  for (; i + kMaskChunk <= size; i += kMaskChunk) {
+    if (mask_chunk_empty(m + i)) continue;
+    for (std::size_t k = i; k < i + kMaskChunk; k += 8) {
+      std::uint64_t v;
+      std::memcpy(&v, m + k, sizeof(v));
+      const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
+      n += static_cast<std::size_t>((nonzero * kOnes) >> 56);
+    }
+  }
+  for (; i < size; ++i) n += m[i] ? 1 : 0;
+  return n;
+}
+
 std::vector<double> AmrLevel::gather_valid() const {
   std::vector<double> out;
   out.reserve(valid_count());
-  for (std::size_t i = 0; i < data.size(); ++i)
-    if (mask[i]) out.push_back(data[i]);
+  for_each_valid([&](std::size_t i) { out.push_back(data[i]); });
   return out;
 }
 
 std::size_t AmrLevel::gather_valid_into(std::span<double> out) const {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < data.size(); ++i)
-    if (mask[i]) out[n++] = data[i];
+  for_each_valid([&](std::size_t i) { out[n++] = data[i]; });
   return n;
 }
 
 void AmrLevel::scatter_valid(std::span<const double> values) {
-  const std::uint8_t* m = mask.data();
   double* d = data.data();
-  const std::size_t n = data.size();
   std::size_t vi = 0;
-  // Eight mask bytes at a time: an all-empty word costs one load and no
-  // per-cell branch, so a sparse level's scan is mostly word loads.
-  for (std::size_t i = 0; i < n; i += 8) {
-    const std::size_t end = std::min(n, i + 8);
-    if (end - i == 8) {
-      std::uint64_t word;
-      std::memcpy(&word, m + i, sizeof(word));
-      if (word == 0) continue;
-    }
-    for (std::size_t k = i; k < end; ++k) {
-      if (!m[k]) continue;
-      if (vi >= values.size())
-        throw std::invalid_argument("scatter_valid: too few values");
-      d[k] = values[vi++];
-    }
-  }
+  for_each_valid([&](std::size_t i) {
+    if (vi >= values.size())
+      throw std::invalid_argument("scatter_valid: too few values");
+    d[i] = values[vi++];
+  });
   if (vi != values.size())
     throw std::invalid_argument("scatter_valid: too many values");
 }
@@ -50,8 +59,7 @@ void AmrLevel::scatter_valid(std::span<const double> values) {
 std::pair<double, double> AmrLevel::valid_range() const {
   bool any = false;
   double lo = 0, hi = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (!mask[i]) continue;
+  for_each_valid([&](std::size_t i) {
     if (!any) {
       lo = hi = data[i];
       any = true;
@@ -59,7 +67,7 @@ std::pair<double, double> AmrLevel::valid_range() const {
       lo = std::min(lo, data[i]);
       hi = std::max(hi, data[i]);
     }
-  }
+  });
   return {lo, hi};
 }
 

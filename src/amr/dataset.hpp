@@ -11,6 +11,8 @@
 /// Level 0 is the finest.
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,28 @@
 #include "common/dims.hpp"
 
 namespace tac::amr {
+
+/// Mask bytes a scan tests at once: four 8-byte words.
+inline constexpr std::size_t kMaskChunk = 32;
+
+/// True when the kMaskChunk mask bytes at `p` are all zero: four word
+/// loads and one branch.
+inline bool mask_chunk_empty(const std::uint8_t* p) {
+  std::uint64_t w[kMaskChunk / 8];
+  std::memcpy(w, p, sizeof(w));
+  return (w[0] | w[1] | w[2] | w[3]) == 0;
+}
+
+/// True when the `n` mask bytes at `p` are all zero. Stops at the first
+/// nonzero chunk.
+inline bool mask_bytes_empty(const std::uint8_t* p, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + kMaskChunk <= n; i += kMaskChunk)
+    if (!mask_chunk_empty(p + i)) return false;
+  std::uint8_t any = 0;
+  for (; i < n; ++i) any |= p[i];
+  return any == 0;
+}
 
 /// One refinement level: a full-domain grid plus a validity mask. Cells
 /// with mask == 0 are "empty" — their region of the domain is stored at
@@ -31,10 +55,27 @@ struct AmrLevel {
 
   [[nodiscard]] const Dims3& dims() const { return data.dims(); }
 
-  [[nodiscard]] std::size_t valid_count() const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < mask.size(); ++i) n += mask[i] ? 1 : 0;
-    return n;
+  /// Number of valid cells. Counts eight mask bytes per step and skips
+  /// all-empty 32-byte chunks, so a sparse level costs about one load per
+  /// mask word.
+  [[nodiscard]] std::size_t valid_count() const;
+
+  /// Calls `fn(i)` with the raster index of every valid cell, in raster
+  /// order. An all-empty 32-byte chunk of the mask costs four word loads
+  /// and no per-cell branch, so a sparse level's scan is mostly word
+  /// loads. Every full-level mask scan goes through here.
+  template <class Fn>
+  void for_each_valid(Fn&& fn) const {
+    const std::uint8_t* m = mask.data();
+    const std::size_t n = mask.size();
+    std::size_t i = 0;
+    for (; i + kMaskChunk <= n; i += kMaskChunk) {
+      if (mask_chunk_empty(m + i)) continue;
+      for (std::size_t k = i; k < i + kMaskChunk; ++k)
+        if (m[k]) fn(k);
+    }
+    for (; i < n; ++i)
+      if (m[i]) fn(i);
   }
 
   /// Fraction of this level's grid that is valid — the "density" the

@@ -145,7 +145,8 @@ class OneDBackend final : public CompressorBackend {
     TAC_SPAN("oned.level_encode");
     LevelPayload out;
     out.report.method = Method::kOneD;
-    out.report.valid_cells = lv.valid_count();
+    const std::size_t valid = lv.valid_count();
+    out.report.valid_cells = valid;
     const auto [lo, hi] = lv.valid_range();
     const sz::SzConfig level_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
 
@@ -154,7 +155,7 @@ class OneDBackend final : public CompressorBackend {
     // the scope closes, so repeated level encodes reuse the same scratch
     // blocks.
     ArenaScope scratch;
-    const auto values = scratch.alloc<double>(lv.valid_count());
+    const auto values = scratch.alloc<double>(valid);
     lv.gather_valid_into(values);
     ByteWriter w;
     if (values.empty()) {
@@ -178,7 +179,8 @@ class OneDBackend final : public CompressorBackend {
     if (stream.empty()) {
       lv.scatter_valid({});
     } else {
-      const auto values = sz::decompress<double>(stream, expected);
+      const auto values =
+          sz::decompress<double>(stream, lv.valid_count(), expected);
       lv.scatter_valid(values);
     }
   }
@@ -244,8 +246,10 @@ class ZMeshBackend final : public CompressorBackend {
     TAC_SPAN("zmesh.decompress");
     const auto stream = r.get_blob();
     if (stream.empty()) return skeleton;
+    std::size_t cells = 0;
+    zmesh_traverse(skeleton, [&](auto...) { ++cells; });
     const auto values =
-        sz::decompress<double>(stream, payload_profile(header, 0));
+        sz::decompress<double>(stream, cells, payload_profile(header, 0));
     zmesh_scatter(skeleton, values);
     return skeleton;
   }
@@ -304,11 +308,9 @@ class Upsample3DBackend final : public CompressorBackend {
       const CommonHeader& header) const override {
     TAC_SPAN("upsample3d.decompress");
     const auto stream = r.get_blob();
-    const auto flat =
-        sz::decompress<double>(stream, payload_profile(header, 0));
     const Dims3 fd = skeleton.finest_dims();
-    if (flat.size() != fd.volume())
-      throw std::runtime_error("3D baseline: payload size mismatch");
+    const auto flat = sz::decompress<double>(stream, fd.volume(),
+                                             payload_profile(header, 0));
     const Array3D<double> uniform(fd, std::span<const double>(flat));
     amr::distribute_uniform(uniform, skeleton);
     return skeleton;

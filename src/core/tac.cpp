@@ -56,20 +56,35 @@ struct DecodedGroups {
   std::vector<BlockGroup> groups;  ///< buffers filled from the streams
 };
 
+/// Reads the group table of one level. Group extents must fit the level's
+/// block grid and the groups together may not claim more unit blocks than
+/// the grid has (extraction never repeats a block), so each stream's
+/// expected cell count is bounded by the level before sz sees it.
 DecodedGroups deserialize_groups(
-    ByteReader& r, std::size_t block_size,
+    ByteReader& r, const BlockGrid& grid,
     std::optional<lossless::CodecProfile> expected) {
   DecodedGroups out;
-  const std::size_t ngroups = static_cast<std::size_t>(r.get_varint());
+  const std::size_t block_size = grid.block_size();
+  const Dims3 bd = grid.block_dims();
+  const std::size_t block_cells = block_size * block_size * block_size;
+  std::size_t blocks_left = bd.volume();
+  const std::size_t ngroups = r.get_count("tac: group count", 4);
   out.groups.reserve(ngroups);
   for (std::size_t g = 0; g < ngroups; ++g) {
     BlockGroup grp;
     const std::size_t sx = static_cast<std::size_t>(r.get_varint());
     const std::size_t sy = static_cast<std::size_t>(r.get_varint());
     const std::size_t sz_ = static_cast<std::size_t>(r.get_varint());
+    if (sx == 0 || sy == 0 || sz_ == 0 || sx > bd.nx || sy > bd.ny ||
+        sz_ > bd.nz)
+      throw std::runtime_error("tac: group extent outside the block grid");
     grp.block_cell_dims = {sx * block_size, sy * block_size,
                            sz_ * block_size};
-    const std::size_t nmembers = static_cast<std::size_t>(r.get_varint());
+    const std::size_t nmembers = r.get_count("tac: group member count", 3);
+    const std::size_t group_blocks = sx * sy * sz_;
+    if (nmembers > blocks_left / group_blocks)
+      throw std::runtime_error("tac: groups claim more blocks than the level");
+    blocks_left -= nmembers * group_blocks;
     grp.members.reserve(nmembers);
     for (std::size_t m = 0; m < nmembers; ++m) {
       SubBlock sb;
@@ -82,11 +97,9 @@ DecodedGroups deserialize_groups(
       grp.members.push_back(sb);
     }
     const auto stream = r.get_blob();
-    grp.owned = sz::decompress<double>(stream, expected);
+    grp.owned = sz::decompress<double>(
+        stream, nmembers * group_blocks * block_cells, expected);
     grp.buffer = grp.owned;
-    const std::size_t expect = grp.block_cell_dims.volume() * nmembers;
-    if (grp.buffer.size() != expect)
-      throw std::runtime_error("tac: group payload size mismatch");
     out.groups.push_back(std::move(grp));
   }
   return out;
@@ -111,16 +124,15 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kNaST:
     case Strategy::kOpST:
     case Strategy::kAKDTree: {
-      const DecodedGroups dg = deserialize_groups(r, block_size, expected);
+      const DecodedGroups dg = deserialize_groups(r, grid, expected);
       scatter_groups(lv, grid, dg.groups);
       break;
     }
     case Strategy::kGSP:
     case Strategy::kZF: {
       const auto stream = r.get_blob();
-      const auto grid_data = sz::decompress<double>(stream, expected);
-      if (grid_data.size() != lv.dims().volume())
-        throw std::runtime_error("tac: level payload size mismatch");
+      const auto grid_data =
+          sz::decompress<double>(stream, lv.dims().volume(), expected);
       // Padded values of a GSP/ZF grid must not leak into empty cells.
       for (std::size_t i = 0; i < grid_data.size(); ++i)
         if (lv.mask[i]) lv.data[i] = grid_data[i];

@@ -1028,10 +1028,29 @@ Header read_header(ByteReader& r) {
   return h;
 }
 
+/// The stream's element count, block volume × nblocks, checked against
+/// the caller's count before anything is allocated.
+std::size_t checked_total(const SzStreamInfo& info, std::size_t count) {
+  const Dims3& b = info.block_dims;
+  std::size_t total = 0;
+  if (__builtin_mul_overflow(b.nx, b.ny, &total) ||
+      __builtin_mul_overflow(total, b.nz, &total) ||
+      __builtin_mul_overflow(total, info.nblocks, &total))
+    throw CountError("sz::decompress: declared element count overflows");
+  if (total == 0)
+    throw CountError("sz::decompress: stream declares no elements");
+  if (total != count)
+    throw CountError("sz::decompress: stream declares " +
+                     std::to_string(total) + " elements, expected " +
+                     std::to_string(count));
+  return total;
+}
+
 }  // namespace
 
 template <class T>
 std::vector<T> decompress(std::span<const std::uint8_t> bytes,
+                          std::size_t count,
                           std::optional<lossless::CodecProfile> expected) {
   TAC_SPAN_BYTES("sz.decompress", bytes.size());
   TAC_COUNTER_ADD("sz.decompress_bytes_in", bytes.size());
@@ -1040,7 +1059,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
   if (h.info.scalar_size != sizeof(T))
     throw std::runtime_error("sz::decompress: scalar type mismatch");
   const std::size_t vol = h.info.block_dims.volume();
-  const std::size_t total = vol * h.info.nblocks;
+  const std::size_t total = checked_total(h.info, count);
 
   // Strict when the container declared a profile for this payload,
   // lenient (dispatch on each stream's own method byte) otherwise.
@@ -1056,9 +1075,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
 
   if (h.kind == StreamKind::kPwRel) {
     const auto inner = r.get_blob();
-    std::vector<T> logs = decompress<T>(inner, expected);
-    if (logs.size() != total)
-      throw std::runtime_error("sz::decompress: pw-rel payload mismatch");
+    std::vector<T> logs = decompress<T>(inner, total, expected);
     const auto sign_bytes = unpack(r.get_blob());
     if (sign_bytes.size() < (total + 7) / 8)
       throw std::runtime_error("sz::decompress: pw-rel sign bits truncated");
@@ -1195,8 +1212,10 @@ template std::vector<std::uint8_t> compress<double>(std::span<const double>,
                                                     Dims3, const SzConfig&,
                                                     std::size_t);
 template std::vector<float> decompress<float>(
-    std::span<const std::uint8_t>, std::optional<lossless::CodecProfile>);
+    std::span<const std::uint8_t>, std::size_t,
+    std::optional<lossless::CodecProfile>);
 template std::vector<double> decompress<double>(
-    std::span<const std::uint8_t>, std::optional<lossless::CodecProfile>);
+    std::span<const std::uint8_t>, std::size_t,
+    std::optional<lossless::CodecProfile>);
 
 }  // namespace tac::sz

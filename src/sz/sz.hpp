@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/dims.hpp"
@@ -46,15 +47,27 @@ template <class T>
                                                  const SzConfig& cfg,
                                                  std::size_t nblocks = 1);
 
-/// Decompresses a stream produced by compress<T>. Throws if the stream's
-/// scalar type does not match T. When `expected` is set (the container's
-/// v3 index declared a codec profile for this payload), every embedded
-/// lossless blob must carry a method byte of that profile — a mismatch is
-/// a lossless::ProfileError; nullopt decodes leniently (pre-v3
-/// containers). Reconstruction is the same under every profile.
+/// Thrown when a stream's declared element count (block volume ×
+/// nblocks) overflows, is zero, or differs from the count the caller
+/// expects — before anything is allocated for it.
+class CountError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Decompresses a stream produced by compress<T> that must hold exactly
+/// `count` elements, the number the caller knows from its own structure
+/// (a level's volume or valid-cell count, a group's block cells). A
+/// stream declaring any other count is a CountError, raised before any
+/// allocation. Throws if the stream's scalar type does not match T. When
+/// `expected` is set (the container's v3 index declared a codec profile
+/// for this payload), every embedded lossless blob must carry a method
+/// byte of that profile — a mismatch is a lossless::ProfileError; nullopt
+/// decodes leniently (pre-v3 containers). Reconstruction is the same
+/// under every profile.
 template <class T>
 [[nodiscard]] std::vector<T> decompress(
-    std::span<const std::uint8_t> bytes,
+    std::span<const std::uint8_t> bytes, std::size_t count,
     std::optional<lossless::CodecProfile> expected = std::nullopt);
 
 /// Reads the stream header without decompressing the payload.

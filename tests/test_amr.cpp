@@ -4,8 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <span>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "amr/amr_io.hpp"
 #include "amr/dataset.hpp"
@@ -203,6 +207,138 @@ TEST(AmrLevel, ValidRangeIgnoresEmptyCells) {
   const auto [lo, hi] = lv.valid_range();
   EXPECT_DOUBLE_EQ(lo, 3.0);
   EXPECT_DOUBLE_EQ(hi, 7.0);
+}
+
+// ------------------------------------------------------- mask-scan oracle
+// Every AmrLevel scan skips empty mask chunks; each is checked here against
+// the plain raster loop it replaces, bit for bit, over densities from
+// empty to full, mask bytes other than 1, odd extents and special values.
+
+/// A level whose valid cells (probability `density`) carry mask bytes 1,
+/// 0x80 or 0xFF and values that include NaN, ±Inf and −0.0. Empty cells
+/// hold junk, which no scan may read.
+AmrLevel random_scan_level(Dims3 d, double density, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::bernoulli_distribution valid(density);
+  std::uniform_real_distribution<double> u(-50.0, 50.0);
+  const std::uint8_t bytes[] = {1, 0x80, 0xFF};
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  AmrLevel lv(d);
+  for (std::size_t i = 0; i < lv.mask.size(); ++i) {
+    if (!valid(rng)) {
+      lv.data[i] = 1e300;  // junk in an empty cell
+      continue;
+    }
+    lv.mask[i] = bytes[rng() % 3];
+    lv.data[i] = rng() % 16 == 0 ? specials[rng() % 4] : u(rng);
+  }
+  return lv;
+}
+
+std::vector<double> raster_gather(const AmrLevel& lv) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < lv.mask.size(); ++i)
+    if (lv.mask[i]) out.push_back(lv.data[i]);
+  return out;
+}
+
+/// The raster valid_range the chunked scan must reproduce, including
+/// where NaN lands (std::min/std::max keep their first argument when a
+/// comparison with NaN is false).
+std::pair<double, double> raster_range(const AmrLevel& lv) {
+  bool any = false;
+  double lo = 0, hi = 0;
+  for (std::size_t i = 0; i < lv.mask.size(); ++i) {
+    if (!lv.mask[i]) continue;
+    if (!any) {
+      lo = hi = lv.data[i];
+      any = true;
+    } else {
+      lo = std::min(lo, lv.data[i]);
+      hi = std::max(hi, lv.data[i]);
+    }
+  }
+  return {lo, hi};
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+void expect_scans_match_raster(const AmrLevel& lv, const std::string& where) {
+  const std::vector<double> want = raster_gather(lv);
+  EXPECT_EQ(lv.valid_count(), want.size()) << where;
+
+  const std::vector<double> got = lv.gather_valid();
+  EXPECT_TRUE(same_bits(got, want)) << where;
+
+  std::vector<double> into(want.size() + 1, 42.0);  // one guard slot
+  EXPECT_EQ(lv.gather_valid_into(std::span<double>(into).first(want.size())),
+            want.size())
+      << where;
+  EXPECT_TRUE(
+      same_bits(std::span<const double>(into).first(want.size()), want))
+      << where;
+  EXPECT_EQ(into.back(), 42.0) << where;
+
+  const auto [lo, hi] = lv.valid_range();
+  const auto [want_lo, want_hi] = raster_range(lv);
+  EXPECT_TRUE(same_bits(lo, want_lo)) << where << " lo " << lo;
+  EXPECT_TRUE(same_bits(hi, want_hi)) << where << " hi " << hi;
+
+  AmrLevel back(lv.dims());
+  back.mask = lv.mask;
+  back.scatter_valid(want);
+  for (std::size_t i = 0; i < lv.mask.size(); ++i)
+    ASSERT_TRUE(same_bits(back.data[i], lv.mask[i] ? lv.data[i] : 0.0))
+        << where << " cell " << i;
+}
+
+TEST(MaskScanOracle, RandomMasksMatchTheRasterLoop) {
+  unsigned seed = 1;
+  for (const Dims3 d : {Dims3{1, 1, 1}, Dims3{13, 7, 5}, Dims3{64, 64, 64}})
+    for (const double density : {0.0, 1e-4, 0.01, 0.5, 1.0}) {
+      const AmrLevel lv = random_scan_level(d, density, ++seed);
+      std::ostringstream where;
+      where << d.nx << "x" << d.ny << "x" << d.nz << " density " << density;
+      expect_scans_match_raster(lv, where.str());
+    }
+}
+
+TEST(MaskScanOracle, CellsAtChunkEdgesOfASparseLevel) {
+  // 64^3 with valid cells only at the first and last byte of 8-byte words
+  // and 32-byte chunks, and in the level's last cells.
+  AmrLevel lv({64, 64, 64});
+  const std::size_t n = lv.mask.size();
+  std::size_t k = 0;
+  for (const std::size_t i : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                              std::size_t{31}, std::size_t{32},
+                              std::size_t{4095}, n / 2, n - 33, n - 32,
+                              n - 1}) {
+    lv.mask[i] = k % 2 ? 0xFF : 0x80;
+    lv.data[i] = 0.25 * static_cast<double>(++k);
+  }
+  lv.data[n - 1] = std::numeric_limits<double>::quiet_NaN();
+  lv.data[0] = -0.0;
+  expect_scans_match_raster(lv, "chunk edges");
+  EXPECT_EQ(lv.valid_count(), 10u);
+}
+
+TEST(MaskScanOracle, ForEachValidVisitsInRasterOrder) {
+  const AmrLevel lv = random_scan_level({13, 7, 5}, 0.3, 99);
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < lv.mask.size(); ++i)
+    if (lv.mask[i]) want.push_back(i);
+  std::vector<std::size_t> got;
+  lv.for_each_valid([&](std::size_t i) { got.push_back(i); });
+  EXPECT_EQ(got, want);
 }
 
 TEST(AmrDataset, ValidPartitionPasses) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "core/block_grid.hpp"
@@ -55,6 +56,51 @@ TEST(BlockGrid, OccupancyDetectsAnyValidCell) {
   EXPECT_EQ(occ(1, 0, 0), 1);
   EXPECT_EQ(occ(0, 0, 0), 0);
   EXPECT_DOUBLE_EQ(occupancy_density(occ), 1.0 / 8.0);
+}
+
+// Occupancy oracle: block_occupancy against a per-cell reference, with
+// clipped edge blocks (extents not a multiple of the block size) and mask
+// bytes other than 1.
+TEST(BlockGrid, OccupancyMatchesPerCellReference) {
+  unsigned seed = 1;
+  const std::uint8_t bytes[] = {1, 0x80, 0xFF};
+  for (const Dims3 d : {Dims3{1, 1, 1}, Dims3{13, 7, 5}, Dims3{64, 64, 64}})
+    for (const double density : {0.0, 1e-4, 0.01, 0.5, 1.0}) {
+      std::mt19937 rng(++seed);
+      std::bernoulli_distribution valid(density);
+      amr::AmrLevel lv(d);
+      for (std::size_t i = 0; i < lv.mask.size(); ++i)
+        if (valid(rng)) lv.mask[i] = bytes[rng() % 3];
+      for (const std::size_t bs : {1, 3, 8, 16}) {
+        const BlockGrid grid(d, bs);
+        Array3D<std::uint8_t> want(grid.block_dims());
+        for (std::size_t z = 0; z < d.nz; ++z)
+          for (std::size_t y = 0; y < d.ny; ++y)
+            for (std::size_t x = 0; x < d.nx; ++x)
+              if (lv.mask(x, y, z)) want(x / bs, y / bs, z / bs) = 1;
+        EXPECT_EQ(block_occupancy(lv, grid), want)
+            << d.nx << "x" << d.ny << "x" << d.nz << " density " << density
+            << " block " << bs;
+      }
+    }
+}
+
+TEST(BlockGrid, OccupancySeesLoneCellsInClippedEdgeBlocks) {
+  // 37x21x19 at block 16: the last block of every axis is clipped (5, 5
+  // and 3 cells wide). One valid cell per edge block corner.
+  const Dims3 d{37, 21, 19};
+  const BlockGrid grid(d, 16);
+  for (const auto& [x, y, z] : {std::array<std::size_t, 3>{36, 0, 0},
+                                std::array<std::size_t, 3>{32, 20, 18},
+                                std::array<std::size_t, 3>{0, 20, 0},
+                                std::array<std::size_t, 3>{15, 15, 18}}) {
+    amr::AmrLevel lv(d);
+    lv.mask(x, y, z) = 0x80;
+    const auto occ = block_occupancy(lv, grid);
+    Array3D<std::uint8_t> want(grid.block_dims());
+    want(x / 16, y / 16, z / 16) = 1;
+    EXPECT_EQ(occ, want) << x << "," << y << "," << z;
+  }
 }
 
 TEST(Nast, ListsExactlyOccupiedBlocks) {

@@ -137,7 +137,7 @@ TEST(HotpathEquivalence, FullSzStreamsMatchScalar) {
         << "stream mismatch at " << dims.nx << "x" << dims.ny << "x"
         << dims.nz;
 
-    const auto back = sz::decompress<double>(vec_stream);
+    const auto back = sz::decompress<double>(vec_stream, data.size());
     ASSERT_EQ(back.size(), data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
       if (std::isfinite(data[i])) {
@@ -232,7 +232,7 @@ void check_lorenzo_against_raster_reference() {
             const auto check = [&](const std::vector<std::uint8_t>& stream,
                                    std::optional<CodecProfile> expected) {
               EXPECT_EQ(sz::peek(stream).n_outliers, want_outliers) << where;
-              const auto got = sz::decompress<T>(stream, expected);
+              const auto got = sz::decompress<T>(stream, want.size(), expected);
               ASSERT_EQ(got.size(), want.size()) << where;
               EXPECT_EQ(std::memcmp(got.data(), want.data(),
                                     want.size() * sizeof(T)),

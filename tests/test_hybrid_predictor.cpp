@@ -88,7 +88,8 @@ TEST(Hybrid, RoundTripWithinBound) {
   const SzConfig cfg{.mode = ErrorBoundMode::kAbsolute,
                      .error_bound = 0.01,
                      .predictor = Predictor::kHybrid};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   expect_bounded<double>(v, back, 0.01);
 }
 
@@ -113,7 +114,7 @@ TEST(Hybrid, BeatsLorenzoOnNoisyPlanarData) {
   hybrid.predictor = Predictor::kHybrid;
   const auto cl = compress<double>(v, d, lorenzo);
   const auto ch = compress<double>(v, d, hybrid);
-  expect_bounded<double>(v, decompress<double>(ch), 0.25);
+  expect_bounded<double>(v, decompress<double>(ch, v.size()), 0.25);
   EXPECT_LT(ch.size(), cl.size());
 }
 
@@ -124,7 +125,7 @@ TEST(Hybrid, PlanarDataPicksRegressionAndCompressesHard) {
                      .error_bound = 1e-3,
                      .predictor = Predictor::kHybrid};
   const auto c = compress<double>(v, d, cfg);
-  const auto back = decompress<double>(c);
+  const auto back = decompress<double>(c, v.size());
   expect_bounded<double>(v, back, 1e-3);
   // A plane is predicted exactly: nearly everything hits the zero bin.
   const double cr = static_cast<double>(v.size() * 8) /
@@ -143,7 +144,8 @@ TEST(Hybrid, BatchedBlocksRoundTrip) {
                      .error_bound = 1e-2,
                      .predictor = Predictor::kHybrid,
                      .pred_block = 4};
-  const auto back = decompress<double>(compress<double>(v, block, cfg, 9));
+  const auto back = decompress<double>(compress<double>(v, block, cfg, 9),
+                                       v.size());
   expect_bounded<double>(v, back, 1e-2);
 }
 
@@ -153,7 +155,8 @@ TEST(Hybrid, NonDivisibleTileSizes) {
   const SzConfig cfg{.mode = ErrorBoundMode::kAbsolute,
                      .error_bound = 1e-2,
                      .predictor = Predictor::kHybrid};
-  expect_bounded<double>(v, decompress<double>(compress<double>(v, d, cfg)),
+  expect_bounded<double>(
+      v, decompress<double>(compress<double>(v, d, cfg), v.size()),
                          1e-2);
 }
 
@@ -164,7 +167,7 @@ TEST(Hybrid, FloatRoundTrip) {
   const SzConfig cfg{.mode = ErrorBoundMode::kAbsolute,
                      .error_bound = 1e-2f,
                      .predictor = Predictor::kHybrid};
-  const auto back = decompress<float>(compress<float>(v, d, cfg));
+  const auto back = decompress<float>(compress<float>(v, d, cfg), v.size());
   expect_bounded<float>(v, back, 1e-2);
 }
 
@@ -195,7 +198,8 @@ TEST(Hybrid, PwRelComposesWithHybrid) {
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-3,
                      .predictor = Predictor::kHybrid};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   for (std::size_t i = 0; i < v.size(); ++i)
     EXPECT_LE(std::fabs(back[i] - v[i]), 1e-3 * std::fabs(v[i]) * 1.0001);
 }
@@ -220,7 +224,8 @@ TEST_P(HybridSweep, BoundHolds) {
                .predictor = Predictor::kHybrid,
                .pred_block = p.pred_block};
   expect_bounded<double>(
-      v, decompress<double>(compress<double>(v, p.dims, cfg)), p.eb);
+      v, decompress<double>(compress<double>(v, p.dims, cfg), v.size()),
+      p.eb);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -48,7 +48,8 @@ TEST(PwRel, BoundHoldsAcrossDecades) {
   const auto v = lognormal_values(d.volume(), 1);
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-3};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   expect_pwrel_bounded<double>(v, back, 1e-3);
 }
 
@@ -58,7 +59,8 @@ TEST(PwRel, NegativeValuesKeepSign) {
   for (std::size_t i = 0; i < v.size(); i += 3) v[i] = -v[i];
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-2};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   expect_pwrel_bounded<double>(v, back, 1e-2);
 }
 
@@ -71,7 +73,8 @@ TEST(PwRel, ZerosAndNonFiniteExact) {
   v[40] = std::numeric_limits<double>::infinity();
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-3};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   EXPECT_EQ(back[3], 0.0);
   EXPECT_TRUE(std::signbit(back[10]));
   EXPECT_EQ(back[10], 0.0);
@@ -88,7 +91,8 @@ TEST(PwRel, BeatsAbsoluteBoundOnWideDynamicRange) {
   const auto v = lognormal_values(d.volume(), 3);
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-2};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   double worst_rel = 0;
   for (std::size_t i = 0; i < v.size(); ++i)
     worst_rel = std::max(worst_rel, std::fabs(back[i] - v[i]) /
@@ -104,7 +108,7 @@ TEST(PwRel, FloatTypeRoundTrip) {
   // comfortably above it.
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-3};
-  const auto back = decompress<float>(compress<float>(v, d, cfg));
+  const auto back = decompress<float>(compress<float>(v, d, cfg), v.size());
   expect_pwrel_bounded<float>(v, back, 1e-3);
 }
 
@@ -136,7 +140,8 @@ TEST(PwRel, BatchedBlocks) {
   }
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = 1e-3};
-  const auto back = decompress<double>(compress<double>(v, block, cfg, 5));
+  const auto back = decompress<double>(compress<double>(v, block, cfg, 5),
+                                       v.size());
   expect_pwrel_bounded<double>(v, back, 1e-3);
 }
 
@@ -156,7 +161,8 @@ TEST_P(PwRelBoundSweep, BoundHolds) {
   const auto v = lognormal_values(d.volume(), 42);
   const SzConfig cfg{.mode = ErrorBoundMode::kPointwiseRelative,
                      .error_bound = rel};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   expect_pwrel_bounded<double>(v, back, rel);
 }
 

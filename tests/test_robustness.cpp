@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <string>
 
 #include "alloc_counter.hpp"
 #include "amr/amr_io.hpp"
@@ -108,13 +110,13 @@ TEST(Robustness, SzStreamTruncationSweep) {
   for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
     std::vector<std::uint8_t> cutbytes(bytes.begin(),
                                        bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW((void)sz::decompress<double>(cutbytes), std::exception);
+    EXPECT_THROW((void)sz::decompress<double>(cutbytes, v.size()), std::exception);
   }
 }
 
 TEST(Robustness, EmptyInputThrows) {
   EXPECT_THROW((void)core::decompress_any({}), std::exception);
-  EXPECT_THROW((void)sz::decompress<double>({}), std::exception);
+  EXPECT_THROW((void)sz::decompress<double>({}, 1), std::exception);
 }
 
 TEST(Robustness, GarbageInputThrows) {
@@ -384,6 +386,170 @@ TEST(HostileHuffman, HugeTableCountThrowsBeforeAllocating) {
                  std::runtime_error);
   });
   EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+// ---------------------------------------------------------- hostile sz counts
+// An sz stream declares its element count as block dims × nblocks. Every
+// decoder passes the count it expects from its own structure, and a
+// stream declaring another count throws before anything is allocated for
+// it — the constant kind would otherwise fill a vector of that size.
+
+/// A constant-kind sz stream of doubles declaring nx × ny × nz × nblocks
+/// elements, about 50 bytes whatever the count.
+std::vector<std::uint8_t> hand_built_sz_constant(std::uint64_t nx,
+                                                 std::uint64_t ny,
+                                                 std::uint64_t nz,
+                                                 std::uint64_t nblocks) {
+  ByteWriter w;
+  w.put<std::uint16_t>(0x5A53);  // "SZ"
+  w.put<std::uint8_t>(1);        // stream version
+  w.put<std::uint8_t>(sizeof(double));
+  w.put_varint(nx);
+  w.put_varint(ny);
+  w.put_varint(nz);
+  w.put_varint(nblocks);
+  w.put<std::uint8_t>(0);  // absolute bound
+  w.put<double>(1.0);      // error bound
+  w.put<double>(1.0);      // effective absolute bound
+  w.put<double>(0.0);      // value range
+  w.put_varint(32768);     // quantization radius
+  w.put<std::uint8_t>(0);  // Lorenzo
+  w.put_varint(8);         // predictor block
+  w.put<std::uint8_t>(0);  // constant stream
+  w.put<double>(1.0);      // the constant
+  return w.take();
+}
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 38;  // 2 TiB
+
+TEST(HostileSz, HugeDeclaredCountThrowsBeforeAllocating) {
+  const auto stream = hand_built_sz_constant(kHugeCount, 1, 1, 1);
+  EXPECT_LT(stream.size(), 64u);
+  const std::size_t allocated = bytes_allocated_by([&] {
+    try {
+      (void)sz::decompress<double>(stream, 1000);
+      ADD_FAILURE() << "a stream declaring 2^38 doubles decoded";
+    } catch (const sz::CountError& e) {
+      EXPECT_NE(std::string(e.what()).find("274877906944"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+TEST(HostileSz, OverflowingOrZeroCountThrows) {
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  for (const auto& dims : {std::array<std::uint64_t, 4>{big, big, 1, 1},
+                           std::array<std::uint64_t, 4>{big, 1, 1, big},
+                           std::array<std::uint64_t, 4>{0, 1, 1, big},
+                           std::array<std::uint64_t, 4>{4, 4, 4, 0}}) {
+    const auto stream =
+        hand_built_sz_constant(dims[0], dims[1], dims[2], dims[3]);
+    const std::size_t allocated = bytes_allocated_by([&] {
+      EXPECT_THROW((void)sz::decompress<double>(stream, 64), sz::CountError);
+    });
+    EXPECT_LT(allocated, std::size_t{1} << 20);
+  }
+}
+
+TEST(HostileSz, PwRelInnerStreamMustHoldTheOuterCount) {
+  // A point-wise-relative stream whose outer header declares 64 elements
+  // but whose log-domain inner stream declares 2^38.
+  const auto inner = hand_built_sz_constant(kHugeCount, 1, 1, 1);
+  ByteWriter w;
+  w.put<std::uint16_t>(0x5A53);
+  w.put<std::uint8_t>(1);
+  w.put<std::uint8_t>(sizeof(double));
+  for (const std::uint64_t v : {4, 4, 4, 1}) w.put_varint(v);
+  w.put<std::uint8_t>(
+      static_cast<std::uint8_t>(sz::ErrorBoundMode::kPointwiseRelative));
+  w.put<double>(1e-3);
+  w.put<double>(1e-3);
+  w.put<double>(0.0);
+  w.put_varint(32768);
+  w.put<std::uint8_t>(0);
+  w.put_varint(8);
+  w.put<std::uint8_t>(2);  // point-wise-relative stream
+  w.put_blob(inner);
+  const auto stream = w.take();
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)sz::decompress<double>(stream, 64), sz::CountError);
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+/// One level of 16^3 cells with a 4^3 valid corner, as the container
+/// header would hand it to a payload decoder.
+amr::AmrLevel hostile_target_level() {
+  amr::AmrLevel lv(Dims3{16, 16, 16});
+  for (std::size_t z = 0; z < 4; ++z)
+    for (std::size_t y = 0; y < 4; ++y)
+      for (std::size_t x = 0; x < 4; ++x) lv.mask(x, y, z) = 1;
+  return lv;
+}
+
+TEST(HostileSz, EveryLevelDecoderPassesItsExpectedCount) {
+  const auto stream = hand_built_sz_constant(kHugeCount, 1, 1, 1);
+  const auto tac_payload = [&](core::Strategy s, bool groups) {
+    ByteWriter w;
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(s));
+    w.put_varint(8);  // block size
+    if (groups) {
+      w.put_varint(1);                           // one group
+      for (int i = 0; i < 3; ++i) w.put_varint(1);  // 1x1x1 blocks
+      w.put_varint(1);                           // one member
+      for (int i = 0; i < 3; ++i) w.put_varint(0);  // at block (0,0,0)
+    }
+    w.put_blob(stream);
+    return w.take();
+  };
+  ByteWriter oned;
+  oned.put_blob(stream);
+  const std::pair<core::Method, std::vector<std::uint8_t>> cases[] = {
+      {core::Method::kOneD, oned.take()},
+      {core::Method::kTac, tac_payload(core::Strategy::kGSP, false)},
+      {core::Method::kTac, tac_payload(core::Strategy::kZF, false)},
+      {core::Method::kTac, tac_payload(core::Strategy::kNaST, true)},
+      {core::Method::kTac, tac_payload(core::Strategy::kOpST, true)},
+  };
+  for (const auto& [method, payload] : cases) {
+    amr::AmrLevel lv = hostile_target_level();
+    const std::size_t allocated = bytes_allocated_by([&] {
+      ByteReader r(payload);
+      EXPECT_THROW(core::backend_for(method).decompress_level_payload(
+                       r, lv, lossless::CodecProfile::kFast),
+                   sz::CountError)
+          << core::to_string(method) << " payload of " << payload.size()
+          << " bytes";
+    });
+    EXPECT_LT(allocated, std::size_t{1} << 20) << core::to_string(method);
+  }
+}
+
+TEST(HostileSz, GroupsClaimingMoreBlocksThanTheLevelThrow) {
+  // A 16^3 level at block size 8 has 8 unit blocks; a group of 2x2x2-block
+  // sub-blocks with two members claims 16.
+  const auto stream = hand_built_sz_constant(16, 16, 16, 2);
+  ByteWriter w;
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Strategy::kNaST));
+  w.put_varint(8);
+  w.put_varint(1);
+  for (int i = 0; i < 3; ++i) w.put_varint(2);
+  w.put_varint(2);
+  for (int i = 0; i < 6; ++i) w.put_varint(0);
+  w.put_blob(stream);
+  const auto payload = w.take();
+  amr::AmrLevel lv = hostile_target_level();
+  ByteReader r(payload);
+  try {
+    core::backend_for(core::Method::kTac)
+        .decompress_level_payload(r, lv, lossless::CodecProfile::kFast);
+    ADD_FAILURE() << "overlapping groups decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("more blocks"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

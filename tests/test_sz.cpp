@@ -112,7 +112,7 @@ TEST(Sz, RoundTrip3DWithinBound) {
   const auto v = smooth_field(d);
   const SzConfig cfg{.mode = ErrorBoundMode::kAbsolute, .error_bound = 1e-3};
   const auto c = compress<double>(v, d, cfg);
-  const auto back = decompress<double>(c);
+  const auto back = decompress<double>(c, v.size());
   expect_bounded<double>(v, back, 1e-3);
 }
 
@@ -134,7 +134,8 @@ TEST(Sz, RelativeModeScalesWithRange) {
   const auto c = compress<double>(v, d, cfg);
   const auto info = peek(c);
   EXPECT_NEAR(info.abs_error_bound, 1e-4 * info.value_range, 1e-6);
-  expect_bounded<double>(v, decompress<double>(c), info.abs_error_bound);
+  expect_bounded<double>(v, decompress<double>(c, v.size()),
+                         info.abs_error_bound);
 }
 
 TEST(Sz, ConstantArrayIsTiny) {
@@ -143,7 +144,7 @@ TEST(Sz, ConstantArrayIsTiny) {
   const SzConfig cfg{.error_bound = 1e-6};
   const auto c = compress<double>(v, d, cfg);
   EXPECT_LT(c.size(), 128u);
-  const auto back = decompress<double>(c);
+  const auto back = decompress<double>(c, v.size());
   for (const auto x : back) EXPECT_EQ(x, 4.25);
   EXPECT_TRUE(peek(c).constant);
 }
@@ -154,14 +155,14 @@ TEST(Sz, FloatTypeRoundTrip) {
   std::vector<float> v(vd.begin(), vd.end());
   const SzConfig cfg{.error_bound = 1e-3};
   const auto c = compress<float>(v, d, cfg);
-  expect_bounded<float>(v, decompress<float>(c), 1e-3);
+  expect_bounded<float>(v, decompress<float>(c, v.size()), 1e-3);
 }
 
 TEST(Sz, TypeMismatchThrows) {
   const Dims3 d{8, 8, 8};
   const auto v = smooth_field(d);
   const auto c = compress<double>(v, d, SzConfig{.error_bound = 1e-3});
-  EXPECT_THROW((void)decompress<float>(c), std::runtime_error);
+  EXPECT_THROW((void)decompress<float>(c, v.size()), std::runtime_error);
 }
 
 TEST(Sz, NonFiniteValuesRoundTripExactly) {
@@ -171,7 +172,8 @@ TEST(Sz, NonFiniteValuesRoundTripExactly) {
   v[17] = std::numeric_limits<double>::infinity();
   v[31] = -std::numeric_limits<double>::infinity();
   const SzConfig cfg{.error_bound = 0.1};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   EXPECT_TRUE(std::isnan(back[3]));
   EXPECT_EQ(back[17], std::numeric_limits<double>::infinity());
   EXPECT_EQ(back[31], -std::numeric_limits<double>::infinity());
@@ -189,7 +191,7 @@ TEST(Sz, BatchedBlocksRoundTrip) {
   }
   const SzConfig cfg{.error_bound = 1e-3};
   const auto c = compress<double>(v, block, cfg, nblocks);
-  const auto back = decompress<double>(c);
+  const auto back = decompress<double>(c, v.size());
   expect_bounded<double>(v, back, 1e-3);
 }
 
@@ -203,7 +205,7 @@ TEST(Sz, BatchedPredictionDoesNotCrossBlocks) {
   for (std::size_t i = 0; i < block.volume(); ++i) v[i] = 1e9;
   const SzConfig cfg{.error_bound = 1.0};
   const auto back =
-      decompress<double>(compress<double>(v, block, cfg, 2));
+      decompress<double>(compress<double>(v, block, cfg, 2), v.size());
   expect_bounded<double>(v, back, 1.0);
 }
 
@@ -221,7 +223,8 @@ TEST(Sz, RelativeBoundOnConstantRangeIsLossless) {
   std::vector<double> v(d.volume(), 0.0);
   v[5] = -0.0;
   SzConfig cfg{.mode = ErrorBoundMode::kRelative, .error_bound = 1e-3};
-  const auto back = decompress<double>(compress<double>(v, d, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, d, cfg), v.size());
   EXPECT_EQ(std::signbit(back[5]), true);
 }
 
@@ -276,7 +279,8 @@ TEST_P(SzRoundTripTest, ErrorBoundHolds) {
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = std::sin(0.05 * static_cast<double>(i)) + 0.3 * noise(rng);
   const SzConfig cfg{.mode = ErrorBoundMode::kAbsolute, .error_bound = p.eb};
-  const auto back = decompress<double>(compress<double>(v, p.dims, cfg));
+  const auto back =
+      decompress<double>(compress<double>(v, p.dims, cfg), v.size());
   expect_bounded<double>(v, back, p.eb);
 }
 
