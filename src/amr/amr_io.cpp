@@ -68,12 +68,19 @@ std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
     constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
     constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
     constexpr std::uint64_t kGather = 0x0102040810204080ULL;
-    for (; i + 8 <= mask.size(); i += 8) {
+    const auto pack_word = [&](std::size_t k) {
       std::uint64_t v;
-      std::memcpy(&v, mask.data() + i, 8);
+      std::memcpy(&v, mask.data() + k, 8);
       const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
-      out[i / 8] = static_cast<std::uint8_t>((nonzero * kGather) >> 56);
+      out[k / 8] = static_cast<std::uint8_t>((nonzero * kGather) >> 56);
+    };
+    // `out` starts zeroed, so an all-empty chunk (most of a sparse level)
+    // costs its four word loads and no write.
+    for (; i + kMaskChunk <= mask.size(); i += kMaskChunk) {
+      if (mask_chunk_empty(mask.data() + i)) continue;
+      for (std::size_t k = i; k < i + kMaskChunk; k += 8) pack_word(k);
     }
+    for (; i + 8 <= mask.size(); i += 8) pack_word(i);
   }
   for (; i < mask.size(); ++i)
     if (mask[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));

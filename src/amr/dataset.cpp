@@ -8,27 +8,13 @@
 namespace tac::amr {
 
 std::size_t AmrLevel::valid_count() const {
-  // Per word, the high bit of each byte becomes its "nonzero" flag (the
-  // same kLow7 trick as amr_io's pack_mask) and one multiply sums the
-  // eight flags into the top byte. No popcount instruction: the build
-  // targets baseline x86-64, where __builtin_popcountll is a libgcc call.
-  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
   const std::uint8_t* m = mask.data();
   const std::size_t size = mask.size();
   std::size_t n = 0;
   std::size_t i = 0;
-  for (; i + kMaskChunk <= size; i += kMaskChunk) {
-    if (mask_chunk_empty(m + i)) continue;
-    for (std::size_t k = i; k < i + kMaskChunk; k += 8) {
-      std::uint64_t v;
-      std::memcpy(&v, m + k, sizeof(v));
-      const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
-      n += static_cast<std::size_t>((nonzero * kOnes) >> 56);
-    }
-  }
-  for (; i < size; ++i) n += m[i] ? 1 : 0;
-  return n;
+  for (; i + kMaskChunk <= size; i += kMaskChunk)
+    if (!mask_chunk_empty(m + i)) n += count_nonzero_bytes(m + i, kMaskChunk);
+  return n + count_nonzero_bytes(m + i, size - i);
 }
 
 std::vector<double> AmrLevel::gather_valid() const {

@@ -43,6 +43,26 @@ inline bool mask_bytes_empty(const std::uint8_t* p, std::size_t n) {
   return any == 0;
 }
 
+/// Number of nonzero bytes among the `n` mask bytes at `p`. Per 8-byte
+/// word, the high bit of each byte becomes its "nonzero" flag (the same
+/// kLow7 trick as amr_io's pack_mask) and one multiply sums the eight
+/// flags into the top byte. No popcount instruction: the build targets
+/// baseline x86-64, where __builtin_popcountll is a libgcc call.
+inline std::size_t count_nonzero_bytes(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t v;
+    std::memcpy(&v, p + i, sizeof(v));
+    const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
+    count += static_cast<std::size_t>((nonzero * kOnes) >> 56);
+  }
+  for (; i < n; ++i) count += p[i] ? 1 : 0;
+  return count;
+}
+
 /// One refinement level: a full-domain grid plus a validity mask. Cells
 /// with mask == 0 are "empty" — their region of the domain is stored at
 /// some other level. Empty cells hold 0.0 by convention.
@@ -55,9 +75,9 @@ struct AmrLevel {
 
   [[nodiscard]] const Dims3& dims() const { return data.dims(); }
 
-  /// Number of valid cells. Counts eight mask bytes per step and skips
-  /// all-empty 32-byte chunks, so a sparse level costs about one load per
-  /// mask word.
+  /// Number of valid cells. Counts eight mask bytes per step
+  /// (count_nonzero_bytes) and skips all-empty 32-byte chunks, so a
+  /// sparse level costs about one load per mask word.
   [[nodiscard]] std::size_t valid_count() const;
 
   /// Calls `fn(i)` with the raster index of every valid cell, in raster

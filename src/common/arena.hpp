@@ -17,6 +17,8 @@
 /// are returned when their scope exits: a one-off 100 MB upsample scratch
 /// cannot pin that memory in the arena forever. The bump region itself is
 /// capped at kMaxRetainBytes and shrunk back at outermost-scope exit.
+/// Neither is zeroed: a 16 MB one-off (LZSS's hash chains over a 2 MB
+/// packed mask) cost more to clear than to use.
 
 #include <cstddef>
 #include <cstdint>
@@ -96,7 +98,7 @@ class ScratchArena {
     const std::size_t need = align_up(bytes);
     if (need >= kLargeCutoff) {
       stats_.large_allocs += 1;
-      large_.push_back(std::make_unique<std::byte[]>(need));
+      large_.push_back(std::make_unique_for_overwrite<std::byte[]>(need));
       return large_.back().get();
     }
     Block& top = blocks_.back();
@@ -114,7 +116,7 @@ class ScratchArena {
     if (size < (std::size_t{1} << 16)) size = std::size_t{1} << 16;
     while (size < need) size *= 2;
     Block b;
-    b.mem = std::make_unique<std::byte[]>(size);
+    b.mem = std::make_unique_for_overwrite<std::byte[]>(size);
     b.size = size;
     blocks_.push_back(std::move(b));
     stats_.block_allocs += 1;
@@ -137,7 +139,7 @@ class ScratchArena {
       return;
     blocks_.clear();
     Block b;
-    b.mem = std::make_unique<std::byte[]>(size);
+    b.mem = std::make_unique_for_overwrite<std::byte[]>(size);
     b.size = size;
     blocks_.push_back(std::move(b));
     stats_.block_allocs += 1;
@@ -147,7 +149,7 @@ class ScratchArena {
   ScratchArena() {
     Block b;
     b.size = std::size_t{1} << 16;
-    b.mem = std::make_unique<std::byte[]>(b.size);
+    b.mem = std::make_unique_for_overwrite<std::byte[]>(b.size);
     stats_.retained = b.size;
     blocks_.push_back(std::move(b));
     // One process-wide hook: a counter snapshot publishes the collecting

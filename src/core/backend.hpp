@@ -90,7 +90,9 @@ class CompressorBackend {
   /// backend would write between begin_payload()/end_payload() for `lv`
   /// when it is level `level` of a dataset compressed under `cfg` — so a
   /// container stitched from such payloads (selector byte = this backend's
-  /// tag) decodes through decompress_level_payload(). Only called when
+  /// tag) decodes through decompress_level_payload(). The report's
+  /// valid_cells must count the level's valid cells: the auto backend
+  /// sums them into original_bytes. Only called when
   /// supports_level_payloads() is true; the default throws.
   [[nodiscard]] virtual LevelPayload compress_level_payload(
       const amr::AmrLevel& lv, std::size_t level, const TacConfig& cfg) const;

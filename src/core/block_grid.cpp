@@ -54,6 +54,24 @@ Array3D<std::uint8_t> block_occupancy(const amr::AmrLevel& level,
   return occ;
 }
 
+std::size_t occupied_valid_count(const amr::AmrLevel& level,
+                                 const BlockGrid& grid,
+                                 const Array3D<std::uint8_t>& occ) {
+  const Dims3 bd = grid.block_dims();
+  std::size_t n = 0;
+  for (std::size_t bz = 0; bz < bd.nz; ++bz)
+    for (std::size_t by = 0; by < bd.ny; ++by)
+      for (std::size_t bx = 0; bx < bd.nx; ++bx) {
+        if (!occ(bx, by, bz)) continue;
+        const Box3 box = grid.block_box(bx, by, bz);
+        for (std::size_t z = box.z0; z < box.z1; ++z)
+          for (std::size_t y = box.y0; y < box.y1; ++y)
+            n += amr::count_nonzero_bytes(&level.mask(box.x0, y, z),
+                                          box.x1 - box.x0);
+      }
+  return n;
+}
+
 double occupancy_density(const Array3D<std::uint8_t>& occ) {
   if (occ.size() == 0) return 0.0;
   std::size_t n = 0;

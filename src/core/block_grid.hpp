@@ -52,6 +52,14 @@ class BlockGrid {
 [[nodiscard]] Array3D<std::uint8_t> block_occupancy(const amr::AmrLevel& level,
                                                     const BlockGrid& grid);
 
+/// Valid cells of `level`, counted inside the blocks `occ`
+/// (block_occupancy(level, grid)) marks occupied only: equal to
+/// level.valid_count(), but a sparse level costs its occupied blocks, not
+/// another scan of its domain.
+[[nodiscard]] std::size_t occupied_valid_count(
+    const amr::AmrLevel& level, const BlockGrid& grid,
+    const Array3D<std::uint8_t>& occ);
+
 /// Fraction of non-empty unit blocks — the density the hybrid filter
 /// thresholds (T1/T2) compare against.
 [[nodiscard]] double occupancy_density(const Array3D<std::uint8_t>& occ);

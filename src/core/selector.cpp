@@ -196,7 +196,6 @@ class AutoBackend final : public CompressorBackend {
     Timer total;
     CompressReport report;
     report.method = Method::kAuto;
-    report.original_bytes = ds.original_bytes();
 
     // Same level pipeline as TAC: select + encode each level concurrently
     // into private chunks, merge in level order. The winners compare byte
@@ -227,6 +226,7 @@ class AutoBackend final : public CompressorBackend {
       index.begin_payload();
       w.put_bytes(lvl.payload.bytes);
       index.end_payload(lvl.winner);
+      report.original_bytes += lvl.payload.report.valid_cells * sizeof(double);
       report.levels.push_back(lvl.payload.report);
     }
     index.finish();

@@ -155,11 +155,11 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   LevelPayload out;
   LevelReport& lr = out.report;
   lr.method = Method::kTac;
-  lr.valid_cells = lv.valid_count();
 
   Timer pre;
   const BlockGrid grid(lv.dims(), cfg.block_size);
   const auto occ = block_occupancy(lv, grid);
+  lr.valid_cells = occupied_valid_count(lv, grid, occ);
   lr.block_density = occupancy_density(occ);
   lr.strategy = cfg.force_strategy.value_or(
       select_strategy(lr.block_density, cfg.t1, cfg.t2));
@@ -262,7 +262,6 @@ class TacBackend final : public CompressorBackend {
     Timer total;
     CompressReport report;
     report.method = Method::kTac;
-    report.original_bytes = ds.original_bytes();
 
     // Level pipeline: levels are compressed concurrently into private
     // chunks and merged in level order, so the container and the report
@@ -280,6 +279,7 @@ class TacBackend final : public CompressorBackend {
       index.begin_payload();
       w.put_bytes(lvl.bytes);
       index.end_payload();
+      report.original_bytes += lvl.report.valid_cells * sizeof(double);
       report.levels.push_back(lvl.report);
     }
     index.finish();

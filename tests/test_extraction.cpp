@@ -60,7 +60,7 @@ TEST(BlockGrid, OccupancyDetectsAnyValidCell) {
 
 // Occupancy oracle: block_occupancy against a per-cell reference, with
 // clipped edge blocks (extents not a multiple of the block size) and mask
-// bytes other than 1.
+// bytes other than 1; occupied_valid_count against a raster count.
 TEST(BlockGrid, OccupancyMatchesPerCellReference) {
   unsigned seed = 1;
   const std::uint8_t bytes[] = {1, 0x80, 0xFF};
@@ -71,6 +71,9 @@ TEST(BlockGrid, OccupancyMatchesPerCellReference) {
       amr::AmrLevel lv(d);
       for (std::size_t i = 0; i < lv.mask.size(); ++i)
         if (valid(rng)) lv.mask[i] = bytes[rng() % 3];
+      std::size_t want_valid = 0;
+      for (std::size_t i = 0; i < lv.mask.size(); ++i)
+        want_valid += lv.mask[i] != 0;
       for (const std::size_t bs : {1, 3, 8, 16}) {
         const BlockGrid grid(d, bs);
         Array3D<std::uint8_t> want(grid.block_dims());
@@ -78,7 +81,10 @@ TEST(BlockGrid, OccupancyMatchesPerCellReference) {
           for (std::size_t y = 0; y < d.ny; ++y)
             for (std::size_t x = 0; x < d.nx; ++x)
               if (lv.mask(x, y, z)) want(x / bs, y / bs, z / bs) = 1;
-        EXPECT_EQ(block_occupancy(lv, grid), want)
+        const auto occ = block_occupancy(lv, grid);
+        EXPECT_EQ(occ, want) << d.nx << "x" << d.ny << "x" << d.nz
+                             << " density " << density << " block " << bs;
+        EXPECT_EQ(occupied_valid_count(lv, grid, occ), want_valid)
             << d.nx << "x" << d.ny << "x" << d.nz << " density " << density
             << " block " << bs;
       }

@@ -79,6 +79,11 @@ TEST(Selector, RecordsPerLevelWinnersInTheV4Index) {
   const CompressedAmr out = backend_for(Method::kAuto).compress(ds, cfg);
   EXPECT_EQ(out.report.method, Method::kAuto);
   ASSERT_EQ(out.report.levels.size(), ds.num_levels());
+  // original_bytes is summed from the winners' level reports.
+  EXPECT_EQ(out.report.original_bytes, ds.original_bytes());
+  for (std::size_t l = 0; l < ds.num_levels(); ++l)
+    EXPECT_EQ(out.report.levels[l].valid_cells, ds.level(l).valid_count())
+        << "level " << l;
 
   const CommonHeader h = header_of(out.bytes);
   EXPECT_EQ(h.version, kFormatVersion);
