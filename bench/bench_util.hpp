@@ -9,13 +9,12 @@
 /// so rate-distortion *shapes* (who wins, where the curves cross) carry
 /// over even though absolute byte counts do not.
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "common/timer.hpp"
 
 #include "amr/uniform.hpp"
 #include "analysis/metrics.hpp"
@@ -24,6 +23,34 @@
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
 #include "simnyx/generator.hpp"
+
+namespace tac {
+
+/// The benches' wall clock. The library itself times only through
+/// telemetry spans; a harness owns the clock around what it measures.
+class Timer {
+ public:
+  Timer() : start_(clock::now()) {}
+
+  void reset() { start_ = clock::now(); }
+
+  /// Seconds elapsed since construction or the last reset().
+  [[nodiscard]] double seconds() const {
+    return std::chrono::duration<double>(clock::now() - start_).count();
+  }
+
+ private:
+  using clock = std::chrono::steady_clock;
+  clock::time_point start_;
+};
+
+/// Throughput in MB/s given bytes processed and elapsed seconds, following
+/// the paper's convention (original size / time, MB = 1e6 bytes).
+[[nodiscard]] inline double throughput_mbs(std::size_t bytes, double secs) {
+  return secs > 0 ? static_cast<double>(bytes) / 1e6 / secs : 0.0;
+}
+
+}  // namespace tac
 
 namespace tac::bench {
 

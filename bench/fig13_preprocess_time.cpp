@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/timer.hpp"
 #include "core/extraction.hpp"
 
 int main() {

@@ -27,12 +27,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/arena.hpp"
 #include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/simd.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "amr/amr_io.hpp"
 #include "amr/dataset.hpp"
 #include "lossless/huffman.hpp"

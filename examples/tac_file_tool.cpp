@@ -42,7 +42,6 @@
 #include "amr/snapshot.hpp"
 #include "analysis/metrics.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "simnyx/generator.hpp"
@@ -169,12 +168,10 @@ int cmd_compress(const std::string& in, const std::string& out,
     return kExitUsage;
   }
   write_file(out, compressed.bytes);
-  std::printf("%s -> %s: %s, CR %.1f, %.1f MB/s compress\n", in.c_str(),
-              out.c_str(), core::to_string(compressed.report.method),
+  std::printf("%s -> %s: %s, CR %.1f\n", in.c_str(), out.c_str(),
+              core::to_string(compressed.report.method),
               analysis::compression_ratio(compressed.report.original_bytes,
-                                          compressed.bytes.size()),
-              throughput_mbs(compressed.report.original_bytes,
-                             compressed.report.seconds));
+                                          compressed.bytes.size()));
   if (compressed.report.method == core::Method::kAuto) {
     std::printf("  per-level winners:");
     for (std::size_t l = 0; l < compressed.report.levels.size(); ++l)

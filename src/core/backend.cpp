@@ -5,7 +5,55 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parallel.hpp"
+
 namespace tac::core {
+
+CompressedAmr compress_per_level(
+    Method method, const amr::AmrDataset& ds,
+    const std::function<LevelPayload(std::size_t level)>& encode) {
+  // Levels encode concurrently into private payloads and merge in level
+  // order, so the container and the report do not depend on the worker
+  // count.
+  std::vector<LevelPayload> levels(ds.num_levels());
+  parallel_for(
+      0, ds.num_levels(), [&](std::size_t l) { levels[l] = encode(l); },
+      /*grain=*/1);
+
+  CompressedAmr out;
+  out.report.method = method;
+  ByteWriter w;
+  PayloadIndexBuilder index =
+      write_common_header(w, method, ds, ds.num_levels());
+  for (LevelPayload& lvl : levels) {
+    index.begin_payload();
+    w.put_bytes(lvl.bytes);
+    index.end_payload(lvl.report.method);
+    lvl.report.compressed_bytes = lvl.bytes.size();
+    out.report.original_bytes += lvl.report.valid_cells * sizeof(double);
+    out.report.levels.push_back(lvl.report);
+  }
+  index.finish();
+  out.bytes = w.take();
+  out.report.compressed_bytes = out.bytes.size();
+  return out;
+}
+
+void detail::check_level_config(const char* who, const amr::AmrDataset& ds,
+                                const TacConfig& cfg) {
+  const std::string prefix = std::string(who) + ": ";
+  if (ds.num_levels() == 0)
+    throw std::invalid_argument(prefix + "empty dataset");
+  if (!cfg.level_error_bounds.empty() &&
+      cfg.level_error_bounds.size() != ds.num_levels())
+    throw std::invalid_argument(
+        prefix + "level_error_bounds has " +
+        std::to_string(cfg.level_error_bounds.size()) +
+        " entries but the dataset has " + std::to_string(ds.num_levels()) +
+        " levels (need one bound per level, finest first)");
+  if (cfg.block_size == 0)
+    throw std::invalid_argument(prefix + "block_size must be > 0");
+}
 
 amr::AmrLevel CompressorBackend::decompress_level(
     std::span<const std::uint8_t> container, const CommonHeader& header,

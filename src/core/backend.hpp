@@ -22,6 +22,7 @@
 /// stateless and thread-safe — the snapshot codec compresses fields
 /// concurrently through one shared instance.
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -106,6 +107,18 @@ class CompressorBackend {
                                         lossless::CodecProfile profile) const;
 };
 
+/// The container writer of every built-in per-level backend (TAC, 1D,
+/// auto). Encodes the levels concurrently through `encode(l)`, then writes
+/// the common header under `method` and one indexed payload per level in
+/// level order, sealing payload l with `levels[l].report.method` as its
+/// selector byte (the container's own tag for fixed backends, the winner
+/// for auto). The container is byte-identical at any thread count. The
+/// report sums `original_bytes` from the levels' `valid_cells`, and each
+/// level's `compressed_bytes` is its payload's index-entry length.
+[[nodiscard]] CompressedAmr compress_per_level(
+    Method method, const amr::AmrDataset& ds,
+    const std::function<LevelPayload(std::size_t level)>& encode);
+
 /// Registers a backend under its Method tag. Throws std::invalid_argument
 /// on a duplicate tag or a null backend. Thread-safe.
 void register_backend(std::unique_ptr<CompressorBackend> backend);
@@ -128,6 +141,14 @@ namespace detail {
 [[nodiscard]] std::unique_ptr<CompressorBackend> make_zmesh_backend();
 [[nodiscard]] std::unique_ptr<CompressorBackend> make_upsample3d_backend();
 [[nodiscard]] std::unique_ptr<CompressorBackend> make_auto_backend();
+
+/// Rejects a dataset/config pair the TAC-family backends (TAC, auto)
+/// cannot encode: an empty dataset, a `level_error_bounds` list that is
+/// neither empty nor one bound per level, and a zero `block_size`.
+/// Messages start with `who` (the backend's entry point). Throws
+/// std::invalid_argument.
+void check_level_config(const char* who, const amr::AmrDataset& ds,
+                        const TacConfig& cfg);
 }  // namespace detail
 
 }  // namespace tac::core

@@ -5,9 +5,7 @@
 
 #include "amr/uniform.hpp"
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "core/backend.hpp"
 #include "sz/resolve.hpp"
 #include "sz/sz.hpp"
@@ -67,36 +65,9 @@ class OneDBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     TAC_SPAN("oned.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kOneD;
-    report.original_bytes = ds.original_bytes();
-
-    // Per-level 1D streams are independent — run them through the same
-    // level pipeline as TAC and serialize in level order.
-    std::vector<LevelPayload> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) { levels[l] = encode_level(ds.level(l), cfg); },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index =
-        write_common_header(w, Method::kOneD, ds, ds.num_levels());
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.bytes);
-      index.end_payload();
-      report.levels.push_back(lvl.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
+    return compress_per_level(Method::kOneD, ds, [&](std::size_t l) {
+      return encode_level(ds.level(l), cfg);
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(
@@ -136,10 +107,10 @@ class OneDBackend final : public CompressorBackend {
   }
 
  private:
-  /// Encodes one level standalone: the blob written between
-  /// begin_payload()/end_payload() by compress(), plus diagnostics. The
-  /// 1D bound resolves against this level's own valid range, so the
-  /// encoding never depends on sibling levels.
+  /// Encodes one level standalone: the blob compress() writes as the
+  /// level's payload, plus diagnostics. The 1D bound resolves against
+  /// this level's own valid range, so the encoding never depends on
+  /// sibling levels.
   static LevelPayload encode_level(const amr::AmrLevel& lv,
                                    const TacConfig& cfg) {
     TAC_SPAN("oned.level_encode");
@@ -150,7 +121,6 @@ class OneDBackend final : public CompressorBackend {
     const auto [lo, hi] = lv.valid_range();
     const sz::SzConfig level_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
 
-    Timer comp;
     // Arena-backed gather: the 1D stream is built and compressed before
     // the scope closes, so repeated level encodes reuse the same scratch
     // blocks.
@@ -166,9 +136,7 @@ class OneDBackend final : public CompressorBackend {
       out.report.abs_error_bound = sz::peek(stream).abs_error_bound;
       w.put_blob(stream);
     }
-    out.report.compress_seconds = comp.seconds();
     out.bytes = w.take();
-    out.report.compressed_bytes = out.bytes.size();
     return out;
   }
 
@@ -194,7 +162,6 @@ class ZMeshBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     TAC_SPAN("zmesh.compress");
-    Timer total;
     ByteWriter w;
     // One interleaved stream spanning every level: a single payload (and
     // a single index entry) — partial decompression uses the full-decode
@@ -206,17 +173,14 @@ class ZMeshBackend final : public CompressorBackend {
     report.method = Method::kZMesh;
     report.original_bytes = ds.original_bytes();
 
-    Timer pre;
     const auto values = zmesh_gather(ds);
-    const double pre_secs = pre.seconds();
 
     const auto [lo, hi] = dataset_valid_range(ds);
     const sz::SzConfig stream_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
 
     LevelReport lr;  // single interleaved stream: reported as one entry
     lr.valid_cells = values.size();
-    lr.preprocess_seconds = pre_secs;
-    Timer comp;
+    const std::size_t payload_start = w.size();
     index.begin_payload();
     if (values.empty()) {
       w.put_blob({});
@@ -228,14 +192,12 @@ class ZMeshBackend final : public CompressorBackend {
     }
     index.end_payload();
     index.finish();
-    lr.compress_seconds = comp.seconds();
+    lr.compressed_bytes = w.size() - payload_start;
 
     CompressedAmr out;
     out.bytes = w.take();
-    lr.compressed_bytes = out.bytes.size();
     report.levels.push_back(lr);
     report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
     out.report = std::move(report);
     return out;
   }
@@ -263,7 +225,6 @@ class Upsample3DBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     TAC_SPAN("upsample3d.compress");
-    Timer total;
     ByteWriter w;
     // Levels merge into one up-sampled uniform grid: a single payload —
     // partial decompression uses the full-decode fallback here too.
@@ -274,31 +235,27 @@ class Upsample3DBackend final : public CompressorBackend {
     report.method = Method::kUpsample3D;
     report.original_bytes = ds.original_bytes();
 
-    Timer pre;
     const Array3D<double> uniform = amr::compose_uniform(ds);
     LevelReport lr;
     lr.valid_cells = ds.total_valid();
-    lr.preprocess_seconds = pre.seconds();
 
     const auto [lo, hi] = dataset_valid_range(ds);
     const sz::SzConfig stream_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
 
-    Timer comp;
     const auto stream =
         sz::compress<double>(uniform.span(), uniform.dims(), stream_cfg);
-    lr.compress_seconds = comp.seconds();
     lr.abs_error_bound = sz::peek(stream).abs_error_bound;
+    const std::size_t payload_start = w.size();
     index.begin_payload();
     w.put_blob(stream);
     index.end_payload();
     index.finish();
+    lr.compressed_bytes = w.size() - payload_start;
 
     CompressedAmr out;
     out.bytes = w.take();
-    lr.compressed_bytes = out.bytes.size();
     report.levels.push_back(lr);
     report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
     out.report = std::move(report);
     return out;
   }

@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "core/block_grid.hpp"
 
 namespace tac::core {
@@ -104,7 +102,6 @@ std::vector<Method> selector_candidates(const SelectorConfig& cfg) {
 SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
                                    const TacConfig& cfg) {
   TAC_SPAN("selector.select_level");
-  Timer total;
   const std::vector<Method> candidates = selector_candidates(cfg.selector);
 
   SelectionDecision d;
@@ -115,7 +112,6 @@ SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
 
   if (occupied.empty()) {  // empty level: nothing to probe, lowest tag wins
     d.winner = candidates.front();
-    d.seconds = total.seconds();
     return d;
   }
 
@@ -161,7 +157,6 @@ SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
   d.winner = best->method;
   TAC_COUNTER_ADD("selector.trials_won", 1);
   TAC_COUNTER_ADD("selector.trials_lost", d.trials.size() - 1);
-  d.seconds = total.seconds();
   return d;
 }
 
@@ -179,64 +174,19 @@ class AutoBackend final : public CompressorBackend {
 
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
-    if (ds.num_levels() == 0)
-      throw std::invalid_argument("auto: empty dataset");
-    if (!cfg.level_error_bounds.empty() &&
-        cfg.level_error_bounds.size() != ds.num_levels())
-      throw std::invalid_argument(
-          "auto: level_error_bounds has " +
-          std::to_string(cfg.level_error_bounds.size()) +
-          " entries but the dataset has " + std::to_string(ds.num_levels()) +
-          " levels (need one bound per level, finest first)");
-    if (cfg.block_size == 0)
-      throw std::invalid_argument("auto: block_size must be > 0");
+    detail::check_level_config("auto", ds, cfg);
     (void)selector_candidates(cfg.selector);  // validate before any work
 
     TAC_SPAN("auto.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kAuto;
-
-    // Same level pipeline as TAC: select + encode each level concurrently
-    // into private chunks, merge in level order. The winners compare byte
-    // counts, so they — and therefore the container bytes — are identical
-    // at any thread count.
-    struct LevelOutput {
-      Method winner = Method::kTac;
-      LevelPayload payload;
-    };
-    std::vector<LevelOutput> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) {
-          const SelectionDecision d = select_for_level(ds.level(l), l, cfg);
-          LevelOutput& out = levels[l];
-          out.winner = d.winner;
-          out.payload =
-              backend_for(d.winner).compress_level_payload(ds.level(l), l, cfg);
-          out.payload.report.method = d.winner;
-          out.payload.report.selection_seconds = d.seconds;
-        },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index =
-        write_common_header(w, Method::kAuto, ds, ds.num_levels());
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.payload.bytes);
-      index.end_payload(lvl.winner);
-      report.original_bytes += lvl.payload.report.valid_cells * sizeof(double);
-      report.levels.push_back(lvl.payload.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
+    // The winners compare byte counts, so they (and therefore the
+    // container bytes) are identical at any thread count.
+    return compress_per_level(Method::kAuto, ds, [&](std::size_t l) {
+      const Method winner = select_for_level(ds.level(l), l, cfg).winner;
+      LevelPayload payload =
+          backend_for(winner).compress_level_payload(ds.level(l), l, cfg);
+      payload.report.method = winner;
+      return payload;
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

@@ -34,13 +34,12 @@ struct CandidateTrial {
 };
 
 /// The verdict for one level: the winning backend plus every trial that
-/// competed (diagnostics for `tac_file_tool info`-style tooling and the
-/// bench's overhead accounting).
+/// competed (diagnostics for `tac_file_tool info`-style tooling). The
+/// selection's time is the `selector.select_level` span's.
 struct SelectionDecision {
   Method winner = Method::kTac;
   std::size_t occupied_blocks = 0;  ///< occupied unit blocks in the level
   std::size_t sampled_blocks = 0;   ///< blocks trial-compressed
-  double seconds = 0;               ///< total selection wall time
   std::vector<CandidateTrial> trials;  ///< candidate-tag ascending
 };
 

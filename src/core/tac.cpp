@@ -2,11 +2,9 @@
 
 #include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "core/backend.hpp"
 #include "core/extraction.hpp"
 #include "core/gsp.hpp"
@@ -156,7 +154,6 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   LevelReport& lr = out.report;
   lr.method = Method::kTac;
 
-  Timer pre;
   const BlockGrid grid(lv.dims(), cfg.block_size);
   const auto occ = block_occupancy(lv, grid);
   lr.valid_cells = occupied_valid_count(lv, grid, occ);
@@ -170,7 +167,6 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   w.put<std::uint8_t>(static_cast<std::uint8_t>(lr.strategy));
   w.put_varint(cfg.block_size);
 
-  const std::size_t bytes_before = w.size();
   switch (lr.strategy) {
     case Strategy::kNaST:
     case Strategy::kOpST:
@@ -193,11 +189,9 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
         TAC_SPAN("tac.gather_groups");
         return gather_groups(lv, grid, subs, scratch);
       }();
-      lr.preprocess_seconds = pre.seconds();
       lr.n_sub_blocks = subs.size();
       lr.n_groups = groups.size();
 
-      Timer comp;
       // The per-extent group streams are independent: compress them
       // concurrently, then serialize in group order so the container
       // stays deterministic.
@@ -213,28 +207,25 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
           /*grain=*/1);
       if (!streams.empty())
         lr.abs_error_bound = sz::peek(streams.back()).abs_error_bound;
-      lr.compress_seconds = comp.seconds();
       serialize_groups(w, groups, streams);
       break;
     }
     case Strategy::kGSP:
     case Strategy::kZF: {
-      const Array3D<double> padded = lr.strategy == Strategy::kGSP
-                                         ? gsp_pad(lv, grid, occ)
-                                         : zf_pad(lv);
-      lr.preprocess_seconds = pre.seconds();
+      const Array3D<double> padded = [&] {
+        TAC_SPAN("tac.pad");
+        return lr.strategy == Strategy::kGSP ? gsp_pad(lv, grid, occ)
+                                             : zf_pad(lv);
+      }();
       lr.n_groups = 1;
 
-      Timer comp;
       const auto stream =
           sz::compress<double>(padded.span(), padded.dims(), level_cfg);
-      lr.compress_seconds = comp.seconds();
       lr.abs_error_bound = sz::peek(stream).abs_error_bound;
       w.put_blob(stream);
       break;
     }
   }
-  lr.compressed_bytes = w.size() - bytes_before;
   out.bytes = w.take();
   return out;
 }
@@ -246,50 +237,11 @@ class TacBackend final : public CompressorBackend {
 
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
-    if (ds.num_levels() == 0)
-      throw std::invalid_argument("tac_compress: empty dataset");
-    if (!cfg.level_error_bounds.empty() &&
-        cfg.level_error_bounds.size() != ds.num_levels())
-      throw std::invalid_argument(
-          "tac_compress: level_error_bounds has " +
-          std::to_string(cfg.level_error_bounds.size()) +
-          " entries but the dataset has " + std::to_string(ds.num_levels()) +
-          " levels (need one bound per level, finest first)");
-    if (cfg.block_size == 0)
-      throw std::invalid_argument("tac_compress: block_size must be > 0");
-
+    detail::check_level_config("tac_compress", ds, cfg);
     TAC_SPAN("tac.compress");
-    Timer total;
-    CompressReport report;
-    report.method = Method::kTac;
-
-    // Level pipeline: levels are compressed concurrently into private
-    // chunks and merged in level order, so the container and the report
-    // are stable regardless of the worker count.
-    std::vector<LevelPayload> levels(ds.num_levels());
-    parallel_for(
-        0, ds.num_levels(),
-        [&](std::size_t l) { levels[l] = compress_level(ds.level(l), l, cfg); },
-        /*grain=*/1);
-
-    ByteWriter w;
-    PayloadIndexBuilder index =
-        write_common_header(w, Method::kTac, ds, ds.num_levels());
-    for (auto& lvl : levels) {
-      index.begin_payload();
-      w.put_bytes(lvl.bytes);
-      index.end_payload();
-      report.original_bytes += lvl.report.valid_cells * sizeof(double);
-      report.levels.push_back(lvl.report);
-    }
-    index.finish();
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.compressed_bytes = out.bytes.size();
-    report.seconds = total.seconds();
-    out.report = std::move(report);
-    return out;
+    return compress_per_level(Method::kTac, ds, [&](std::size_t l) {
+      return compress_level(ds.level(l), l, cfg);
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

@@ -59,19 +59,21 @@ struct TacConfig {
   SelectorConfig selector;
 };
 
-/// Per-level compression diagnostics.
+/// Per-level compression diagnostics. Time is not reported here: the
+/// library times its stages only through telemetry spans
+/// (common/telemetry.hpp, docs/TELEMETRY.md).
 struct LevelReport {
   Strategy strategy = Strategy::kOpST;
   Method method = Method::kTac;  ///< backend that encoded this level
   double block_density = 0;      ///< non-empty unit-block fraction
   double abs_error_bound = 0;    ///< bound actually applied
   std::size_t valid_cells = 0;
+  /// Length of the level's payload, as its index entry records it. The
+  /// single-payload backends (zMesh, 3D) report one entry for the whole
+  /// interleaved payload.
   std::size_t compressed_bytes = 0;
   std::size_t n_sub_blocks = 0;  ///< extraction output (0 for GSP/ZF)
   std::size_t n_groups = 0;      ///< batched streams (1 for GSP/ZF)
-  double preprocess_seconds = 0;
-  double compress_seconds = 0;
-  double selection_seconds = 0;  ///< auto-selector trial time (0 if fixed)
 };
 
 struct CompressReport {
@@ -79,7 +81,6 @@ struct CompressReport {
   std::vector<LevelReport> levels;
   std::size_t original_bytes = 0;    ///< valid cells * sizeof(double)
   std::size_t compressed_bytes = 0;  ///< container size
-  double seconds = 0;                ///< wall time incl. pre-processing
 };
 
 struct CompressedAmr {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "amr/uniform.hpp"
+#include "core/backend.hpp"
 #include "core/baselines.hpp"
 #include "core/tac.hpp"
 #include "simnyx/generator.hpp"
@@ -166,17 +167,35 @@ TEST(Upsample3D, CompressedPayloadCoversFullUniformGrid) {
   EXPECT_GT(base3d.bytes.size(), tac.bytes.size());
 }
 
+// Every built-in method round-trips the structure, and its report means
+// the same thing: level compressed_bytes are the payloads' index-entry
+// lengths, which together span the container after the index.
 TEST(Baselines, AllMethodsPreserveStructure) {
   const auto ds = simnyx::generate_baryon_density(small_config({0.3, 0.7}));
-  sz::SzConfig cfg{.error_bound = 1e6};
-  for (const auto& compressed :
-       {oned_compress(ds, cfg), zmesh_compress(ds, cfg),
-        upsample3d_compress(ds, cfg)}) {
+  TacConfig cfg;
+  cfg.sz.error_bound = 1e6;
+  for (const Method m : {Method::kTac, Method::kOneD, Method::kZMesh,
+                         Method::kUpsample3D, Method::kAuto}) {
+    const CompressedAmr compressed = backend_for(m).compress(ds, cfg);
     const auto back = decompress_any(compressed.bytes);
     for (std::size_t l = 0; l < ds.num_levels(); ++l)
-      EXPECT_EQ(back.level(l).mask, ds.level(l).mask);
+      EXPECT_EQ(back.level(l).mask, ds.level(l).mask) << to_string(m);
     EXPECT_EQ(back.refinement_ratio(), ds.refinement_ratio());
     EXPECT_EQ(back.field_name(), ds.field_name());
+
+    EXPECT_EQ(compressed.report.original_bytes, ds.original_bytes())
+        << to_string(m);
+    EXPECT_EQ(compressed.report.compressed_bytes, compressed.bytes.size());
+    ByteReader r(compressed.bytes);
+    const CommonHeader h = read_common_header(r);
+    std::size_t level_bytes = 0;
+    for (const LevelReport& lr : compressed.report.levels)
+      level_bytes += lr.compressed_bytes;
+    std::size_t entry_bytes = 0;
+    for (const PayloadEntry& e : h.index.entries) entry_bytes += e.length;
+    EXPECT_EQ(level_bytes, entry_bytes) << to_string(m);
+    EXPECT_EQ(entry_bytes, compressed.bytes.size() - h.payload_offset)
+        << to_string(m);
   }
 }
 

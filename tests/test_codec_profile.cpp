@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "amr/amr_io.hpp"
+#include "common/crc32.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "container_downgrade.hpp"
@@ -253,6 +254,28 @@ TEST(CodecProfile, WritersDeclareTheFastProfile) {
     for (std::size_t i = 0; i < h.index.entries.size(); ++i)
       EXPECT_EQ(payload_profile(h, i), CodecProfile::kFast)
           << g.cli << " payload " << i;
+  }
+}
+
+/// What every writer produces for the golden input at the golden bound,
+/// pinned as container size and CRC-32. A refactor of the write path must
+/// leave these bytes alone; only a deliberate format or codec change
+/// re-records them.
+struct PinnedContainer {
+  const char* cli;  ///< tac_file_tool --method= value
+  std::size_t size;
+  std::uint32_t crc;
+};
+constexpr PinnedContainer kPinnedContainers[] = {
+    {"tac", 5992, 0x4ed2fe88u},  {"1d", 8268, 0x0c845afbu},
+    {"zmesh", 6664, 0x7de90cedu}, {"3d", 5533, 0xab5e0961u},
+    {"auto", 5992, 0x0e61ca57u}};
+
+TEST(CodecProfile, WriterBytesArePinned) {
+  for (const PinnedContainer& p : kPinnedContainers) {
+    const auto bytes = fresh_compress(p.cli);
+    EXPECT_EQ(bytes.size(), p.size) << p.cli;
+    EXPECT_EQ(crc32(bytes), p.crc) << p.cli;
   }
 }
 

@@ -93,7 +93,6 @@ TEST(Selector, RecordsPerLevelWinnersInTheV4Index) {
     const auto recorded = payload_method(h, l);
     ASSERT_TRUE(recorded.has_value()) << "level " << l;
     EXPECT_EQ(*recorded, out.report.levels[l].method) << "level " << l;
-    EXPECT_GT(out.report.levels[l].selection_seconds, 0.0) << "level " << l;
     winners.insert(*recorded);
   }
   // The preset is chosen so the levels genuinely disagree: a container

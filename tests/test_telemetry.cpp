@@ -349,6 +349,25 @@ TEST(TelemetryInvariant, PipelineEmitsExpectedStageNames) {
   EXPECT_TRUE(has("container.header_write"));
   EXPECT_TRUE(has("container.header_read"));
   EXPECT_TRUE(has("core.decompress_any"));
+
+  // An auto pass in counters mode: the selection is timed by its span
+  // alone, once per level, and the TAC trial of a GSP level pads.
+  ASSERT_EQ(compressed.report.method, core::Method::kTac);
+  ASSERT_TRUE(std::any_of(
+      compressed.report.levels.begin(), compressed.report.levels.end(),
+      [](const auto& lr) { return lr.strategy == core::Strategy::kGSP; }));
+  telemetry::set_mode(telemetry::Mode::kCounters);
+  telemetry::reset_all();
+  (void)core::backend_for(core::Method::kAuto).compress(ds, cfg);
+  const auto auto_stages = telemetry::collect_stages();
+  const auto select = std::find_if(
+      auto_stages.begin(), auto_stages.end(),
+      [](const auto& s) { return s.name == "selector.select_level"; });
+  ASSERT_NE(select, auto_stages.end());
+  EXPECT_EQ(select->count, ds.num_levels());
+  EXPECT_GT(select->ns, 0u);
+  EXPECT_TRUE(std::any_of(auto_stages.begin(), auto_stages.end(),
+                          [](const auto& s) { return s.name == "tac.pad"; }));
 }
 
 }  // namespace
