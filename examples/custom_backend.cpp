@@ -41,8 +41,9 @@ class PassthroughBackend final : public core::CompressorBackend {
   [[nodiscard]] core::CompressedAmr compress(
       const amr::AmrDataset& ds, const core::TacConfig&) const override {
     ByteWriter w;
-    // One payload per level: index entry i then maps to level i, which is
-    // what gives decompress_level O(level) random access.
+    // One payload per level, so index entry i maps to level i. With the
+    // per-level hooks that mapping gives decompress_level O(level) random
+    // access; without them, as here, it decodes the whole container.
     auto index = core::write_common_header(w, method(), ds, ds.num_levels());
     for (std::size_t l = 0; l < ds.num_levels(); ++l) {
       index.begin_payload();
@@ -135,9 +136,9 @@ int main() {
     }
   }
 
-  // Partial decompression works too: the base decompress_level fallback
-  // is correct for any backend (per-level backends can override it with
-  // an O(level) indexed read — see docs/BACKENDS.md).
+  // Partial decompression works too: decompress_level's full-decode
+  // fallback is correct for any backend (backends with the per-level
+  // hooks get an O(level) indexed read — see docs/BACKENDS.md).
   const amr::AmrLevel coarse = core::decompress_level(compressed.bytes, 1);
   if (!levels_identical(ds.level(1), coarse)) {
     std::fprintf(stderr, "FAIL: decompress_level(1) not bit-identical\n");

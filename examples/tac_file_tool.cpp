@@ -259,9 +259,9 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
   }
 
   // Level extraction: the payload index makes this O(level), not
-  // O(dataset), for TAC/1D containers. Parse the header once — it is
+  // O(dataset), for TAC/1D/auto containers. Parse the header once — it is
   // structure only, so the level count check below allocates no level —
-  // and hand it to the backend directly.
+  // and hand it to the level reader directly.
   const core::CommonHeader h = decode_step([&] {
     ByteReader header_reader(container);
     return core::read_common_header(header_reader);
@@ -272,8 +272,8 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
     return kExitUsage;
   }
   amr::AmrLevel lv = decode_step([&] {
-    return core::backend_for(h.method).decompress_level(
-        container, h, static_cast<std::size_t>(level));
+    return core::decompress_level(container, h,
+                                  static_cast<std::size_t>(level));
   });
   const auto dims = lv.dims();
   const std::size_t valid = lv.valid_count();
@@ -290,7 +290,7 @@ int cmd_extract(const std::string& in, const std::string& out, long level,
 }
 
 /// --timing: decode each payload through the v2 index and report where
-/// decompression time goes. One payload maps to one level for TAC/1D
+/// decompression time goes. One payload maps to one level for TAC/1D/auto
 /// containers, so this is the per-level random-access cost a reader pays;
 /// single-payload methods (zmesh/3D) time the full decode. Timing comes
 /// from the telemetry stage spans the library already carries: the
@@ -310,7 +310,7 @@ void print_payload_timing(const std::vector<std::uint8_t>& bytes,
       for (std::size_t l = 0; l < h.num_levels(); ++l) {
         TAC_SPAN("info.payload_decode");
         (void)decode_step([&] {
-          return core::backend_for(h.method).decompress_level(container, h, l);
+          return core::decompress_level(container, h, l);
         });
       }
     } else {

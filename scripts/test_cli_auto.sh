@@ -2,8 +2,9 @@
 # CLI round-trip for the auto selector: a mixed-method v4 container must
 # survive compress -> info -> decompress -> per-level extract through
 # tac_file_tool, and a damaged selector byte must exit with code 4, as
-# must a 1D payload whose sz stream declares far more values than its
-# level holds.
+# must a selector byte that names another method in a fixed-method
+# container and a 1D payload whose sz stream declares far more values
+# than its level holds.
 #
 # Usage: test_cli_auto.sh <path-to-tac_file_tool>
 set -eu
@@ -48,6 +49,28 @@ rc=$?
 set -e
 [ "$rc" -eq 4 ] || fail "damaged selector byte: expected exit 4, got $rc"
 grep -q "selector" err.log || fail "damaged selector byte: untyped error"
+
+# In a fixed-method container every selector byte must name the
+# container's own method: relabel payload 0 with another built-in tag.
+"$TOOL" compress in.amr fixed.tac 1e-4 --method=tac >/dev/null ||
+  fail "compress --method=tac"
+"$TOOL" info fixed.tac >fixed_info.log || fail "info (tac)"
+off=$(grep -o "payload 0: offset [0-9]*" fixed_info.log | grep -o "[0-9]*$")
+fixed_n=$(grep -c "payload [0-9]*: offset" fixed_info.log)
+sel=$((off - fixed_n * 22 + 21))
+python3 -c "
+d = bytearray(open('fixed.tac', 'rb').read())
+assert d[4] == 4, f'expected format v4, got {d[4]}'
+assert d[$sel] == d[5], 'selector byte does not match the method tag'
+d[$sel] = 0 if d[5] != 0 else 1
+open('fixed.tac', 'wb').write(bytes(d))
+"
+set +e
+"$TOOL" decompress fixed.tac bad.amr >/dev/null 2>err.log
+rc=$?
+set -e
+[ "$rc" -eq 4 ] || fail "relabelled selector byte: expected exit 4, got $rc"
+grep -q "selector" err.log || fail "relabelled selector byte: untyped error"
 
 # Replace the last payload of a 1D container with a ~50-byte sz stream
 # declaring 2^38 doubles (2 TiB), and fix that payload's index entry

@@ -4,8 +4,8 @@
 /// \file simd.hpp
 /// \brief Runtime SIMD dispatch for the hot kernels.
 ///
-/// The vectorized kernels (sign-bit packing, range scans, CRC slicing)
-/// never change *what* is computed — every SIMD path produces bit-identical
+/// The vectorized kernels (sign-bit packing, range scans) never change
+/// *what* is computed — every SIMD path produces bit-identical
 /// results to the scalar fallback, which is always compiled and exercised
 /// by the equivalence tests. Dispatch is resolved once per process from
 /// CPUID; `TAC_FORCE_SCALAR=1` (or `force_scalar(true)` from tests) pins
@@ -24,19 +24,17 @@
 
 namespace tac::simd {
 
-/// Instruction-set tiers the kernels dispatch over. Higher tiers imply the
-/// lower ones (AVX2 machines have SSE4.2).
+/// Instruction-set tiers the kernels dispatch over. Hosts without AVX2
+/// run the scalar kernels.
 enum class Level : int {
   kScalar = 0,
-  kSSE42 = 1,
-  kAVX2 = 2,
+  kAVX2 = 1,
 };
 
 namespace detail {
 inline Level detect() {
 #if TAC_SIMD_X86 && defined(__GNUC__)
   if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSSE42;
 #endif
   return Level::kScalar;
 }
@@ -80,7 +78,6 @@ inline constexpr std::size_t kWavefrontRows = 4;
 [[nodiscard]] inline const char* level_name(Level l) {
   switch (l) {
     case Level::kAVX2: return "avx2";
-    case Level::kSSE42: return "sse4.2";
     default: return "scalar";
   }
 }

@@ -9,6 +9,27 @@
 
 namespace tac::core {
 
+CompressedAmr write_container(Method method, const amr::AmrDataset& ds,
+                              std::vector<LevelPayload> payloads) {
+  CompressedAmr out;
+  out.report.method = method;
+  ByteWriter w;
+  PayloadIndexBuilder index =
+      write_common_header(w, method, ds, payloads.size());
+  for (LevelPayload& p : payloads) {
+    index.begin_payload();
+    w.put_bytes(p.bytes);
+    index.end_payload(p.report.method);
+    p.report.compressed_bytes = p.bytes.size();
+    out.report.original_bytes += p.report.valid_cells * sizeof(double);
+    out.report.levels.push_back(p.report);
+  }
+  index.finish();
+  out.bytes = w.take();
+  out.report.compressed_bytes = out.bytes.size();
+  return out;
+}
+
 CompressedAmr compress_per_level(
     Method method, const amr::AmrDataset& ds,
     const std::function<LevelPayload(std::size_t level)>& encode) {
@@ -19,24 +40,64 @@ CompressedAmr compress_per_level(
   parallel_for(
       0, ds.num_levels(), [&](std::size_t l) { levels[l] = encode(l); },
       /*grain=*/1);
+  return write_container(method, ds, std::move(levels));
+}
 
-  CompressedAmr out;
-  out.report.method = method;
-  ByteWriter w;
-  PayloadIndexBuilder index =
-      write_common_header(w, method, ds, ds.num_levels());
-  for (LevelPayload& lvl : levels) {
-    index.begin_payload();
-    w.put_bytes(lvl.bytes);
-    index.end_payload(lvl.report.method);
-    lvl.report.compressed_bytes = lvl.bytes.size();
-    out.report.original_bytes += lvl.report.valid_cells * sizeof(double);
-    out.report.levels.push_back(lvl.report);
+namespace {
+
+/// The backend that wrote payload `i`: the one its selector byte names,
+/// else the container's.
+const CompressorBackend& payload_owner(const CommonHeader& header,
+                                       std::size_t i) {
+  return backend_for(payload_method(header, i).value_or(header.method));
+}
+
+}  // namespace
+
+amr::AmrDataset decompress_per_level(ByteReader& r, amr::AmrDataset skeleton,
+                                     const CommonHeader& header) {
+  for (std::size_t l = 0; l < skeleton.num_levels(); ++l) {
+    const CompressorBackend& owner = payload_owner(header, l);
+    if (!owner.supports_level_payloads())
+      throw SelectorError(
+          "container: payload " + std::to_string(l) + " belongs to the " +
+          owner.name() +
+          " backend, which has no per-level decoder (no selector byte "
+          "names the backend that wrote it)");
+    owner.decompress_level_payload(r, skeleton.level(l),
+                                   payload_profile(header, l));
   }
-  index.finish();
-  out.bytes = w.take();
-  out.report.compressed_bytes = out.bytes.size();
-  return out;
+  return skeleton;
+}
+
+amr::AmrLevel decompress_level(std::span<const std::uint8_t> container,
+                               const CommonHeader& header, std::size_t level) {
+  if (level >= header.num_levels())
+    throw std::out_of_range(
+        "decompress_level: level " + std::to_string(level) +
+        " out of range (container has " +
+        std::to_string(header.num_levels()) + " levels)");
+  // Indexed path: payload `level` is level `level`, and its owner can
+  // decode it alone, so only its bytes are verified and read.
+  const CompressorBackend& owner = payload_owner(header, level);
+  if (header.index.entries.size() == header.num_levels() &&
+      owner.supports_level_payloads()) {
+    verify_payload(container, header.index, level);
+    const PayloadEntry& e = header.index.entries[level];
+    ByteReader r(container.subspan(static_cast<std::size_t>(e.offset),
+                                   static_cast<std::size_t>(e.length)));
+    amr::AmrLevel lv = materialize_level(header, level);
+    owner.decompress_level_payload(r, lv, payload_profile(header, level));
+    return lv;
+  }
+  // Full-decode fallback: every payload is read, so verify them all.
+  verify_payloads(container, header.index);
+  ByteReader r(container);
+  r.seek(header.payload_offset);
+  amr::AmrDataset full = backend_for(header.method)
+                             .decompress(r, materialize_skeleton(header),
+                                         header);
+  return std::move(full.level(level));
 }
 
 void detail::check_level_config(const char* who, const amr::AmrDataset& ds,
@@ -55,22 +116,6 @@ void detail::check_level_config(const char* who, const amr::AmrDataset& ds,
     throw std::invalid_argument(prefix + "block_size must be > 0");
 }
 
-amr::AmrLevel CompressorBackend::decompress_level(
-    std::span<const std::uint8_t> container, const CommonHeader& header,
-    std::size_t level) const {
-  if (level >= header.num_levels())
-    throw std::out_of_range(
-        "decompress_level: level " + std::to_string(level) +
-        " out of range (container has " +
-        std::to_string(header.num_levels()) + " levels)");
-  // Full-decode fallback: every payload is read, so verify them all.
-  verify_payloads(container, header.index);
-  ByteReader r(container);
-  r.seek(header.payload_offset);
-  amr::AmrDataset full = decompress(r, materialize_skeleton(header), header);
-  return std::move(full.level(level));
-}
-
 LevelPayload CompressorBackend::compress_level_payload(
     const amr::AmrLevel&, std::size_t, const TacConfig&) const {
   throw std::logic_error(std::string(name()) +
@@ -78,7 +123,8 @@ LevelPayload CompressorBackend::compress_level_payload(
 }
 
 void CompressorBackend::decompress_level_payload(
-    ByteReader&, amr::AmrLevel&, lossless::CodecProfile) const {
+    ByteReader&, amr::AmrLevel&,
+    std::optional<lossless::CodecProfile>) const {
   throw std::logic_error(std::string(name()) +
                          " backend does not support per-level payloads");
 }

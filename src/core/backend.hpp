@@ -12,10 +12,11 @@
 /// touches existing call sites.
 ///
 /// Contract: `compress` writes the common outer header (via
-/// `write_common_header` with this backend's tag) followed by a payload
-/// only this backend can read; `decompress` receives the reader positioned
-/// at that payload plus the structural skeleton decoded from the header,
-/// and must fill every level's valid cells. Levels arrive zero-filled, so
+/// `write_common_header` with this backend's tag, or `write_container`)
+/// followed by payloads only this backend can read; `decompress` receives
+/// the reader positioned at the first payload plus the structural
+/// skeleton decoded from the header, and must fill every level's valid
+/// cells. Levels arrive zero-filled, so
 /// a decoder writes valid cells only: empty cells keep their +0.0, and the
 /// pages of a sparse level that hold no valid cell are never touched
 /// (their lazily zeroed memory never becomes resident). Backends must be
@@ -24,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,8 +34,10 @@
 
 namespace tac::core {
 
-/// One level encoded standalone by a backend — the unit the auto-selector
-/// stitches mixed-method containers out of (see core/selector.hpp).
+/// One payload of a container: a level encoded standalone by a backend —
+/// the unit the auto-selector stitches mixed-method containers out of
+/// (see core/selector.hpp) — or the one payload zMesh/3D interleave every
+/// level into. `report.method` becomes the payload's selector byte.
 struct LevelPayload {
   std::vector<std::uint8_t> bytes;
   LevelReport report;
@@ -61,25 +65,11 @@ class CompressorBackend {
   /// immediately after the common header (and, for v2+ containers, after
   /// the payload index). `header` supplies the payload index — in
   /// particular `payload_profile(header, i)`, the codec profile each
-  /// payload's lossless streams must decode under.
+  /// payload's lossless streams must decode under. Per-level backends
+  /// implement it as one call to decompress_per_level.
   [[nodiscard]] virtual amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const = 0;
-
-  /// Decodes only `level` of the container into a standalone AmrLevel.
-  /// `header` must be the result of read_common_header over `container`.
-  ///
-  /// The base implementation verifies every indexed payload, decodes the
-  /// whole container and keeps the requested level — correct for any
-  /// backend, O(dataset). Backends that store one payload per level (TAC,
-  /// 1D) override it to verify and visit only that level's indexed bytes
-  /// and to build only that level (materialize_level), making partial
-  /// decompression O(level). Backends whose single payload
-  /// interleaves all levels (zMesh, 3D) cannot do better than the
-  /// fallback and simply inherit it.
-  [[nodiscard]] virtual amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const;
 
   /// True when this backend can encode and decode a single level as a
   /// standalone payload (the `auto` pseudo-backend only considers such
@@ -101,23 +91,55 @@ class CompressorBackend {
   /// Decodes one payload produced by compress_level_payload() into the
   /// skeleton level `lv` (mask set, data zeroed). `r` spans exactly the
   /// payload bytes; `profile` is the codec profile recorded in its index
-  /// entry. Only called when supports_level_payloads() is true; the
-  /// default throws.
-  virtual void decompress_level_payload(ByteReader& r, amr::AmrLevel& lv,
-                                        lossless::CodecProfile profile) const;
+  /// entry, or nullopt for a v1/v2 container (lenient decode). Only
+  /// called when supports_level_payloads() is true; the default throws.
+  virtual void decompress_level_payload(
+      ByteReader& r, amr::AmrLevel& lv,
+      std::optional<lossless::CodecProfile> profile) const;
 };
 
-/// The container writer of every built-in per-level backend (TAC, 1D,
-/// auto). Encodes the levels concurrently through `encode(l)`, then writes
-/// the common header under `method` and one indexed payload per level in
-/// level order, sealing payload l with `levels[l].report.method` as its
+/// The container writer of every built-in backend: writes the common
+/// header under `method`, then `payloads` as the indexed payloads in
+/// order, sealing payload i with `payloads[i].report.method` as its
 /// selector byte (the container's own tag for fixed backends, the winner
-/// for auto). The container is byte-identical at any thread count. The
-/// report sums `original_bytes` from the levels' `valid_cells`, and each
-/// level's `compressed_bytes` is its payload's index-entry length.
+/// for auto). The report sums `original_bytes` from the payloads'
+/// `valid_cells`, and each level report's `compressed_bytes` is its
+/// payload's index-entry length. The single-payload backends (zMesh, 3D)
+/// pass one payload that interleaves every level.
+[[nodiscard]] CompressedAmr write_container(Method method,
+                                            const amr::AmrDataset& ds,
+                                            std::vector<LevelPayload> payloads);
+
+/// The writer of every built-in per-level backend (TAC, 1D, auto):
+/// encodes the levels concurrently through `encode(l)`, then hands them to
+/// write_container in level order. The container is byte-identical at any
+/// thread count.
 [[nodiscard]] CompressedAmr compress_per_level(
     Method method, const amr::AmrDataset& ds,
     const std::function<LevelPayload(std::size_t level)>& encode);
+
+/// The reader of every per-level container (TAC, 1D, auto): decodes
+/// payload l into `skeleton.level(l)` through decompress_level_payload of
+/// the backend that owns it, `payload_method(header, l)` when recorded and
+/// `header.method` otherwise. `r` is positioned at the first payload.
+/// Throws SelectorError naming the payload when its owner has no
+/// per-level decoder (an `auto` container without selector bytes).
+[[nodiscard]] amr::AmrDataset decompress_per_level(ByteReader& r,
+                                                   amr::AmrDataset skeleton,
+                                                   const CommonHeader& header);
+
+/// Decodes only `level` of a container into a standalone AmrLevel;
+/// `header` must be the result of read_common_header over `container`.
+/// When the index maps payloads to levels and payload `level`'s owner
+/// supports per-level payloads, only that payload is verified and decoded
+/// and only that level is built (materialize_level): O(level). Otherwise
+/// (v1 containers, the interleaved zMesh/3D payloads, out-of-tree
+/// backends without per-level hooks) every payload is verified and the
+/// whole container decoded: O(dataset). Throws std::out_of_range for a
+/// level the container does not have.
+[[nodiscard]] amr::AmrLevel decompress_level(
+    std::span<const std::uint8_t> container, const CommonHeader& header,
+    std::size_t level);
 
 /// Registers a backend under its Method tag. Throws std::invalid_argument
 /// on a duplicate tag or a null backend. Thread-safe.

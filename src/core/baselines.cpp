@@ -32,6 +32,26 @@ std::pair<double, double> dataset_valid_range(const amr::AmrDataset& ds) {
   return {lo, hi};
 }
 
+/// One 1D sz stream as a payload blob, empty when there are no values:
+/// every 1D level payload and the single zMesh payload.
+LevelPayload stream_payload(Method method, std::span<const double> values,
+                            const sz::SzConfig& cfg) {
+  LevelPayload out;
+  out.report.method = method;
+  out.report.valid_cells = values.size();
+  ByteWriter w;
+  if (values.empty()) {
+    w.put_blob({});
+  } else {
+    const auto stream =
+        sz::compress<double>(values, Dims3{values.size(), 1, 1}, cfg);
+    out.report.abs_error_bound = sz::peek(stream).abs_error_bound;
+    w.put_blob(stream);
+  }
+  out.bytes = w.take();
+  return out;
+}
+
 void visit_zmesh(const amr::AmrDataset& ds, std::size_t level, std::size_t x,
                  std::size_t y, std::size_t z, auto&& emit) {
   const amr::AmrLevel& lv = ds.level(level);
@@ -73,23 +93,7 @@ class OneDBackend final : public CompressorBackend {
   [[nodiscard]] amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const override {
-    TAC_SPAN("oned.decompress");
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_level(r, skeleton.level(l), payload_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: one blob per level, one index entry
-  /// per blob, so a single level costs one checksum + one sz decode.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // v1 container (no index): fall back to the full decode.
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = materialize_level(header, level);
-    decode_level(*r, lv, payload_profile(header, level));
-    return lv;
+    return decompress_per_level(r, std::move(skeleton), header);
   }
 
   [[nodiscard]] bool supports_level_payloads() const override { return true; }
@@ -102,8 +106,16 @@ class OneDBackend final : public CompressorBackend {
 
   void decompress_level_payload(
       ByteReader& r, amr::AmrLevel& lv,
-      lossless::CodecProfile profile) const override {
-    decode_level(r, lv, profile);
+      std::optional<lossless::CodecProfile> profile) const override {
+    TAC_SPAN("oned.level_decode");
+    const auto stream = r.get_blob();
+    if (stream.empty()) {
+      lv.scatter_valid({});
+    } else {
+      const auto values =
+          sz::decompress<double>(stream, lv.valid_count(), profile);
+      lv.scatter_valid(values);
+    }
   }
 
  private:
@@ -114,43 +126,15 @@ class OneDBackend final : public CompressorBackend {
   static LevelPayload encode_level(const amr::AmrLevel& lv,
                                    const TacConfig& cfg) {
     TAC_SPAN("oned.level_encode");
-    LevelPayload out;
-    out.report.method = Method::kOneD;
-    const std::size_t valid = lv.valid_count();
-    out.report.valid_cells = valid;
     const auto [lo, hi] = lv.valid_range();
-    const sz::SzConfig level_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
-
     // Arena-backed gather: the 1D stream is built and compressed before
     // the scope closes, so repeated level encodes reuse the same scratch
     // blocks.
     ArenaScope scratch;
-    const auto values = scratch.alloc<double>(valid);
+    const auto values = scratch.alloc<double>(lv.valid_count());
     lv.gather_valid_into(values);
-    ByteWriter w;
-    if (values.empty()) {
-      w.put_blob({});
-    } else {
-      const auto stream = sz::compress<double>(
-          values, Dims3{values.size(), 1, 1}, level_cfg);
-      out.report.abs_error_bound = sz::peek(stream).abs_error_bound;
-      w.put_blob(stream);
-    }
-    out.bytes = w.take();
-    return out;
-  }
-
-  static void decode_level(ByteReader& r, amr::AmrLevel& lv,
-                           std::optional<lossless::CodecProfile> expected) {
-    TAC_SPAN("oned.level_decode");
-    const auto stream = r.get_blob();
-    if (stream.empty()) {
-      lv.scatter_valid({});
-    } else {
-      const auto values =
-          sz::decompress<double>(stream, lv.valid_count(), expected);
-      lv.scatter_valid(values);
-    }
+    return stream_payload(Method::kOneD, values,
+                          sz::resolve_range_bound(cfg.sz, lo, hi));
   }
 };
 
@@ -162,44 +146,15 @@ class ZMeshBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     TAC_SPAN("zmesh.compress");
-    ByteWriter w;
     // One interleaved stream spanning every level: a single payload (and
-    // a single index entry) — partial decompression uses the full-decode
+    // a single level report), so decompress_level takes the full-decode
     // fallback for this backend.
-    PayloadIndexBuilder index =
-        write_common_header(w, Method::kZMesh, ds, /*n_payloads=*/1);
-
-    CompressReport report;
-    report.method = Method::kZMesh;
-    report.original_bytes = ds.original_bytes();
-
     const auto values = zmesh_gather(ds);
-
     const auto [lo, hi] = dataset_valid_range(ds);
-    const sz::SzConfig stream_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
-
-    LevelReport lr;  // single interleaved stream: reported as one entry
-    lr.valid_cells = values.size();
-    const std::size_t payload_start = w.size();
-    index.begin_payload();
-    if (values.empty()) {
-      w.put_blob({});
-    } else {
-      const auto stream = sz::compress<double>(
-          values, Dims3{values.size(), 1, 1}, stream_cfg);
-      lr.abs_error_bound = sz::peek(stream).abs_error_bound;
-      w.put_blob(stream);
-    }
-    index.end_payload();
-    index.finish();
-    lr.compressed_bytes = w.size() - payload_start;
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.levels.push_back(lr);
-    report.compressed_bytes = out.bytes.size();
-    out.report = std::move(report);
-    return out;
+    std::vector<LevelPayload> payload;
+    payload.push_back(stream_payload(Method::kZMesh, values,
+                                     sz::resolve_range_bound(cfg.sz, lo, hi)));
+    return write_container(Method::kZMesh, ds, std::move(payload));
   }
 
   [[nodiscard]] amr::AmrDataset decompress(
@@ -225,39 +180,22 @@ class Upsample3DBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     TAC_SPAN("upsample3d.compress");
-    ByteWriter w;
-    // Levels merge into one up-sampled uniform grid: a single payload —
-    // partial decompression uses the full-decode fallback here too.
-    PayloadIndexBuilder index =
-        write_common_header(w, Method::kUpsample3D, ds, /*n_payloads=*/1);
-
-    CompressReport report;
-    report.method = Method::kUpsample3D;
-    report.original_bytes = ds.original_bytes();
-
+    // Levels merge into one up-sampled uniform grid: a single payload, so
+    // decompress_level takes the full-decode fallback here too.
     const Array3D<double> uniform = amr::compose_uniform(ds);
-    LevelReport lr;
-    lr.valid_cells = ds.total_valid();
-
     const auto [lo, hi] = dataset_valid_range(ds);
-    const sz::SzConfig stream_cfg = sz::resolve_range_bound(cfg.sz, lo, hi);
-
-    const auto stream =
-        sz::compress<double>(uniform.span(), uniform.dims(), stream_cfg);
+    const auto stream = sz::compress<double>(
+        uniform.span(), uniform.dims(),
+        sz::resolve_range_bound(cfg.sz, lo, hi));
+    std::vector<LevelPayload> payload(1);
+    LevelReport& lr = payload.front().report;
+    lr.method = Method::kUpsample3D;
+    lr.valid_cells = ds.total_valid();
     lr.abs_error_bound = sz::peek(stream).abs_error_bound;
-    const std::size_t payload_start = w.size();
-    index.begin_payload();
+    ByteWriter w;
     w.put_blob(stream);
-    index.end_payload();
-    index.finish();
-    lr.compressed_bytes = w.size() - payload_start;
-
-    CompressedAmr out;
-    out.bytes = w.take();
-    report.levels.push_back(lr);
-    report.compressed_bytes = out.bytes.size();
-    out.report = std::move(report);
-    return out;
+    payload.front().bytes = w.take();
+    return write_container(Method::kUpsample3D, ds, std::move(payload));
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

@@ -208,12 +208,23 @@ CommonHeader read_common_header(ByteReader& r) {
             "container: payload " + std::to_string(i) +
             " declares unknown codec profile byte " +
             std::to_string(e.profile));
-      if (h.version >= 4 && e.selector != kSelectorFixed &&
-          find_backend(static_cast<Method>(e.selector)) == nullptr)
-        throw SelectorError(
-            "container: payload " + std::to_string(i) +
-            " declares unknown selector byte " + std::to_string(e.selector) +
-            " (no registered compressor backend)");
+      if (h.version >= 4 && e.selector != kSelectorFixed) {
+        if (find_backend(static_cast<Method>(e.selector)) == nullptr)
+          throw SelectorError(
+              "container: payload " + std::to_string(i) +
+              " declares unknown selector byte " +
+              std::to_string(e.selector) +
+              " (no registered compressor backend)");
+        // Every reader follows the selector byte, so in a fixed-method
+        // container it must name the container's own method.
+        if (h.method != Method::kAuto &&
+            e.selector != static_cast<std::uint8_t>(h.method))
+          throw SelectorError(
+              "container: payload " + std::to_string(i) +
+              " declares selector byte " + std::to_string(e.selector) +
+              " but the container method is " + to_string(h.method) +
+              " (only auto containers mix methods)");
+      }
       h.index.entries.push_back(e);
     }
   }
@@ -290,21 +301,6 @@ void verify_payloads(std::span<const std::uint8_t> container,
                      const PayloadIndex& index) {
   for (std::size_t i = 0; i < index.entries.size(); ++i)
     verify_payload(container, index, i);
-}
-
-std::optional<ByteReader> indexed_level_reader(
-    std::span<const std::uint8_t> container, const CommonHeader& header,
-    std::size_t level) {
-  if (header.index.entries.size() != header.num_levels()) return std::nullopt;
-  if (level >= header.num_levels())
-    throw std::out_of_range(
-        "decompress_level: level " + std::to_string(level) +
-        " out of range (container has " +
-        std::to_string(header.num_levels()) + " levels)");
-  verify_payload(container, header.index, level);
-  const PayloadEntry& e = header.index.entries[level];
-  return ByteReader(container.subspan(static_cast<std::size_t>(e.offset),
-                                      static_cast<std::size_t>(e.length)));
 }
 
 }  // namespace tac::core

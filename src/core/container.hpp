@@ -84,9 +84,10 @@ class ChecksumError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A v4 selector byte names a method no backend is registered for —
-/// either the container was written by a newer method set or the byte
-/// was damaged (the index is not CRC-covered).
+/// A v4 selector byte cannot be decoded: it names a method no backend is
+/// registered for (a newer method set, or a damaged byte — the index is
+/// not CRC-covered), a method other than a fixed container's own, or a
+/// backend without a per-level decoder.
 class SelectorError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -257,7 +258,9 @@ struct CommonHeader {
 /// Parses the header and payload index. Rejects, with std::runtime_error
 /// and before anything volume-sized exists, a level count the remaining
 /// bytes cannot describe and level dims whose cell count (or its 9 bytes
-/// per cell of data + mask) overflows.
+/// per cell of data + mask) overflows. A v4 selector byte that names an
+/// unregistered method, or, outside an auto container, a method other
+/// than the header's, raises SelectorError naming the payload.
 [[nodiscard]] CommonHeader read_common_header(ByteReader& r);
 
 /// Builds level `l` of the header's structure: the mask blob is
@@ -303,16 +306,6 @@ void verify_payload(std::span<const std::uint8_t> container,
 /// Verifies every entry of the index. No-op for an empty (v1) index.
 void verify_payloads(std::span<const std::uint8_t> container,
                      const PayloadIndex& index);
-
-/// Shared preamble for backends whose payloads map 1:1 to levels (TAC,
-/// 1D): bounds- and checksum-checks entry `level` and returns a reader
-/// over exactly that payload's bytes. Returns nullopt when the index does
-/// not map to levels (a v1 container) — the caller should fall back to
-/// CompressorBackend::decompress_level's full decode. Throws
-/// std::out_of_range for a level the container does not have.
-[[nodiscard]] std::optional<ByteReader> indexed_level_reader(
-    std::span<const std::uint8_t> container, const CommonHeader& header,
-    std::size_t level);
 
 }  // namespace tac::core
 

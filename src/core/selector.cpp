@@ -164,8 +164,9 @@ namespace {
 
 /// The `auto` pseudo-backend: per level, run the selection trial, encode
 /// with the winner, and stamp the winner's tag into the v4 selector byte.
-/// Decoding dispatches every payload to the backend its index entry
-/// names, so mixed-method containers round-trip through the ordinary
+/// Decoding is the shared per-level reader (decompress_per_level), which
+/// dispatches every payload to the backend its index entry names, so
+/// mixed-method containers round-trip through the ordinary
 /// decompress_any / decompress_level entry points.
 class AutoBackend final : public CompressorBackend {
  public:
@@ -192,49 +193,7 @@ class AutoBackend final : public CompressorBackend {
   [[nodiscard]] amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const override {
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      owner_of(header, l).decompress_level_payload(
-          r, skeleton.level(l), required_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: one payload per level, dispatched to
-  /// the backend its selector byte names.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // index doesn't map to levels: corrupt/hand-rolled container
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = materialize_level(header, level);
-    owner_of(header, level).decompress_level_payload(
-        *r, lv, required_profile(header, level));
-    return lv;
-  }
-
- private:
-  /// The backend a payload's selector byte names. Auto containers always
-  /// stamp concrete winners, so a missing selector means the container
-  /// was not produced by this library's auto writer.
-  static const CompressorBackend& owner_of(const CommonHeader& header,
-                                           std::size_t l) {
-    const std::optional<Method> m = payload_method(header, l);
-    if (!m)
-      throw std::runtime_error(
-          "auto: payload " + std::to_string(l) +
-          " carries no recorded selector (container predates format v4 "
-          "or was not written by the auto backend)");
-    return backend_for(*m);
-  }
-
-  static lossless::CodecProfile required_profile(const CommonHeader& header,
-                                                 std::size_t l) {
-    const auto p = payload_profile(header, l);
-    if (!p)
-      throw std::runtime_error(
-          "auto: payload " + std::to_string(l) +
-          " carries no codec-profile byte (container predates format v3)");
-    return *p;
+    return decompress_per_level(r, std::move(skeleton), header);
   }
 };
 

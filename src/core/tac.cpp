@@ -106,8 +106,7 @@ DecodedGroups deserialize_groups(
 /// Decodes one level's payload (strategy tag, block size, streams) into
 /// `lv`, whose mask is already filled from the header and whose data is
 /// zero. Only valid cells are written, so empty cells keep that zero and
-/// the untouched pages of a sparse level are never faulted in. Shared by
-/// the full decode and the indexed single-level path.
+/// the untouched pages of a sparse level are never faulted in.
 /// `expected` is the codec profile the container's index declares for
 /// this payload (nullopt for pre-v3 containers → lenient decode).
 void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
@@ -247,22 +246,7 @@ class TacBackend final : public CompressorBackend {
   [[nodiscard]] amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
       const CommonHeader& header) const override {
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_tac_level(r, skeleton.level(l), payload_profile(header, l));
-    return skeleton;
-  }
-
-  /// Native partial decompression: level payloads are written one per
-  /// index entry, so only that entry's bytes are checksummed and decoded.
-  [[nodiscard]] amr::AmrLevel decompress_level(
-      std::span<const std::uint8_t> container, const CommonHeader& header,
-      std::size_t level) const override {
-    auto r = indexed_level_reader(container, header, level);
-    if (!r)  // v1 container (no index): fall back to the full decode.
-      return CompressorBackend::decompress_level(container, header, level);
-    amr::AmrLevel lv = materialize_level(header, level);
-    decode_tac_level(*r, lv, payload_profile(header, level));
-    return lv;
+    return decompress_per_level(r, std::move(skeleton), header);
   }
 
   [[nodiscard]] bool supports_level_payloads() const override { return true; }
@@ -275,7 +259,7 @@ class TacBackend final : public CompressorBackend {
 
   void decompress_level_payload(
       ByteReader& r, amr::AmrLevel& lv,
-      lossless::CodecProfile profile) const override {
+      std::optional<lossless::CodecProfile> profile) const override {
     decode_tac_level(r, lv, profile);
   }
 };
@@ -311,8 +295,7 @@ amr::AmrDataset decompress_any(std::span<const std::uint8_t> bytes) {
 amr::AmrLevel decompress_level(std::span<const std::uint8_t> bytes,
                                std::size_t level) {
   ByteReader r(bytes);
-  const CommonHeader h = read_common_header(r);
-  return backend_for(h.method).decompress_level(bytes, h, level);
+  return decompress_level(bytes, read_common_header(r), level);
 }
 
 }  // namespace tac::core

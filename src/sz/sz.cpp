@@ -34,7 +34,7 @@ enum class StreamKind : std::uint8_t {
 // ---------------------------------------------------------------------------
 // Range scan (min/max/constant detection), SIMD-dispatched.
 //
-// Every path — scalar, SSE4.2, AVX2 — observes the same rules: non-finite
+// Both paths — scalar and AVX2 — observe the same rules: non-finite
 // values are excluded from lo/hi, and all_identical compares raw bit
 // patterns against element 0 (so NaN payloads and -0.0 vs 0.0 count as
 // different). lo/hi never reach the serialized stream directly (only
@@ -144,81 +144,6 @@ __attribute__((target("avx2"))) ValueRange scan_range_avx2(const float* p,
   return r;
 }
 
-__attribute__((target("sse4.2"))) ValueRange scan_range_sse42(const double* p,
-                                                              std::size_t n) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ValueRange r;
-  r.lo = kInf;
-  r.hi = -kInf;
-  if (n == 0) return r;
-  const double first = p[0];
-  std::size_t i = 0;
-  if (n >= 2) {
-    const __m128d vinf = _mm_set1_pd(kInf);
-    const __m128d vninf = _mm_set1_pd(-kInf);
-    const __m128d absmask =
-        _mm_castsi128_pd(_mm_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-    const __m128i vfirst = _mm_castpd_si128(_mm_set1_pd(first));
-    __m128i vident = _mm_set1_epi32(-1);
-    __m128d vlo = vinf;
-    __m128d vhi = vninf;
-    for (; i + 2 <= n; i += 2) {
-      const __m128d v = _mm_loadu_pd(p + i);
-      vident = _mm_and_si128(vident,
-                             _mm_cmpeq_epi64(_mm_castpd_si128(v), vfirst));
-      const __m128d mag = _mm_and_pd(v, absmask);
-      const __m128d fin = _mm_cmplt_pd(mag, vinf);
-      vlo = _mm_min_pd(vlo, _mm_blendv_pd(vinf, v, fin));
-      vhi = _mm_max_pd(vhi, _mm_blendv_pd(vninf, v, fin));
-    }
-    if (_mm_movemask_epi8(vident) != 0xFFFF) r.all_identical = false;
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, vlo);
-    for (const double d : lanes) r.lo = std::min(r.lo, d);
-    _mm_store_pd(lanes, vhi);
-    for (const double d : lanes) r.hi = std::max(r.hi, d);
-  }
-  scan_tail(p, i, n, first, r);
-  return r;
-}
-
-__attribute__((target("sse4.2"))) ValueRange scan_range_sse42(const float* p,
-                                                              std::size_t n) {
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  ValueRange r;
-  r.lo = std::numeric_limits<double>::infinity();
-  r.hi = -std::numeric_limits<double>::infinity();
-  if (n == 0) return r;
-  const float first = p[0];
-  std::size_t i = 0;
-  if (n >= 4) {
-    const __m128 vinf = _mm_set1_ps(kInf);
-    const __m128 vninf = _mm_set1_ps(-kInf);
-    const __m128 absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFFFFFF));
-    const __m128i vfirst = _mm_castps_si128(_mm_set1_ps(first));
-    __m128i vident = _mm_set1_epi32(-1);
-    __m128 vlo = vinf;
-    __m128 vhi = vninf;
-    for (; i + 4 <= n; i += 4) {
-      const __m128 v = _mm_loadu_ps(p + i);
-      vident = _mm_and_si128(vident,
-                             _mm_cmpeq_epi32(_mm_castps_si128(v), vfirst));
-      const __m128 mag = _mm_and_ps(v, absmask);
-      const __m128 fin = _mm_cmplt_ps(mag, vinf);
-      vlo = _mm_min_ps(vlo, _mm_blendv_ps(vinf, v, fin));
-      vhi = _mm_max_ps(vhi, _mm_blendv_ps(vninf, v, fin));
-    }
-    if (_mm_movemask_epi8(vident) != 0xFFFF) r.all_identical = false;
-    alignas(16) float lanes[4];
-    _mm_store_ps(lanes, vlo);
-    for (const float f : lanes) r.lo = std::min(r.lo, static_cast<double>(f));
-    _mm_store_ps(lanes, vhi);
-    for (const float f : lanes) r.hi = std::max(r.hi, static_cast<double>(f));
-  }
-  scan_tail(p, i, n, first, r);
-  return r;
-}
-
 #endif  // TAC_SIMD_X86 && __GNUC__
 
 // ---------------------------------------------------------------------------
@@ -256,33 +181,6 @@ __attribute__((target("avx2"))) void pack_sign_avx2(const float* p,
   for (; i + 8 <= n; i += 8)
     out[i / 8] =
         static_cast<std::uint8_t>(_mm256_movemask_ps(_mm256_loadu_ps(p + i)));
-  pack_sign_tail(p, i, n, out);
-}
-
-__attribute__((target("sse4.2"))) void pack_sign_sse42(const double* p,
-                                                       std::size_t n,
-                                                       std::uint8_t* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int b0 = _mm_movemask_pd(_mm_loadu_pd(p + i));
-    const int b1 = _mm_movemask_pd(_mm_loadu_pd(p + i + 2));
-    const int b2 = _mm_movemask_pd(_mm_loadu_pd(p + i + 4));
-    const int b3 = _mm_movemask_pd(_mm_loadu_pd(p + i + 6));
-    out[i / 8] =
-        static_cast<std::uint8_t>(b0 | (b1 << 2) | (b2 << 4) | (b3 << 6));
-  }
-  pack_sign_tail(p, i, n, out);
-}
-
-__attribute__((target("sse4.2"))) void pack_sign_sse42(const float* p,
-                                                       std::size_t n,
-                                                       std::uint8_t* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int lo = _mm_movemask_ps(_mm_loadu_ps(p + i));
-    const int hi = _mm_movemask_ps(_mm_loadu_ps(p + i + 4));
-    out[i / 8] = static_cast<std::uint8_t>(lo | (hi << 4));
-  }
   pack_sign_tail(p, i, n, out);
 }
 
@@ -762,14 +660,8 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
 template <class T>
 ValueRange scan_range(std::span<const T> data) {
 #if TAC_SIMD_X86 && defined(__GNUC__)
-  switch (simd::active_level()) {
-    case simd::Level::kAVX2:
-      return scan_range_avx2(data.data(), data.size());
-    case simd::Level::kSSE42:
-      return scan_range_sse42(data.data(), data.size());
-    case simd::Level::kScalar:
-      break;
-  }
+  if (simd::active_level() == simd::Level::kAVX2)
+    return scan_range_avx2(data.data(), data.size());
 #endif
   return scan_range_scalar(data.data(), data.size());
 }
@@ -778,15 +670,9 @@ template <class T>
 std::vector<std::uint8_t> pack_sign_bits(std::span<const T> data) {
   std::vector<std::uint8_t> out((data.size() + 7) / 8, 0);
 #if TAC_SIMD_X86 && defined(__GNUC__)
-  switch (simd::active_level()) {
-    case simd::Level::kAVX2:
-      pack_sign_avx2(data.data(), data.size(), out.data());
-      return out;
-    case simd::Level::kSSE42:
-      pack_sign_sse42(data.data(), data.size(), out.data());
-      return out;
-    case simd::Level::kScalar:
-      break;
+  if (simd::active_level() == simd::Level::kAVX2) {
+    pack_sign_avx2(data.data(), data.size(), out.data());
+    return out;
   }
 #endif
   pack_sign_tail(data.data(), std::size_t{0}, data.size(), out.data());

@@ -279,6 +279,39 @@ TEST(CodecProfile, WriterBytesArePinned) {
   }
 }
 
+/// What the reader decodes from each pinned container: the CRC-32 of every
+/// level's data, chained finest first. A refactor of the read path must
+/// leave these values alone, whichever entry point decodes.
+struct PinnedDecode {
+  const char* cli;  ///< tac_file_tool --method= value
+  std::uint32_t crc;
+};
+constexpr PinnedDecode kPinnedDecodes[] = {
+    {"tac", 0x23770833u},  {"1d", 0xe5336edau}, {"zmesh", 0xde109df4u},
+    {"3d", 0x9bacd334u},   {"auto", 0x23770833u}};
+
+std::uint32_t data_crc(const amr::AmrLevel& lv, std::uint32_t crc) {
+  const std::span<const double> data = lv.data.span();
+  return crc32({reinterpret_cast<const std::uint8_t*>(data.data()),
+                data.size_bytes()},
+               crc);
+}
+
+TEST(CodecProfile, ReaderOutputIsPinned) {
+  for (const PinnedDecode& p : kPinnedDecodes) {
+    const auto bytes = fresh_compress(p.cli);
+    const amr::AmrDataset full = decompress_any(bytes);
+    std::uint32_t full_crc = 0;
+    std::uint32_t level_crc = 0;
+    for (std::size_t l = 0; l < full.num_levels(); ++l) {
+      full_crc = data_crc(full.level(l), full_crc);
+      level_crc = data_crc(decompress_level(bytes, l), level_crc);
+    }
+    EXPECT_EQ(full_crc, p.crc) << p.cli << " decompress_any";
+    EXPECT_EQ(level_crc, p.crc) << p.cli << " decompress_level";
+  }
+}
+
 /// A corpus that exercises every encoder regime: long runs (deep hash
 /// chains), a stride-repetitive segment (offset reuse) and incompressible
 /// noise (skip heuristic / stored fallback).

@@ -5,19 +5,22 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amr/snapshot.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
+#include "container_downgrade.hpp"
 #include "core/selector.hpp"
 #include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 
 /// The per-level adaptive backend selector (core/selector.hpp) and the
 /// `auto` pseudo-backend: candidate filtering, deterministic sampling and
-/// selection, mixed-method v4 containers, and the typed error on unknown
-/// selector bytes.
+/// selection, mixed-method v4 containers, and the typed errors on
+/// selector bytes that name no backend, contradict a fixed container's
+/// method or leave a payload without a decoder.
 
 namespace tac::core {
 namespace {
@@ -46,6 +49,24 @@ CommonHeader header_of(std::span<const std::uint8_t> bytes) {
 std::size_t selector_byte_offset(const CommonHeader& h, std::size_t i) {
   EXPECT_LT(h.index.entries.size(), 128u);
   return h.index_offset + 1 + i * kPayloadEntryV4Bytes + kPayloadEntryV3Bytes;
+}
+
+/// Both readers must refuse `bytes` with a SelectorError that names
+/// payload `payload` (decompress_level is asked for that payload's level).
+void expect_selector_error(std::span<const std::uint8_t> bytes,
+                           std::size_t payload, const std::string& what) {
+  const std::string named = "payload " + std::to_string(payload);
+  const auto check = [&](const char* reader, const auto& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << what << ": " << reader << " should have thrown";
+    } catch (const SelectorError& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << what << ", " << reader << ": " << e.what();
+    }
+  };
+  check("decompress_any", [&] { (void)decompress_any(bytes); });
+  check("decompress_level", [&] { (void)decompress_level(bytes, payload); });
 }
 
 TEST(Selector, AutoIsRegisteredButNotALevelCandidate) {
@@ -196,6 +217,39 @@ TEST(Selector, UnknownSelectorByteIsATypedError) {
     EXPECT_NE(msg.find("selector"), std::string::npos) << msg;
     EXPECT_NE(msg.find("250"), std::string::npos) << msg;
   }
+  expect_selector_error(damaged, 0, "auto, selector 250");
+
+  // Every reader follows the selector byte, so in a fixed container it
+  // must name the container's own method: a TAC payload relabelled 1D (or
+  // the reverse) is refused at the header, never handed to a decoder.
+  for (const auto& [method, other] :
+       {std::pair{Method::kTac, Method::kOneD},
+        std::pair{Method::kOneD, Method::kTac}}) {
+    auto flipped = backend_for(method).compress(ds, auto_config()).bytes;
+    flipped[selector_byte_offset(header_of(flipped), 0)] =
+        static_cast<std::uint8_t>(other);
+    expect_selector_error(flipped, 0,
+                          std::string(to_string(method)) + " relabelled " +
+                              to_string(other));
+  }
+}
+
+// The auto backend has no per-level decoder of its own, so an auto payload
+// without a recorded winner cannot be decoded: from a container rebuilt in
+// the v2 layout (no selector bytes), or from a v4 entry holding the
+// kSelectorFixed sentinel.
+TEST(Selector, PayloadWithoutADecoderIsATypedError) {
+  const auto ds = mixed_winner_dataset();
+  const auto bytes =
+      backend_for(Method::kAuto).compress(ds, auto_config()).bytes;
+  expect_selector_error(test::downgrade_to_v2(bytes), 0, "auto as v2");
+
+  const CommonHeader h = header_of(bytes);
+  ASSERT_GE(h.index.entries.size(), 2u);
+  const std::size_t last = h.index.entries.size() - 1;
+  auto unrecorded = bytes;
+  unrecorded[selector_byte_offset(h, last)] = kSelectorFixed;
+  expect_selector_error(unrecorded, last, "auto with a kSelectorFixed entry");
 }
 
 TEST(Selector, FixedBackendsStampTheirOwnTag) {
