@@ -1,5 +1,7 @@
 #include "amr/amr_io.hpp"
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -113,6 +115,87 @@ void unpack_mask_into(std::span<const std::uint8_t> packed,
   spread_bits(packed.subspan(i / 8), out.subspan(i));
 }
 
+std::vector<std::size_t> dense_page_runs(std::span<const std::uint8_t> packed,
+                                         std::size_t cells,
+                                         std::size_t cell_bytes,
+                                         std::uintptr_t base,
+                                         std::size_t page_bytes,
+                                         std::size_t run_bytes) {
+  std::vector<std::size_t> runs;
+  constexpr std::size_t kWordCells = 64;
+  if (cell_bytes == 0 || page_bytes == 0 || run_bytes < page_bytes ||
+      run_bytes % page_bytes != 0 ||
+      page_bytes % (kWordCells * cell_bytes) != 0 || base % page_bytes != 0 ||
+      cells > SIZE_MAX / cell_bytes)
+    return runs;
+  const std::size_t bytes = cells * cell_bytes;
+  const std::size_t words_per_page = page_bytes / (kWordCells * cell_bytes);
+  const std::size_t pages_per_run = run_bytes / page_bytes;
+  const std::size_t max_empty = pages_per_run / 8;
+  const auto word_set = [&](std::size_t w) {
+    const std::size_t b = w * 8;
+    if (b + 8 <= packed.size()) {
+      std::uint64_t v;
+      std::memcpy(&v, packed.data() + b, sizeof(v));
+      return v != 0;
+    }
+    std::uint8_t any = 0;
+    for (std::size_t k = b; k < packed.size(); ++k) any |= packed[k];
+    return any != 0;
+  };
+  // First run boundary at or after `base`, as an offset into the array.
+  for (std::size_t off = (run_bytes - base % run_bytes) % run_bytes;
+       off <= bytes && bytes - off >= run_bytes; off += run_bytes) {
+    const std::size_t first_word = off / cell_bytes / kWordCells;
+    std::size_t empty = 0;
+    for (std::size_t p = 0; p < pages_per_run && empty <= max_empty; ++p) {
+      const std::size_t w0 = first_word + p * words_per_page;
+      bool touched = false;
+      for (std::size_t w = w0; w < w0 + words_per_page && !touched; ++w)
+        touched = word_set(w);
+      if (!touched) ++empty;
+    }
+    if (empty <= max_empty) runs.push_back(off);
+  }
+  return runs;
+}
+
+namespace {
+/// Bytes of one base page on this host.
+std::size_t host_page_bytes() {
+  static const std::size_t bytes = [] {
+    const long p = sysconf(_SC_PAGESIZE);
+    return p > 0 ? static_cast<std::size_t>(p) : std::size_t{4096};
+  }();
+  return bytes;
+}
+
+/// Hints `a`'s dense_page_runs under the host's page sizes. A transparent
+/// huge page spans what one page-table entry a level above the base pages
+/// maps: page_bytes / sizeof(void*) base pages (2 MiB over 4 KiB pages).
+template <class T>
+void advise_dense_runs(Array3D<T>& a, std::span<const std::uint8_t> packed) {
+  if (!a.mapped()) return;
+  const std::size_t page = host_page_bytes();
+  const std::size_t run = page / sizeof(void*) * page;
+  a.advise_huge_pages(
+      dense_page_runs(packed, a.size(), sizeof(T),
+                      reinterpret_cast<std::uintptr_t>(a.data()), page, run),
+      run);
+}
+}  // namespace
+
+AmrLevel level_from_packed_mask(Dims3 dims,
+                                std::span<const std::uint8_t> packed) {
+  if (packed.size() < (dims.volume() + 7) / 8)
+    throw std::runtime_error("unpack_mask: truncated mask");
+  AmrLevel lv(dims);
+  advise_dense_runs(lv.data, packed);
+  advise_dense_runs(lv.mask, packed);
+  unpack_mask_into(packed, lv.mask.span());
+  return lv;
+}
+
 std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
   ByteWriter w;
   w.put<std::uint32_t>(kMagic);
@@ -153,8 +236,7 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     const auto packed = lossless::decompress(r.get_blob());
     if (packed.size() < (d.volume() + 7) / 8)
       throw std::runtime_error("amr_io: truncated mask");
-    AmrLevel lv(d);
-    unpack_mask_into(packed, lv.mask.span());
+    AmrLevel lv = level_from_packed_mask(d, packed);
     const auto value_bytes = r.get_blob();
     if (value_bytes.size() % sizeof(double) != 0)
       throw std::runtime_error("amr_io: bad value payload");

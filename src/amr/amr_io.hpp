@@ -39,6 +39,35 @@ void save_dataset(const std::string& path, const AmrDataset& ds);
 void unpack_mask_into(std::span<const std::uint8_t> packed,
                       std::span<std::uint8_t> out);
 
+/// The byte offsets, from an array's first byte, of the huge-page runs
+/// worth hinting in an array that is written only at the valid cells of
+/// `packed` (bit-packed LSB-first, one bit per cell, as pack_mask writes
+/// it). The array holds `cells` cells of `cell_bytes` bytes each and its
+/// first byte sits at address `base`. A run is a `run_bytes`-aligned range
+/// of the address space wholly inside the array; it qualifies when at
+/// least 7/8 of its `page_bytes` pages hold a valid cell, so a hinted run
+/// grows resident memory by at most 1/8 over the base pages its writers
+/// would touch anyway. Partial runs at either end never qualify. A page of
+/// `mask` (cell_bytes 1) is touched exactly when one of its 64-cell packed
+/// words is nonzero, as unpack_mask_into skips clear words. The scan reads
+/// one packed word at a time and gives up on a run once more than 1/8 of
+/// its pages are empty, so a sparse level costs a few loads per page.
+/// Returns nothing unless `base` is page-aligned and a page holds whole
+/// 64-cell words. The sizes are parameters so the rule does not depend on
+/// the host; level_from_packed_mask passes the host's.
+[[nodiscard]] std::vector<std::size_t> dense_page_runs(
+    std::span<const std::uint8_t> packed, std::size_t cells,
+    std::size_t cell_bytes, std::uintptr_t base, std::size_t page_bytes,
+    std::size_t run_bytes);
+
+/// The one builder of a level from its bit-packed mask (container level
+/// skeletons and .amr loads): zero data and mask arrays, huge pages hinted
+/// on the dense_page_runs of each, then the mask unpacked into them.
+/// Throws std::runtime_error if `packed` holds fewer than
+/// ceil(dims.volume()/8) bytes.
+[[nodiscard]] AmrLevel level_from_packed_mask(
+    Dims3 dims, std::span<const std::uint8_t> packed);
+
 /// Reads one level's extents — three varints, the layout both this file
 /// format and the compression container use — and throws
 /// std::runtime_error, prefixed with `context`, when the cell count or

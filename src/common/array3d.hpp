@@ -36,7 +36,11 @@ namespace tac {
 /// as a recycled block that calloc memsets whole.) Smaller arrays use
 /// calloc and malloc: a reused heap block is zeroed faster than fresh
 /// pages fault in, and below kMapBytes either way costs little. The fill,
-/// span and copy constructors write every cell once and never zero first.
+/// span and copy constructors write every cell once and never zero first;
+/// they ask for transparent huge pages on their whole mapping, since every
+/// page is written anyway and one 2 MiB fault is far cheaper than 512 small
+/// ones. A zero-constructed array is hinted only where its writer knows
+/// it will fill a run densely (advise_huge_pages).
 template <class T>
 class Array3D {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -107,6 +111,29 @@ class Array3D {
 
   void fill(const T& v) { std::fill_n(data_, size(), v); }
 
+  /// True when this array maps pages of its own (see kMapBytes).
+  [[nodiscard]] bool mapped() const { return size() * sizeof(T) >= kMapBytes; }
+
+  /// Asks the kernel to back the `run_bytes` bytes at each byte offset in
+  /// `offsets` (ascending, page-aligned, from data()) with huge pages when
+  /// they are first touched. Call it before anything writes them. A no-op
+  /// for arrays that are not mapped and on hosts without the hint; where
+  /// transparent huge pages are off the kernel ignores it.
+  void advise_huge_pages(std::span<const std::size_t> offsets,
+                         std::size_t run_bytes) {
+    if (!mapped()) return;
+    auto* base = reinterpret_cast<std::uint8_t*>(data_);
+    // Adjacent runs go to the kernel as one range.
+    for (std::size_t i = 0; i < offsets.size();) {
+      std::size_t j = i + 1;
+      while (j < offsets.size() &&
+             offsets[j] == offsets[j - 1] + run_bytes)
+        ++j;
+      advise_huge(base + offsets[i], (j - i) * run_bytes);
+      i = j;
+    }
+  }
+
   /// Copies the half-open box `src_box` of this array into a new array of
   /// matching extents.
   [[nodiscard]] Array3D<T> extract(const Box3& src_box) const {
@@ -139,7 +166,9 @@ class Array3D {
 
  private:
   /// `n` elements, zeroed or not; nullptr for n == 0. Mapped pages are
-  /// always zero, so `zeroed` only matters below kMapBytes.
+  /// always zero, so below kMapBytes `zeroed` picks calloc over malloc and
+  /// above it `!zeroed` (every cell is about to be written) asks for huge
+  /// pages.
   static T* allocate(std::size_t n, bool zeroed) {
     if (n == 0) return nullptr;
     if (n > SIZE_MAX / sizeof(T)) throw std::bad_alloc();
@@ -148,11 +177,22 @@ class Array3D {
       void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (p == MAP_FAILED) throw std::bad_alloc();
+      // The constructors that do not zero write every cell.
+      if (!zeroed) advise_huge(p, bytes);
       return static_cast<T*>(p);
     }
     void* p = zeroed ? std::calloc(n, sizeof(T)) : std::malloc(bytes);
     if (p == nullptr) throw std::bad_alloc();
     return static_cast<T*>(p);
+  }
+
+  /// Huge-page hint for mapped bytes; failures (no THP support) are
+  /// harmless, the range simply keeps base pages.
+  static void advise_huge([[maybe_unused]] void* p,
+                          [[maybe_unused]] std::size_t bytes) {
+#if defined(MADV_HUGEPAGE)
+    (void)madvise(p, bytes, MADV_HUGEPAGE);
+#endif
   }
 
   /// Frees what allocate(n, ...) returned.

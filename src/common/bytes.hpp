@@ -145,6 +145,8 @@ class ByteReader {
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const { return pos_; }
+  /// Every byte the reader spans, whatever its position.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return data_; }
 
   /// Repositions the cursor (random access into indexed containers).
   /// Seeking to size() is allowed (the "everything consumed" position).

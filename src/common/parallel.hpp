@@ -13,10 +13,13 @@
 /// only how fast.
 ///
 /// Loops nest (the level pipeline runs per-group compression inside
-/// per-level workers, which call into sz's internal loops): a single
-/// process-wide thread budget is divided across nesting levels, so an
-/// outer loop over 3 levels on a 16-core machine leaves ~5 workers for
-/// each level's inner loops instead of starving them or oversubscribing.
+/// per-level workers, which call into sz's internal loops), and nested
+/// loops share one set of workers: a loop is split into chunks, and any
+/// worker that is idle, including one whose own outer iteration finished
+/// early, takes a pending chunk of any loop. At most
+/// hardware_parallelism() threads run chunks at once. Loops are split into
+/// more chunks than there are workers (each still at least `grain`
+/// iterations), so a worker that frees up mid-loop finds work.
 ///
 /// The worker count can be pinned with set_parallelism (or scoped via
 /// ParallelismGuard); the level-pipeline determinism tests sweep it to
@@ -29,7 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -44,10 +47,6 @@ inline std::atomic<unsigned>& parallelism_override() {
   static std::atomic<unsigned> n{0};  // 0 = use the hardware count
   return n;
 }
-
-/// Workers of an enclosing parallel_for carry the thread budget left for
-/// loops they run themselves; 0 means "not inside a loop, full budget".
-inline thread_local unsigned tl_nested_budget = 0;
 }  // namespace detail
 
 /// Number of workers to use for data-parallel loops: the pinned count if
@@ -83,75 +82,83 @@ class ParallelismGuard {
   unsigned previous_;
 };
 
+namespace detail {
+/// Chunks per worker a wide loop is split into: enough that a worker that
+/// finishes early finds pending chunks, few enough that scheduling stays
+/// cheap next to a chunk of at least `grain` iterations.
+inline constexpr std::size_t kChunksPerWorker = 4;
+
+/// Chunk `c` of `n` iterations from `begin` split into `chunks` near-equal
+/// chunks: the first n % chunks chunks take one iteration more.
+[[nodiscard]] inline std::pair<std::size_t, std::size_t> chunk_range(
+    std::size_t begin, std::size_t n, std::size_t chunks, std::size_t c) {
+  const std::size_t per = n / chunks;
+  const std::size_t extra = n % chunks;
+  const std::size_t lo = begin + c * per + std::min(c, extra);
+  return {lo, lo + per + (c < extra ? 1 : 0)};
+}
+}  // namespace detail
+
 /// Runs body(i) for i in [begin, end) across threads. `grain` is the
 /// smallest worthwhile chunk; short loops run inline. If any iteration
 /// throws, one of the thrown exceptions is rethrown on the calling thread
-/// after the loop completes (workers are never abandoned mid-flight).
+/// after the loop completes (workers are never abandoned mid-flight); the
+/// rest of the throwing chunk is skipped.
 template <class Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
                   std::size_t grain = 1024) {
   const std::size_t n = end > begin ? end - begin : 0;
   if (n == 0) return;
-  const unsigned budget = detail::tl_nested_budget != 0
-                              ? detail::tl_nested_budget
-                              : hardware_parallelism();
-  const std::size_t chunks = std::min<std::size_t>(budget, n / grain);
+  const unsigned workers = hardware_parallelism();
+  const std::size_t chunks =
+      workers <= 1 ? 1
+                   : std::min<std::size_t>(
+                         detail::kChunksPerWorker * workers,
+                         n / std::max<std::size_t>(grain, 1));
   if (chunks <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  // Budget left for loops the workers run themselves.
-  const unsigned sub_budget =
-      std::max<unsigned>(1, budget / static_cast<unsigned>(chunks));
   std::exception_ptr error;
   std::mutex error_mutex;
-  const auto guarded = [&](std::size_t i) {
+  const auto run_chunk = [&](std::size_t c) {
+    const auto [lo, hi] = detail::chunk_range(begin, n, chunks, c);
     try {
-      body(i);
+      for (std::size_t i = lo; i < hi; ++i) body(i);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!error) error = std::current_exception();
     }
   };
 #if defined(_OPENMP)
-  // Nested regions are budgeted, not forbidden: an inner loop with
-  // sub_budget 1 never opens a region (chunks <= 1 above), so raising the
-  // active-level cap cannot oversubscribe.
-  if (!omp_in_parallel()) omp_set_max_active_levels(8);
-#pragma omp parallel num_threads(static_cast<int>(chunks))
-  {
-    // OpenMP pools and reuses threads, so save/restore the budget.
-    const unsigned saved = detail::tl_nested_budget;
-    detail::tl_nested_budget = sub_budget;
-#pragma omp for schedule(static)
-    for (std::size_t i = begin; i < end; ++i) guarded(i);
-    detail::tl_nested_budget = saved;
+  // One team per outermost loop; every loop, outer or nested, is a
+  // taskloop whose chunks any thread of the team may run. The outermost
+  // call generates its chunks without a taskgroup (nogroup) and joins the
+  // team barrier, where a waiting thread runs any pending chunk, nested
+  // ones included. (A taskgroup wait would only run chunks of its own
+  // group.) A nested call waits for its own chunks and runs them itself
+  // meanwhile.
+  if (omp_in_parallel()) {
+#pragma omp taskloop default(shared) grainsize(1)
+    for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
+  } else {
+#pragma omp parallel num_threads(static_cast<int>(workers))
+#pragma omp single nowait
+    {
+#pragma omp taskloop default(shared) grainsize(1) nogroup
+      for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
+    }
   }
 #else
-  // Shared-pool fan-out: one Loop object describes all chunks; idle pool
-  // workers steal chunks while the calling thread drains the rest itself,
-  // then sleeps only for chunks already executing elsewhere. Chunk c
-  // always covers the same index range, so outputs (and therefore
-  // containers) are byte-identical at any worker count.
-  detail::ThreadPool& pool = detail::ThreadPool::instance();
+  // Shared-pool fan-out: one Loop object describes all chunks. The
+  // calling thread claims its own chunks first, then helps with any
+  // other pending chunk until its loop has finished; idle pool workers
+  // steal chunks up to the worker cap.
   auto loop = std::make_shared<detail::ThreadPool::Loop>();
-  const std::size_t per = n / chunks;
   loop->chunks = chunks;
   loop->unfinished.store(chunks, std::memory_order_relaxed);
-  loop->run_chunk = [begin, end, per, chunks, sub_budget,
-                     &guarded](std::size_t c) {
-    const std::size_t lo = begin + c * per;
-    const std::size_t hi = (c + 1 == chunks) ? end : lo + per;
-    // Pool threads (and the helping caller) are reused across loops:
-    // save/restore the nested budget exactly like the OpenMP branch.
-    const unsigned saved = detail::tl_nested_budget;
-    detail::tl_nested_budget = sub_budget;
-    for (std::size_t i = lo; i < hi; ++i) guarded(i);
-    detail::tl_nested_budget = saved;
-  };
-  pool.submit(loop);
-  pool.drain(*loop);
-  pool.wait(*loop);
+  loop->run_chunk = run_chunk;
+  detail::ThreadPool::instance().run(loop, workers);
 #endif
   if (error) std::rethrow_exception(error);
 }

@@ -10,15 +10,24 @@
 /// shows up as thousands of short-lived threads. The pool keeps one set of
 /// hardware_concurrency workers alive and hands them *loops*: a loop is a
 /// chunk counter plus a run_chunk callable, and every idle worker claims
-/// chunks from the front loop until it is exhausted (work stealing at
-/// chunk granularity — a single enqueue fans out to all workers).
+/// chunks from the oldest loop that has any left (work stealing at chunk
+/// granularity — a single enqueue fans out to all workers).
 ///
-/// Deadlock-freedom with nested loops: the thread that submits a loop
-/// drains it itself (claims chunks until none remain) and only then sleeps
-/// waiting for chunks other threads claimed. A claimed chunk is always
-/// actively executing on some thread's stack, and nesting depth is finite
-/// (the budget in parallel.hpp shrinks to 1, which runs inline), so every
-/// wait resolves. Workers never block on anything except the queue.
+/// Nested loops share the workers. A thread that submits a loop, outer or
+/// nested, claims that loop's chunks itself first, then runs pending
+/// chunks of any loop until its own has finished, and sleeps only when no
+/// chunk is pending. So a worker whose outer iteration ended early helps
+/// with its sibling's inner loop instead of idling. At most
+/// hardware_parallelism() threads (the cap parallel_for passes) run chunks
+/// at once: an idle worker takes a chunk only below that cap, while a
+/// thread already inside a chunk (running its nested loop) keeps the slot
+/// it holds.
+///
+/// Deadlock-freedom: every thread's stack holds chunks in the order it
+/// claimed them, and a waiting thread waits only for chunks of a loop it
+/// submitted after claiming every chunk below it on its stack. A cycle of
+/// waits would need a chunk claimed before itself, so every wait resolves.
+/// Workers never block on anything except the queue.
 
 #include <atomic>
 #include <condition_variable>
@@ -50,39 +59,51 @@ class ThreadPool {
     return pool;
   }
 
-  /// Makes `loop` visible to the workers and wakes them.
-  void submit(const std::shared_ptr<Loop>& loop) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      loops_.push_back(loop);
-      TAC_COUNTER_ADD("pool.loops_submitted", 1);
-      TAC_COUNTER_MAX("pool.queue_depth_peak", loops_.size());
-    }
+  /// Runs every chunk of `loop` and returns when all have finished: makes
+  /// it visible to the workers, claims its chunks on the calling thread,
+  /// then runs pending chunks of any loop until the last of its own
+  /// chunks, claimed elsewhere, has finished.
+  /// `max_busy` caps the threads that run chunks at once.
+  void run(const std::shared_ptr<Loop>& loop, unsigned max_busy) {
+    const bool outermost = !tl_in_chunk;
+    std::unique_lock<std::mutex> lock(m_);
+    max_busy_ = max_busy;
+    loops_.push_back(loop);
+    TAC_COUNTER_ADD("pool.loops_submitted", 1);
+    TAC_COUNTER_MAX("pool.queue_depth_peak", loops_.size());
+    // A thread already inside a chunk holds its slot; an outermost caller
+    // takes one for as long as it runs chunks.
+    if (outermost) ++busy_;
+    tl_in_chunk = true;
+    lock.unlock();
     cv_.notify_all();
-  }
 
-  /// Caller-side drain: claim and run chunks of `loop` until none are
-  /// left unclaimed. The caller participates instead of oversubscribing
-  /// with an extra idle thread.
-  void drain(Loop& loop) {
     std::size_t ran = 0;
     for (;;) {
-      const std::size_t c = loop.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= loop.chunks) break;
+      const std::size_t c = loop->next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= loop->chunks) break;
       ++ran;
-      run_one(loop, c);
+      run_one(*loop, c);
     }
     TAC_COUNTER_ADD("pool.chunks_inline", ran);
-  }
 
-  /// Blocks until every chunk of `loop` has finished (claimed chunks are
-  /// executing on other threads; drain() must have been called first).
-  void wait(const Loop& loop) {
-    if (loop.unfinished.load(std::memory_order_acquire) == 0) return;
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [&] {
-      return loop.unfinished.load(std::memory_order_acquire) == 0;
-    });
+    lock.lock();
+    while (loop->unfinished.load(std::memory_order_acquire) != 0) {
+      std::size_t c = 0;
+      if (const std::shared_ptr<Loop> other = claim(c)) {
+        lock.unlock();
+        TAC_COUNTER_ADD("pool.chunks_stolen", 1);
+        run_one(*other, c);
+        lock.lock();
+        continue;
+      }
+      cv_.wait(lock);
+    }
+    if (outermost) {
+      tl_in_chunk = false;
+      --busy_;
+      if (!loops_.empty()) cv_.notify_all();
+    }
   }
 
   ThreadPool(const ThreadPool&) = delete;
@@ -109,44 +130,57 @@ class ThreadPool {
   void run_one(Loop& loop, std::size_t chunk) {
     loop.run_chunk(chunk);
     if (loop.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last chunk: wake the submitter sleeping in wait(). Lock to pair
-      // with the predicate check, so the wakeup cannot be missed.
+      // Last chunk: wake the submitter waiting in run(). Lock to pair with
+      // its predicate check, so the wakeup cannot be missed.
       const std::lock_guard<std::mutex> lock(m_);
       cv_.notify_all();
     }
   }
 
+  /// Claims a chunk of the oldest loop with one left, popping loops whose
+  /// chunks are all claimed (they are executing elsewhere). Returns the
+  /// loop, or null when no chunk is pending. Caller holds m_.
+  std::shared_ptr<Loop> claim(std::size_t& chunk) {
+    while (!loops_.empty()) {
+      std::shared_ptr<Loop> loop = loops_.front();
+      chunk = loop->next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk < loop->chunks) return loop;
+      loops_.pop_front();
+    }
+    return nullptr;
+  }
+
   void worker_loop() {
     std::unique_lock<std::mutex> lock(m_);
     for (;;) {
-      cv_.wait(lock, [this] { return stop_ || !loops_.empty(); });
+      cv_.wait(lock, [this] {
+        return stop_ || (!loops_.empty() && busy_ < max_busy_);
+      });
       if (stop_) return;
-      // Claim a chunk from the front loop; pop loops that are fully
-      // claimed (their remaining chunks are executing elsewhere).
-      std::shared_ptr<Loop> loop = loops_.front();
-      std::size_t c = loop->next.fetch_add(1, std::memory_order_relaxed);
-      while (c >= loop->chunks) {
-        if (!loops_.empty() && loops_.front() == loop) loops_.pop_front();
-        if (loops_.empty()) {
-          loop = nullptr;
-          break;
-        }
-        loop = loops_.front();
-        c = loop->next.fetch_add(1, std::memory_order_relaxed);
-      }
+      std::size_t c = 0;
+      const std::shared_ptr<Loop> loop = claim(c);
       if (!loop) continue;
+      ++busy_;
+      tl_in_chunk = true;
       lock.unlock();
       // A chunk claimed here ran on a pool worker rather than the
       // submitting thread: a steal, in work-stealing terms.
       TAC_COUNTER_ADD("pool.chunks_stolen", 1);
       run_one(*loop, c);
       lock.lock();
+      tl_in_chunk = false;
+      --busy_;
     }
   }
+
+  /// True on a thread while it runs a chunk or an outermost loop.
+  static inline thread_local bool tl_in_chunk = false;
 
   std::mutex m_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Loop>> loops_;
+  unsigned busy_ = 0;      ///< threads holding a slot (see run())
+  unsigned max_busy_ = 1;  ///< the cap the latest run() passed
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

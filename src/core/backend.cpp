@@ -56,7 +56,8 @@ const CompressorBackend& payload_owner(const CommonHeader& header,
 
 amr::AmrDataset decompress_per_level(ByteReader& r, amr::AmrDataset skeleton,
                                      const CommonHeader& header) {
-  for (std::size_t l = 0; l < skeleton.num_levels(); ++l) {
+  const std::size_t n = skeleton.num_levels();
+  for (std::size_t l = 0; l < n; ++l) {
     const CompressorBackend& owner = payload_owner(header, l);
     if (!owner.supports_level_payloads())
       throw SelectorError(
@@ -64,9 +65,35 @@ amr::AmrDataset decompress_per_level(ByteReader& r, amr::AmrDataset skeleton,
           owner.name() +
           " backend, which has no per-level decoder (no selector byte "
           "names the backend that wrote it)");
-    owner.decompress_level_payload(r, skeleton.level(l),
-                                   payload_profile(header, l));
   }
+  if (header.index.entries.size() != n) {
+    // v1: no index, so the payloads can only be read one after another.
+    for (std::size_t l = 0; l < n; ++l)
+      payload_owner(header, l).decompress_level_payload(
+          r, skeleton.level(l), payload_profile(header, l));
+    return skeleton;
+  }
+  // The index maps payload l to level l: each payload decodes from its
+  // own byte range, concurrently, into its own level.
+  const std::span<const std::uint8_t> container = r.bytes();
+  for (std::size_t l = 0; l < n; ++l) {
+    const PayloadEntry& e = header.index.entries[l];
+    if (e.offset > container.size() || e.length > container.size() - e.offset)
+      throw std::runtime_error(
+          "container: payload " + std::to_string(l) + " index entry exceeds "
+          "the " + std::to_string(container.size()) + "-byte container");
+  }
+  parallel_for(
+      0, n,
+      [&](std::size_t l) {
+        const PayloadEntry& e = header.index.entries[l];
+        ByteReader payload(container.subspan(
+            static_cast<std::size_t>(e.offset),
+            static_cast<std::size_t>(e.length)));
+        payload_owner(header, l).decompress_level_payload(
+            payload, skeleton.level(l), payload_profile(header, l));
+      },
+      level_loop_grain(header));
   return skeleton;
 }
 

@@ -121,9 +121,15 @@ class CompressorBackend {
 /// The reader of every per-level container (TAC, 1D, auto): decodes
 /// payload l into `skeleton.level(l)` through decompress_level_payload of
 /// the backend that owns it, `payload_method(header, l)` when recorded and
-/// `header.method` otherwise. `r` is positioned at the first payload.
-/// Throws SelectorError naming the payload when its owner has no
-/// per-level decoder (an `auto` container without selector bytes).
+/// `header.method` otherwise. `r` spans the whole container. When the
+/// index maps payloads to levels (v2+), each payload decodes concurrently
+/// from the byte range its index entry gives, so a payload that ends
+/// early fails its own decode; the caller has verified the payloads'
+/// checksums (decompress_any, decompress_level). A v1 container has no
+/// index: its payloads are read in order from `r`, which must be
+/// positioned at the first one. Throws SelectorError naming the payload,
+/// before anything is decoded, when its owner has no per-level decoder
+/// (an `auto` container without selector bytes).
 [[nodiscard]] amr::AmrDataset decompress_per_level(ByteReader& r,
                                                    amr::AmrDataset skeleton,
                                                    const CommonHeader& header);

@@ -7,6 +7,7 @@
 
 #include "amr/amr_io.hpp"
 #include "common/crc32.hpp"
+#include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "core/backend.hpp"
 #include "lossless/codec.hpp"
@@ -77,9 +78,7 @@ amr::AmrLevel build_level(const CommonHeader& header, std::size_t l) {
         std::to_string(packed.size()) + " bytes but its " +
         std::to_string(volume) + " cells need " +
         std::to_string((volume + 7) / 8));
-  amr::AmrLevel lv(lh.dims);
-  amr::unpack_mask_into(packed, lv.mask.span());
-  return lv;
+  return amr::level_from_packed_mask(lh.dims, packed);
 }
 
 }  // namespace
@@ -239,12 +238,21 @@ amr::AmrLevel materialize_level(const CommonHeader& header, std::size_t l) {
 
 amr::AmrDataset materialize_skeleton(const CommonHeader& header) {
   TAC_SPAN("container.level_skeleton");
-  std::vector<amr::AmrLevel> levels;
-  levels.reserve(header.num_levels());
-  for (std::size_t l = 0; l < header.num_levels(); ++l)
-    levels.push_back(build_level(header, l));
+  // Levels decompress their masks and unpack them independently.
+  std::vector<amr::AmrLevel> levels(header.num_levels());
+  parallel_for(
+      0, levels.size(),
+      [&](std::size_t l) { levels[l] = build_level(header, l); },
+      level_loop_grain(header));
   return amr::AmrDataset(header.field_name, std::move(levels),
                          header.refinement_ratio);
+}
+
+std::size_t level_loop_grain(const CommonHeader& header) {
+  const std::size_t n = header.num_levels();
+  std::uint64_t bytes = 0;  // a forged index may wrap this: it costs speed
+  for (const PayloadEntry& e : header.index.entries) bytes += e.length;
+  return n == 0 || bytes / n >= kMinElementsPerChunk ? 1 : n;
 }
 
 std::optional<lossless::CodecProfile> payload_profile(

@@ -272,8 +272,18 @@ struct CommonHeader {
                                               std::size_t l);
 
 /// Every level of the header's structure (materialize_level for each),
-/// as the skeleton CompressorBackend::decompress fills.
+/// as the skeleton CompressorBackend::decompress fills. The levels build
+/// concurrently when level_loop_grain allows.
 [[nodiscard]] amr::AmrDataset materialize_skeleton(const CommonHeader& header);
+
+/// parallel_for grain for a loop over the header's levels on the decode
+/// side: 1 (a level per chunk) when the payloads average at least
+/// kMinElementsPerChunk bytes per level, else the level count (inline).
+/// Payload bytes stand for the valid cells a level holds, which set the
+/// cost of its mask, its page faults and its decode: a sparse container's
+/// levels build and decode in less time than waking a worker takes. A v1
+/// container has no index and always runs inline.
+[[nodiscard]] std::size_t level_loop_grain(const CommonHeader& header);
 
 /// The codec profile declared for payload `i`, or nullopt when the
 /// container predates per-payload profiles (v1/v2) — callers then decode

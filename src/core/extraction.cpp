@@ -229,32 +229,35 @@ std::vector<BlockGroup> gather_groups(const amr::AmrLevel& level,
   return groups;
 }
 
-void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
-                    const std::vector<BlockGroup>& groups) {
+void scatter_group(amr::AmrLevel& level, const BlockGrid& grid,
+                   const BlockGroup& g) {
   const std::size_t B = grid.block_size();
   const Dims3 cells = grid.cell_dims();
-  for (const BlockGroup& g : groups) {
-    const std::size_t vol = g.block_cell_dims.volume();
-    if (g.buffer.size() != vol * g.members.size())
-      throw std::invalid_argument("scatter_groups: buffer size mismatch");
-    parallel_for(0, g.members.size(), [&](std::size_t mi) {
-      const SubBlock& sb = g.members[mi];
-      const double* src = g.buffer.data() + mi * vol;
-      const Dims3 bd = g.block_cell_dims;
-      const std::size_t cx = sb.bx * B, cy = sb.by * B, cz = sb.bz * B;
-      for (std::size_t z = 0; z < bd.nz; ++z) {
-        if (cz + z >= cells.nz) continue;
-        for (std::size_t y = 0; y < bd.ny; ++y) {
-          if (cy + y >= cells.ny) continue;
-          for (std::size_t x = 0; x < bd.nx; ++x) {
-            if (cx + x >= cells.nx) continue;
-            if (level.mask(cx + x, cy + y, cz + z))
-              level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
-          }
+  const std::size_t vol = g.block_cell_dims.volume();
+  if (g.buffer.size() != vol * g.members.size())
+    throw std::invalid_argument("scatter_groups: buffer size mismatch");
+  parallel_for(0, g.members.size(), [&](std::size_t mi) {
+    const SubBlock& sb = g.members[mi];
+    const double* src = g.buffer.data() + mi * vol;
+    const Dims3 bd = g.block_cell_dims;
+    const std::size_t cx = sb.bx * B, cy = sb.by * B, cz = sb.bz * B;
+    for (std::size_t z = 0; z < bd.nz; ++z) {
+      if (cz + z >= cells.nz) continue;
+      for (std::size_t y = 0; y < bd.ny; ++y) {
+        if (cy + y >= cells.ny) continue;
+        for (std::size_t x = 0; x < bd.nx; ++x) {
+          if (cx + x >= cells.nx) continue;
+          if (level.mask(cx + x, cy + y, cz + z))
+            level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
         }
       }
-    }, grain_for(vol));
-  }
+    }
+  }, grain_for(vol));
+}
+
+void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
+                    const std::vector<BlockGroup>& groups) {
+  for (const BlockGroup& g : groups) scatter_group(level, grid, g);
 }
 
 bool covers_exactly(const Array3D<std::uint8_t>& occupancy,

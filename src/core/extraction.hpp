@@ -67,6 +67,11 @@ struct BlockGroup {
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups);
 
+/// scatter_groups for one group. Groups whose members claim disjoint
+/// blocks write disjoint cells, so they may scatter concurrently.
+void scatter_group(amr::AmrLevel& level, const BlockGrid& grid,
+                   const BlockGroup& g);
+
 /// Validation helper shared by tests: true iff `sub_blocks` are pairwise
 /// disjoint, in range, and cover each non-empty unit block exactly once
 /// while touching no empty block.

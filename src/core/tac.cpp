@@ -1,7 +1,9 @@
 #include "core/tac.hpp"
 
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
@@ -26,7 +28,10 @@ sz::SzConfig resolve_level_config(const TacConfig& cfg, std::size_t level,
     return out;
   }
   if (cfg.sz.mode == sz::ErrorBoundMode::kRelative) {
-    const auto [lo, hi] = lv.valid_range();
+    const auto [lo, hi] = [&] {
+      TAC_SPAN("tac.level_range");
+      return lv.valid_range();
+    }();
     return sz::resolve_range_bound(cfg.sz, lo, hi);
   }
   return cfg.sz;
@@ -50,26 +55,31 @@ void serialize_groups(ByteWriter& w, const std::vector<BlockGroup>& groups,
   }
 }
 
-struct DecodedGroups {
-  std::vector<BlockGroup> groups;  ///< buffers filled from the streams
+/// One entry of a level payload's group table: the group's placement
+/// (members and extents, buffer still empty) and its undecoded sz stream.
+struct GroupRecord {
+  BlockGroup group;
+  std::span<const std::uint8_t> stream;
 };
 
-/// Reads the group table of one level. Group extents must fit the level's
-/// block grid and the groups together may not claim more unit blocks than
-/// the grid has (extraction never repeats a block), so each stream's
-/// expected cell count is bounded by the level before sz sees it.
-DecodedGroups deserialize_groups(
-    ByteReader& r, const BlockGrid& grid,
-    std::optional<lossless::CodecProfile> expected) {
-  DecodedGroups out;
+/// Reads the group table of one level, checking all of it before anything
+/// is decoded or allocated for values. Group extents and members must lie
+/// in the level's block grid and no two members may claim the same unit
+/// block (extraction never repeats one), so each stream's expected cell
+/// count is bounded by the level before sz sees it, and groups scatter
+/// into disjoint cells.
+std::vector<GroupRecord> read_group_table(ByteReader& r,
+                                          const BlockGrid& grid) {
   const std::size_t block_size = grid.block_size();
   const Dims3 bd = grid.block_dims();
-  const std::size_t block_cells = block_size * block_size * block_size;
   std::size_t blocks_left = bd.volume();
+  std::vector<bool> claimed(bd.volume(), false);
   const std::size_t ngroups = r.get_count("tac: group count", 4);
-  out.groups.reserve(ngroups);
+  std::vector<GroupRecord> out;
+  out.reserve(ngroups);
   for (std::size_t g = 0; g < ngroups; ++g) {
-    BlockGroup grp;
+    GroupRecord rec;
+    BlockGroup& grp = rec.group;
     const std::size_t sx = static_cast<std::size_t>(r.get_varint());
     const std::size_t sy = static_cast<std::size_t>(r.get_varint());
     const std::size_t sz_ = static_cast<std::size_t>(r.get_varint());
@@ -92,13 +102,20 @@ DecodedGroups deserialize_groups(
       sb.sx = sx;
       sb.sy = sy;
       sb.sz = sz_;
+      if (sb.bx > bd.nx - sx || sb.by > bd.ny - sy || sb.bz > bd.nz - sz_)
+        throw std::runtime_error("tac: group member outside the block grid");
+      for (std::size_t z = sb.bz; z < sb.bz + sz_; ++z)
+        for (std::size_t y = sb.by; y < sb.by + sy; ++y)
+          for (std::size_t x = sb.bx; x < sb.bx + sx; ++x) {
+            const std::size_t b = bd.index(x, y, z);
+            if (claimed[b])
+              throw std::runtime_error("tac: groups claim a block twice");
+            claimed[b] = true;
+          }
       grp.members.push_back(sb);
     }
-    const auto stream = r.get_blob();
-    grp.owned = sz::decompress<double>(
-        stream, nmembers * group_blocks * block_cells, expected);
-    grp.buffer = grp.owned;
-    out.groups.push_back(std::move(grp));
+    rec.stream = r.get_blob();
+    out.push_back(std::move(rec));
   }
   return out;
 }
@@ -121,8 +138,30 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kNaST:
     case Strategy::kOpST:
     case Strategy::kAKDTree: {
-      const DecodedGroups dg = deserialize_groups(r, grid, expected);
-      scatter_groups(lv, grid, dg.groups);
+      std::vector<GroupRecord> groups = read_group_table(r, grid);
+      // Groups fill disjoint cells: each decodes and scatters on its own,
+      // and frees its values right after, so only the groups in flight
+      // hold decoded values at once. A level of fewer cells than two
+      // chunks' worth decodes inline.
+      std::size_t cells = 0;
+      for (const GroupRecord& rec : groups)
+        cells += rec.group.members.size() * rec.group.block_cell_dims.volume();
+      parallel_for(
+          0, groups.size(),
+          [&](std::size_t g) {
+            BlockGroup& grp = groups[g].group;
+            grp.owned = sz::decompress<double>(
+                groups[g].stream,
+                grp.members.size() * grp.block_cell_dims.volume(), expected);
+            grp.buffer = grp.owned;
+            {
+              TAC_SPAN("tac.scatter");
+              scatter_group(lv, grid, grp);
+            }
+            grp.buffer = {};
+            grp.owned = {};
+          },
+          cells >= 2 * kMinElementsPerChunk ? 1 : groups.size());
       break;
     }
     case Strategy::kGSP:
@@ -131,8 +170,13 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
       const auto grid_data =
           sz::decompress<double>(stream, lv.dims().volume(), expected);
       // Padded values of a GSP/ZF grid must not leak into empty cells.
-      for (std::size_t i = 0; i < grid_data.size(); ++i)
-        if (lv.mask[i]) lv.data[i] = grid_data[i];
+      TAC_SPAN("tac.scatter");
+      parallel_for(
+          0, grid_data.size(),
+          [&](std::size_t i) {
+            if (lv.mask[i]) lv.data[i] = grid_data[i];
+          },
+          kMinElementsPerChunk);
       break;
     }
     default:
@@ -154,8 +198,12 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   lr.method = Method::kTac;
 
   const BlockGrid grid(lv.dims(), cfg.block_size);
-  const auto occ = block_occupancy(lv, grid);
-  lr.valid_cells = occupied_valid_count(lv, grid, occ);
+  const auto occ = [&] {
+    TAC_SPAN("tac.occupancy");
+    auto o = block_occupancy(lv, grid);
+    lr.valid_cells = occupied_valid_count(lv, grid, o);
+    return o;
+  }();
   lr.block_density = occupancy_density(occ);
   lr.strategy = cfg.force_strategy.value_or(
       select_strategy(lr.block_density, cfg.t1, cfg.t2));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -458,6 +459,109 @@ TEST(MaskPack, RoundTripOddSizes) {
       EXPECT_EQ(unpack_mask(packed, n), mask) << n << " cells, 1 in " << period;
     }
   }
+}
+
+// ------------------------------------------------------- huge-page runs
+
+constexpr std::size_t kPage = 4096;
+constexpr std::size_t kRun = std::size_t{2} << 20;
+constexpr std::size_t kPagesPerRun = kRun / kPage;
+constexpr std::size_t kCellsPerPage = kPage / sizeof(double);  // 512
+
+/// A packed mask over `pages` pages of doubles in which page p holds one
+/// valid cell (its last) exactly when touched(p).
+template <class Touched>
+std::vector<std::uint8_t> packed_pages(std::size_t pages, Touched touched) {
+  std::vector<std::uint8_t> packed(pages * kCellsPerPage / 8, 0);
+  for (std::size_t p = 0; p < pages; ++p)
+    if (touched(p)) packed[(p + 1) * kCellsPerPage / 8 - 1] = 0x80;
+  return packed;
+}
+
+TEST(HugePageRuns, SevenEighthsOfARunQualifies) {
+  // Two runs: the first with 448 of 512 pages touched, the second 447.
+  const auto packed = packed_pages(2 * kPagesPerRun, [](std::size_t p) {
+    const std::size_t in_run = p % kPagesPerRun;
+    return p < kPagesPerRun ? in_run < 448 : in_run >= kPagesPerRun - 447;
+  });
+  const std::size_t cells = 2 * kPagesPerRun * kCellsPerPage;
+  EXPECT_EQ(dense_page_runs(packed, cells, sizeof(double), 0, kPage, kRun),
+            std::vector<std::size_t>{0});
+  // Spread evenly instead of clustered: one empty page in eight qualifies.
+  const auto spread = packed_pages(kPagesPerRun,
+                                   [](std::size_t p) { return p % 8 != 0; });
+  EXPECT_EQ(dense_page_runs(spread, kPagesPerRun * kCellsPerPage,
+                            sizeof(double), 0, kPage, kRun),
+            std::vector<std::size_t>{0});
+}
+
+TEST(HugePageRuns, PartialHeadAndTailRunsAreNeverHinted) {
+  // Fully dense, but the array starts three pages past a run boundary and
+  // spans three runs' worth of bytes: only the two whole runs inside it
+  // qualify.
+  const std::size_t pages = 3 * kPagesPerRun;
+  const auto packed = packed_pages(pages, [](std::size_t) { return true; });
+  const std::uintptr_t base = 7 * kRun + 3 * kPage;
+  const std::size_t head = kRun - 3 * kPage;
+  EXPECT_EQ(dense_page_runs(packed, pages * kCellsPerPage, sizeof(double),
+                            base, kPage, kRun),
+            (std::vector<std::size_t>{head, head + kRun}));
+  // A mask array (one byte per cell) over the same cells: 4096 cells per
+  // page, so the 3 * 512 * 512 cells fill 192 whole pages, under one run.
+  EXPECT_TRUE(dense_page_runs(packed, pages * kCellsPerPage, 1, base, kPage,
+                              kRun)
+                  .empty());
+  // A base that is not page-aligned gets no hints at all.
+  EXPECT_TRUE(dense_page_runs(packed, pages * kCellsPerPage, sizeof(double),
+                              base + 8, kPage, kRun)
+                  .empty());
+}
+
+TEST(HugePageRuns, EmptyMasksAndSmallArraysGetNoHints) {
+  const std::size_t pages = 2 * kPagesPerRun;
+  const auto empty = packed_pages(pages, [](std::size_t) { return false; });
+  EXPECT_TRUE(dense_page_runs(empty, pages * kCellsPerPage, sizeof(double),
+                              0, kPage, kRun)
+                  .empty());
+  // Dense but one page short of a run.
+  const std::size_t small = kPagesPerRun - 1;
+  const auto full = packed_pages(small, [](std::size_t) { return true; });
+  EXPECT_TRUE(dense_page_runs(full, small * kCellsPerPage, sizeof(double), 0,
+                              kPage, kRun)
+                  .empty());
+}
+
+TEST(HugePageRuns, MaskPagesCountNonzeroWords) {
+  // cell_bytes 1: a page is 4096 cells, 64 packed words. One set bit in
+  // one word of each of 448 pages qualifies a run of the mask array.
+  const std::size_t cells = kRun;  // one run of mask bytes
+  std::vector<std::uint8_t> packed(cells / 8, 0);
+  for (std::size_t p = 0; p < 448; ++p) packed[p * kPage / 8 + 100] = 1;
+  EXPECT_EQ(dense_page_runs(packed, cells, 1, 0, kPage, kRun),
+            std::vector<std::size_t>{0});
+  packed[447 * kPage / 8 + 100] = 0;
+  EXPECT_TRUE(dense_page_runs(packed, cells, 1, 0, kPage, kRun).empty());
+}
+
+TEST(HugePageRuns, BuilderUnpacksTheSameMask) {
+  // 128^3 cells: a mapped data array (16 MiB), dense enough in its first
+  // half to be hinted, sparse in the rest.
+  const Dims3 d{128, 128, 128};
+  std::vector<std::uint8_t> mask(d.volume(), 0);
+  std::mt19937 rng(11);
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    mask[i] = i < mask.size() / 2 ? (rng() % 4 != 0) : (rng() % 5000 == 0);
+  const auto packed = pack_mask(mask);
+  const AmrLevel lv = level_from_packed_mask(d, packed);
+  ASSERT_EQ(lv.dims(), d);
+  EXPECT_TRUE(std::equal(mask.begin(), mask.end(), lv.mask.span().begin()));
+  EXPECT_EQ(lv.mask.span().size(), mask.size());
+  for (std::size_t i = 0; i < lv.data.size(); ++i)
+    ASSERT_EQ(lv.data[i], 0.0) << i;
+  EXPECT_THROW((void)level_from_packed_mask(
+                   d, std::span<const std::uint8_t>(packed).first(
+                          packed.size() - 1)),
+               std::runtime_error);
 }
 
 }  // namespace

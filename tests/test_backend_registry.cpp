@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <optional>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "core/adaptive.hpp"
@@ -132,6 +134,49 @@ TEST(BackendRegistry, ParallelPipelineIsByteStableAcrossThreadCounts) {
   EXPECT_EQ(compressed.bytes, reference[0]);
   expect_amr_bounded(ds, decompress_any(compressed.bytes),
                      cfg.level_error_bounds[0]);
+}
+
+// The concurrent reader (levels, group streams and the GSP/ZF copy in
+// chunks) must decode the same values at any worker count. The bound is
+// tight so the payloads are large enough to take the concurrent paths.
+TEST(BackendRegistry, ParallelDecodeIsStableAcrossThreadCounts) {
+  const auto ds = simnyx::generate_baryon_density(
+      small_config({0.3, 0.7}, 64));
+  TacConfig cfg = test_config();
+  cfg.sz.error_bound = 1e3;
+  for (const Method m : {Method::kTac, Method::kOneD, Method::kAuto}) {
+    for (const std::optional<Strategy> strategy :
+         {std::optional<Strategy>{}, std::optional<Strategy>{Strategy::kGSP},
+          std::optional<Strategy>{Strategy::kZF}}) {
+      if (strategy && m != Method::kTac) continue;
+      cfg.force_strategy = strategy;
+      const auto bytes = backend_for(m).compress(ds, cfg).bytes;
+      ByteReader r(bytes);
+      ASSERT_EQ(level_loop_grain(read_common_header(r)), 1u)
+          << to_string(m) << ": payloads too small for the concurrent path";
+      std::vector<std::vector<double>> reference;
+      {
+        ParallelismGuard serial(1);
+        const amr::AmrDataset out = decompress_any(bytes);
+        for (const auto& lv : out.levels())
+          reference.emplace_back(lv.data.span().begin(),
+                                 lv.data.span().end());
+      }
+      expect_amr_bounded(ds, decompress_any(bytes), cfg.sz.error_bound);
+      for (const unsigned threads : {2u, 4u}) {
+        ParallelismGuard guard(threads);
+        const amr::AmrDataset out = decompress_any(bytes);
+        for (std::size_t l = 0; l < out.num_levels(); ++l) {
+          const auto data = out.level(l).data.span();
+          EXPECT_EQ(std::memcmp(data.data(), reference[l].data(),
+                                data.size_bytes()),
+                    0)
+              << to_string(m) << " level " << l << " with " << threads
+              << " threads";
+        }
+      }
+    }
+  }
 }
 
 TEST(BackendRegistry, ContainerRejectsUnknownMethodTag) {

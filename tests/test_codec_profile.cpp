@@ -298,17 +298,22 @@ std::uint32_t data_crc(const amr::AmrLevel& lv, std::uint32_t crc) {
 }
 
 TEST(CodecProfile, ReaderOutputIsPinned) {
-  for (const PinnedDecode& p : kPinnedDecodes) {
-    const auto bytes = fresh_compress(p.cli);
-    const amr::AmrDataset full = decompress_any(bytes);
-    std::uint32_t full_crc = 0;
-    std::uint32_t level_crc = 0;
-    for (std::size_t l = 0; l < full.num_levels(); ++l) {
-      full_crc = data_crc(full.level(l), full_crc);
-      level_crc = data_crc(decompress_level(bytes, l), level_crc);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParallelismGuard guard(threads);
+    for (const PinnedDecode& p : kPinnedDecodes) {
+      const auto bytes = fresh_compress(p.cli);
+      const amr::AmrDataset full = decompress_any(bytes);
+      std::uint32_t full_crc = 0;
+      std::uint32_t level_crc = 0;
+      for (std::size_t l = 0; l < full.num_levels(); ++l) {
+        full_crc = data_crc(full.level(l), full_crc);
+        level_crc = data_crc(decompress_level(bytes, l), level_crc);
+      }
+      EXPECT_EQ(full_crc, p.crc)
+          << p.cli << " decompress_any, " << threads << " threads";
+      EXPECT_EQ(level_crc, p.crc)
+          << p.cli << " decompress_level, " << threads << " threads";
     }
-    EXPECT_EQ(full_crc, p.crc) << p.cli << " decompress_any";
-    EXPECT_EQ(level_crc, p.crc) << p.cli << " decompress_level";
   }
 }
 

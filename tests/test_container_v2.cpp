@@ -232,6 +232,30 @@ TEST(ContainerV2, IndexEntryRangeCorruptionIsStructuralError) {
   EXPECT_THROW((void)decompress_any(corrupted), std::runtime_error);
 }
 
+// A payload is read from the byte range its index entry gives: an entry
+// that ends early, with a checksum that matches the shortened range, must
+// fail that payload's decode rather than let the reader run on into the
+// next payload.
+TEST(ContainerV2, PayloadCutShortByItsIndexEntryThrows) {
+  const auto ds = small_dataset();
+  const auto bytes = compress_with(Method::kTac, ds);
+  const CommonHeader h = header_of(bytes);
+  ASSERT_EQ(h.version, 4);
+  ASSERT_EQ(h.index.entries.size(), ds.num_levels());
+  auto cut = bytes;
+  const PayloadEntry& e = h.index.entries[0];
+  const std::uint64_t length = e.length - 1;
+  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(bytes).subspan(
+      static_cast<std::size_t>(e.offset), static_cast<std::size_t>(length)));
+  // A v4 entry is offset:8, length:8, crc32:4, profile:1, selector:1.
+  const std::size_t entry0 = h.index_offset + 1;  // count < 128: 1 byte
+  std::memcpy(cut.data() + entry0 + 8, &length, sizeof(length));
+  std::memcpy(cut.data() + entry0 + 16, &crc, sizeof(crc));
+  ASSERT_NO_THROW(verify_payloads(cut, header_of(cut).index));
+  EXPECT_THROW((void)decompress_any(cut), std::runtime_error);
+  EXPECT_THROW((void)decompress_level(cut, 0), std::runtime_error);
+}
+
 // ------------------------------------------------------------- allocations
 
 using test::bytes_allocated_by;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -10,7 +14,9 @@
 
 /// tac::parallel_for semantics that must hold on both the OpenMP path and
 /// the shared-thread-pool path: full index coverage, nested loops, pinned
-/// worker counts, exception propagation, and pool reuse across many calls.
+/// worker counts, exception propagation, pool reuse across many calls, and
+/// the scheduler: idle workers take nested chunks, and no more than
+/// hardware_parallelism() bodies run at once.
 
 namespace tac {
 namespace {
@@ -131,6 +137,105 @@ TEST(ParallelFor, GrainForKeepsSmallBlockLoopsInline) {
   parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
                grain_for(kMinElementsPerChunk));
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// An outer iteration that ends at once must not leave its thread idle
+// while its sibling runs a many-chunk inner loop: the inner chunks are
+// shared with it.
+TEST(ParallelScheduler, IdleWorkerTakesNestedChunks) {
+  ParallelismGuard guard(2);
+  std::mutex ids_mutex;
+  std::set<std::thread::id> inner_ids;
+  parallel_for(
+      0, 2,
+      [&](std::size_t o) {
+        if (o != 0) return;
+        parallel_for(
+            0, 64,
+            [&](std::size_t) {
+              {
+                const std::lock_guard<std::mutex> lock(ids_mutex);
+                inner_ids.insert(std::this_thread::get_id());
+              }
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            },
+            /*grain=*/1);
+      },
+      /*grain=*/1);
+  EXPECT_GE(inner_ids.size(), 2u);
+}
+
+/// Hands `loop` a body that sleeps briefly and returns the most such bodies
+/// that ran at once.
+template <class Loop>
+int peak_in_flight(const Loop& loop) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  const auto body = [&] {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    in_flight.fetch_sub(1);
+  };
+  loop(body);
+  return peak.load();
+}
+
+TEST(ParallelScheduler, InFlightBodiesNeverExceedParallelism) {
+  for (const unsigned pin : {1u, 2u, 4u}) {
+    ParallelismGuard guard(pin);
+    const int flat = peak_in_flight([](const auto& body) {
+      parallel_for(0, 64, [&](std::size_t) { body(); }, /*grain=*/1);
+    });
+    EXPECT_LE(flat, static_cast<int>(pin)) << "flat loop, pin " << pin;
+    // Nested: only the inner bodies count; an outer body waiting for its
+    // inner loop runs nothing itself.
+    const int nested = peak_in_flight([](const auto& body) {
+      parallel_for(
+          0, 6,
+          [&](std::size_t) {
+            parallel_for(0, 16, [&](std::size_t) { body(); }, /*grain=*/1);
+          },
+          /*grain=*/1);
+    });
+    EXPECT_LE(nested, static_cast<int>(pin)) << "nested loops, pin " << pin;
+  }
+}
+
+struct NestedFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+TEST(ParallelScheduler, NestedExceptionReachesOuterCaller) {
+  for (const unsigned pin : {1u, 2u, 4u}) {
+    ParallelismGuard guard(pin);
+    std::atomic<std::size_t> ran{0};
+    try {
+      parallel_for(
+          0, 8,
+          [&](std::size_t o) {
+            parallel_for(
+                0, 32,
+                [&](std::size_t i) {
+                  ran.fetch_add(1);
+                  if (o == 5 && i == 19) throw NestedFailure("inner 5/19");
+                },
+                /*grain=*/1);
+          },
+          /*grain=*/1);
+      ADD_FAILURE() << "no exception at pin " << pin;
+    } catch (const NestedFailure& e) {
+      EXPECT_STREQ(e.what(), "inner 5/19");
+    }
+    EXPECT_GT(ran.load(), 0u);
+    // Both paths stay usable after the failure.
+    std::atomic<std::size_t> after{0};
+    parallel_for(0, 128, [&](std::size_t) { after.fetch_add(1); },
+                 /*grain=*/1);
+    EXPECT_EQ(after.load(), 128u);
+  }
 }
 
 }  // namespace

@@ -552,5 +552,50 @@ TEST(HostileSz, GroupsClaimingMoreBlocksThanTheLevelThrow) {
   }
 }
 
+TEST(HostileSz, GroupMembersMustClaimDistinctBlocksInTheGrid) {
+  // Groups decode and scatter concurrently, so two members on one unit
+  // block, or a member past the block grid, must fail the table read
+  // instead of writing cells twice. A 16^3 level at block size 8 has a
+  // 2x2x2 block grid.
+  const auto stream = hand_built_sz_constant(8, 8, 8, 1);
+  const auto payload = [&](std::size_t second_bx) {
+    ByteWriter w;
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(core::Strategy::kNaST));
+    w.put_varint(8);
+    w.put_varint(2);  // two groups of 1x1x1-block sub-blocks
+    for (int g = 0; g < 2; ++g) {
+      for (int i = 0; i < 3; ++i) w.put_varint(1);
+      w.put_varint(1);  // one member
+      w.put_varint(g == 0 ? 0 : second_bx);
+      w.put_varint(0);
+      w.put_varint(0);
+      w.put_blob(stream);
+    }
+    return w.take();
+  };
+  for (const auto& [second_bx, message] :
+       {std::pair<std::size_t, const char*>{0, "twice"},
+        std::pair<std::size_t, const char*>{2, "outside the block grid"}}) {
+    const auto bytes = payload(second_bx);
+    amr::AmrLevel lv = hostile_target_level();
+    ByteReader r(bytes);
+    try {
+      core::backend_for(core::Method::kTac)
+          .decompress_level_payload(r, lv, lossless::CodecProfile::kFast);
+      ADD_FAILURE() << "member at block x " << second_bx << " decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Distinct blocks inside the grid decode.
+  const auto ok = payload(1);
+  amr::AmrLevel lv = hostile_target_level();
+  ByteReader r(ok);
+  EXPECT_NO_THROW(core::backend_for(core::Method::kTac)
+                      .decompress_level_payload(
+                          r, lv, lossless::CodecProfile::kFast));
+}
+
 }  // namespace
 }  // namespace tac
