@@ -43,8 +43,8 @@ StrategyResult run(const amr::AmrLevel& level, const core::BlockGrid& grid,
     core::BlockGroup rg;
     rg.block_cell_dims = g.block_cell_dims;
     rg.members = g.members;
-    rg.owned = sz::decompress<double>(stream, g.buffer.size());
-    rg.buffer = rg.owned;
+    rg.buffer = scratch.alloc<double>(g.buffer.size());
+    sz::decompress_into<double>(stream, rg.buffer);
     recon_groups.push_back(std::move(rg));
   }
 

@@ -18,7 +18,9 @@
 ///   - disabled telemetry (TAC_TRACE off) must cost <= 1% on the
 ///     instrumented huffman_decompress wrapper.
 /// The valid_scan row (sparse AmrLevel mask scans against raster byte
-/// loops) is report-only.
+/// loops) and the huffman_build and huffman_encode rows (the encode-side
+/// entropy stage, timed alone over the huffman_decode symbols) are
+/// report-only.
 
 #include <algorithm>
 #include <cstdio>
@@ -159,11 +161,9 @@ KernelResult bench_pack_sign_bits() {
       });
 }
 
-KernelResult bench_huffman_decode() {
-  // Mid-entropy geometric spread over 1024 symbols (~8 bits/symbol) —
-  // the regime of noisy quantization codes. The per-bit reference walks
-  // one iteration per code bit; the table decoder is one probe per 1-2
-  // symbols regardless of code length.
+/// Mid-entropy geometric spread over 1024 symbols (~8 bits/symbol) —
+/// the regime of noisy quantization codes.
+std::vector<std::uint32_t> huffman_symbols() {
   std::mt19937 rng(23);
   std::vector<double> weights(1024);
   double w = 1.0;
@@ -174,6 +174,26 @@ KernelResult bench_huffman_decode() {
   std::discrete_distribution<int> skew(weights.begin(), weights.end());
   std::vector<std::uint32_t> syms(kElems);
   for (auto& v : syms) v = 32256 + static_cast<std::uint32_t>(skew(rng));
+  return syms;
+}
+
+KernelResult bench_huffman_build() {
+  const auto syms = huffman_symbols();
+  return timed("huffman_build", syms.size() * sizeof(std::uint32_t),
+               [&] { (void)lossless::huffman_build(syms); });
+}
+
+KernelResult bench_huffman_encode() {
+  const auto syms = huffman_symbols();
+  const auto table = lossless::huffman_build(syms);
+  return timed("huffman_encode", syms.size() * sizeof(std::uint32_t),
+               [&] { (void)lossless::huffman_encode(table, syms); });
+}
+
+KernelResult bench_huffman_decode() {
+  // The per-bit reference walks one iteration per code bit; the table
+  // decoder is one probe per 1-2 symbols regardless of code length.
+  const auto syms = huffman_symbols();
   const auto table = lossless::huffman_build(syms);
   const auto payload = lossless::huffman_encode(table, syms);
   auto r = ab(
@@ -304,8 +324,8 @@ std::vector<std::uint8_t> lzss_corpus() {
 
 /// Absolute floor on the lzss_compress row, in place of the relative
 /// floor it replaces: lzss2 had to beat the LZSS v1 bit-stream encoder,
-/// which no longer exists, by >= 1.2x. The committed BENCH_hotpaths.json
-/// of that gate reads lzss2 at 364.6 MB/s and 5.357x, so the v1 encoder
+/// which no longer exists, by >= 1.2x. The BENCH_hotpaths.json committed
+/// with that gate read lzss2 at 364.6 MB/s and 5.357x, so the v1 encoder
 /// ran at 364.6 / 5.357 = 68 MB/s, and 1.2 x 68 = 82 MB/s. Unlike the
 /// ratio, an absolute floor depends on the host: it is as strict as the
 /// old gate only on a host at least as fast as the one that wrote that
@@ -440,6 +460,8 @@ int main() {
   results.push_back(bench_sz_roundtrip());
   results.push_back(bench_scan_range());
   results.push_back(bench_pack_sign_bits());
+  results.push_back(bench_huffman_build());
+  results.push_back(bench_huffman_encode());
   results.push_back(bench_huffman_decode());
   results.push_back(bench_crc32());
   results.push_back(bench_lzss_compress());

@@ -43,6 +43,23 @@ inline bool mask_bytes_empty(const std::uint8_t* p, std::size_t n) {
   return any == 0;
 }
 
+/// True when none of the `n` mask bytes at `p` is zero, eight at a time:
+/// a word w holds a zero byte exactly when (w - 0x01..01) & ~w & 0x80..80
+/// is nonzero. Stops at the first word with an empty cell.
+inline bool mask_bytes_full(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof(w));
+    if ((w - kOnes) & ~w & kHighs) return false;
+  }
+  for (; i < n; ++i)
+    if (p[i] == 0) return false;
+  return true;
+}
+
 /// Number of nonzero bytes among the `n` mask bytes at `p`. Per 8-byte
 /// word, the high bit of each byte becomes its "nonzero" flag (the same
 /// kLow7 trick as amr_io's pack_mask) and one multiply sums the eight

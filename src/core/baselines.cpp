@@ -112,8 +112,9 @@ class OneDBackend final : public CompressorBackend {
     if (stream.empty()) {
       lv.scatter_valid({});
     } else {
-      const auto values =
-          sz::decompress<double>(stream, lv.valid_count(), profile);
+      ArenaScope scratch;
+      const auto values = scratch.alloc<double>(lv.valid_count());
+      sz::decompress_into<double>(stream, values, profile);
       lv.scatter_valid(values);
     }
   }
@@ -204,9 +205,9 @@ class Upsample3DBackend final : public CompressorBackend {
     TAC_SPAN("upsample3d.decompress");
     const auto stream = r.get_blob();
     const Dims3 fd = skeleton.finest_dims();
-    const auto flat = sz::decompress<double>(stream, fd.volume(),
-                                             payload_profile(header, 0));
-    const Array3D<double> uniform(fd, std::span<const double>(flat));
+    Array3D<double> uniform(fd);
+    sz::decompress_into<double>(stream, uniform.span(),
+                                payload_profile(header, 0));
     amr::distribute_uniform(uniform, skeleton);
     return skeleton;
   }

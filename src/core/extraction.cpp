@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <tuple>
@@ -229,35 +230,49 @@ std::vector<BlockGroup> gather_groups(const amr::AmrLevel& level,
   return groups;
 }
 
-void scatter_group(amr::AmrLevel& level, const BlockGrid& grid,
-                   const BlockGroup& g) {
+void scatter_block(amr::AmrLevel& level, const BlockGrid& grid,
+                   Dims3 block_cell_dims, const SubBlock& member,
+                   std::span<const double> values) {
   const std::size_t B = grid.block_size();
   const Dims3 cells = grid.cell_dims();
-  const std::size_t vol = g.block_cell_dims.volume();
-  if (g.buffer.size() != vol * g.members.size())
-    throw std::invalid_argument("scatter_groups: buffer size mismatch");
-  parallel_for(0, g.members.size(), [&](std::size_t mi) {
-    const SubBlock& sb = g.members[mi];
-    const double* src = g.buffer.data() + mi * vol;
-    const Dims3 bd = g.block_cell_dims;
-    const std::size_t cx = sb.bx * B, cy = sb.by * B, cz = sb.bz * B;
-    for (std::size_t z = 0; z < bd.nz; ++z) {
-      if (cz + z >= cells.nz) continue;
-      for (std::size_t y = 0; y < bd.ny; ++y) {
-        if (cy + y >= cells.ny) continue;
-        for (std::size_t x = 0; x < bd.nx; ++x) {
-          if (cx + x >= cells.nx) continue;
-          if (level.mask(cx + x, cy + y, cz + z))
-            level.data(cx + x, cy + y, cz + z) = src[bd.index(x, y, z)];
-        }
+  const Dims3 bd = block_cell_dims;
+  if (values.size() != bd.volume())
+    throw std::invalid_argument("scatter_block: value count mismatch");
+  const std::size_t cx = member.bx * B, cy = member.by * B,
+                    cz = member.bz * B;
+  if (cx >= cells.nx || cy >= cells.ny || cz >= cells.nz) return;
+  const std::size_t nx = std::min(bd.nx, cells.nx - cx);
+  const std::size_t ny = std::min(bd.ny, cells.ny - cy);
+  const std::size_t nz = std::min(bd.nz, cells.nz - cz);
+  for (std::size_t z = 0; z < nz; ++z)
+    for (std::size_t y = 0; y < ny; ++y) {
+      const std::size_t at = cells.index(cx, cy + y, cz + z);
+      const std::uint8_t* m = level.mask.data() + at;
+      double* dst = level.data.data() + at;
+      const double* src = values.data() + bd.index(0, y, z);
+      if (amr::mask_bytes_full(m, nx)) {
+        std::memcpy(dst, src, nx * sizeof(double));
+      } else {
+        for (std::size_t x = 0; x < nx; ++x)
+          if (m[x]) dst[x] = src[x];
       }
     }
-  }, grain_for(vol));
 }
 
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups) {
-  for (const BlockGroup& g : groups) scatter_group(level, grid, g);
+  for (const BlockGroup& g : groups) {
+    const std::size_t vol = g.block_cell_dims.volume();
+    if (g.buffer.size() != vol * g.members.size())
+      throw std::invalid_argument("scatter_groups: buffer size mismatch");
+    parallel_for(
+        0, g.members.size(),
+        [&](std::size_t mi) {
+          scatter_block(level, grid, g.block_cell_dims, g.members[mi],
+                        g.buffer.subspan(mi * vol, vol));
+        },
+        grain_for(vol));
+  }
 }
 
 bool covers_exactly(const Array3D<std::uint8_t>& occupancy,

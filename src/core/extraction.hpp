@@ -42,15 +42,15 @@ namespace tac::core {
 
 /// Equal-extent sub-blocks merged into one contiguous buffer.
 ///
-/// `buffer` (members.size() * block_cell_dims.volume() cells) is a view:
-/// on the encode path it points into the caller's ArenaScope so the level
-/// pipeline reuses scratch instead of heap-allocating per group; on the
-/// decode path it views `owned`, which holds the decompressed values.
+/// `buffer` (members.size() * block_cell_dims.volume() cells) is a view
+/// into the caller's storage: on the encode path, the ArenaScope the
+/// level pipeline passes to gather_groups, so it reuses scratch instead of
+/// heap-allocating per group. The decode path never builds a group: each
+/// member block goes straight from the sz decoder to scatter_block.
 struct BlockGroup {
   Dims3 block_cell_dims;          ///< extents of one sub-block, in cells
   std::vector<SubBlock> members;  ///< placement metadata
   std::span<double> buffer;
-  std::vector<double> owned;      ///< decode-side backing store for buffer
 };
 
 /// Gathers sub-block cell data from the level into per-extent groups.
@@ -60,17 +60,21 @@ struct BlockGroup {
     const amr::AmrLevel& level, const BlockGrid& grid,
     const std::vector<SubBlock>& sub_blocks, ArenaScope& scratch);
 
-/// Scatters decompressed group buffers back into the level's data array.
-/// Only valid cells (mask 1) are written: cells past the level boundary,
-/// empty cells inside a block and cells no block covers are left as they
-/// are (zero in a freshly materialized level).
+/// Writes one member block's values (`values`: block_cell_dims.volume()
+/// cells in raster order) back into the level. The block is clipped to
+/// the level once; each row then copies its valid cells (mask 1) only, a
+/// fully valid row in one copy. Cells past the level boundary and empty
+/// cells are left as they are (zero in a freshly materialized level, whose
+/// untouched pages then never become resident). Members that claim
+/// disjoint unit blocks write disjoint cells, so they may scatter
+/// concurrently.
+void scatter_block(amr::AmrLevel& level, const BlockGrid& grid,
+                   Dims3 block_cell_dims, const SubBlock& member,
+                   std::span<const double> values);
+
+/// scatter_block for every member of every group.
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups);
-
-/// scatter_groups for one group. Groups whose members claim disjoint
-/// blocks write disjoint cells, so they may scatter concurrently.
-void scatter_group(amr::AmrLevel& level, const BlockGrid& grid,
-                   const BlockGroup& g);
 
 /// Validation helper shared by tests: true iff `sub_blocks` are pairwise
 /// disjoint, in range, and cover each non-empty unit block exactly once

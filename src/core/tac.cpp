@@ -122,8 +122,10 @@ std::vector<GroupRecord> read_group_table(ByteReader& r,
 
 /// Decodes one level's payload (strategy tag, block size, streams) into
 /// `lv`, whose mask is already filled from the header and whose data is
-/// zero. Only valid cells are written, so empty cells keep that zero and
-/// the untouched pages of a sparse level are never faulted in.
+/// zero. Sub-block strategies write valid cells only, so empty cells keep
+/// that zero and the untouched pages of a sparse level are never faulted
+/// in; a GSP/ZF grid covers the whole level, decodes into it and has its
+/// empty cells zeroed again.
 /// `expected` is the codec profile the container's index declares for
 /// this payload (nullopt for pre-v3 containers → lenient decode).
 void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
@@ -138,45 +140,52 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
     case Strategy::kNaST:
     case Strategy::kOpST:
     case Strategy::kAKDTree: {
-      std::vector<GroupRecord> groups = read_group_table(r, grid);
-      // Groups fill disjoint cells: each decodes and scatters on its own,
-      // and frees its values right after, so only the groups in flight
-      // hold decoded values at once. A level of fewer cells than two
-      // chunks' worth decodes inline.
+      const std::vector<GroupRecord> groups = read_group_table(r, grid);
+      // Groups fill disjoint cells, and each member block goes from the
+      // decoder's per-worker scratch straight into the level, so no group
+      // buffer is ever built. A level of fewer cells than two chunks'
+      // worth decodes inline.
       std::size_t cells = 0;
       for (const GroupRecord& rec : groups)
         cells += rec.group.members.size() * rec.group.block_cell_dims.volume();
       parallel_for(
           0, groups.size(),
           [&](std::size_t g) {
-            BlockGroup& grp = groups[g].group;
-            grp.owned = sz::decompress<double>(
-                groups[g].stream,
-                grp.members.size() * grp.block_cell_dims.volume(), expected);
-            grp.buffer = grp.owned;
-            {
-              TAC_SPAN("tac.scatter");
-              scatter_group(lv, grid, grp);
-            }
-            grp.buffer = {};
-            grp.owned = {};
+            const BlockGroup& grp = groups[g].group;
+            const sz::BlockSink<double> sink =
+                [&](std::size_t m, std::span<const double> block) {
+                  TAC_SPAN("tac.scatter");
+                  scatter_block(lv, grid, grp.block_cell_dims, grp.members[m],
+                                block);
+                };
+            sz::decompress_blocks<double>(groups[g].stream,
+                                          grp.block_cell_dims,
+                                          grp.members.size(), sink, expected);
           },
           cells >= 2 * kMinElementsPerChunk ? 1 : groups.size());
       break;
     }
     case Strategy::kGSP:
     case Strategy::kZF: {
-      const auto stream = r.get_blob();
-      const auto grid_data =
-          sz::decompress<double>(stream, lv.dims().volume(), expected);
+      sz::decompress_into<double>(r.get_blob(), lv.data.span(), expected);
       // Padded values of a GSP/ZF grid must not leak into empty cells.
       TAC_SPAN("tac.scatter");
+      const std::size_t n = lv.data.size();
+      double* d = lv.data.data();
+      const std::uint8_t* m = lv.mask.data();
       parallel_for(
-          0, grid_data.size(),
-          [&](std::size_t i) {
-            if (lv.mask[i]) lv.data[i] = grid_data[i];
+          0, ceil_div(n, kMinElementsPerChunk),
+          [&](std::size_t c) {
+            const std::size_t lo = c * kMinElementsPerChunk;
+            const std::size_t hi = std::min(n, lo + kMinElementsPerChunk);
+            for (std::size_t i = lo; i < hi; i += amr::kMaskChunk) {
+              const std::size_t end = std::min(hi, i + amr::kMaskChunk);
+              if (amr::mask_bytes_full(m + i, end - i)) continue;
+              for (std::size_t k = i; k < end; ++k)
+                if (!m[k]) d[k] = 0.0;
+            }
           },
-          kMinElementsPerChunk);
+          1);
       break;
     }
     default:

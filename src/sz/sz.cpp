@@ -492,21 +492,18 @@ std::size_t quantize_block(const T* block, Dims3 dims, double eb,
   return n_outliers;
 }
 
+/// Reconstructs one block into `out`. The caller checked that `outliers`
+/// holds exactly one value per code-0 cell of the block.
 template <class T>
 void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
-                       std::uint32_t radius, const T* outliers,
-                       std::size_t n_outliers, T* out,
+                       std::uint32_t radius, const T* outliers, T* out,
                        const TilePlan* plan) {
   const ReconView<T> view{out, dims};
   const std::size_t nx = dims.nx;
   const std::size_t nxy = dims.nx * dims.ny;
   std::size_t oi = 0;
 
-  const auto take_outlier = [&](std::size_t i) {
-    if (oi >= n_outliers)
-      throw std::runtime_error("sz: outlier stream underrun");
-    out[i] = outliers[oi++];
-  };
+  const auto take_outlier = [&](std::size_t i) { out[i] = outliers[oi++]; };
 
   if (plan == nullptr) {
     // Dequantized cell with an explicit outlier cursor (so wavefront
@@ -516,14 +513,9 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
     const auto rcell = [&](std::size_t i, double pred, std::size_t& oix)
         __attribute__((always_inline)) -> double {
       const std::uint32_t code = codes[i];
-      T v;
-      if (code == 0) {
-        if (oix >= n_outliers)
-          throw std::runtime_error("sz: outlier stream underrun");
-        v = outliers[oix++];
-      } else {
-        v = static_cast<T>(dequantize(code, pred, eb, radius));
-      }
+      const T v = code == 0
+                      ? outliers[oix++]
+                      : static_cast<T>(dequantize(code, pred, eb, radius));
       out[i] = v;
       return finite_or_zero(static_cast<double>(v));
     };
@@ -566,8 +558,6 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
         oi = cur[R - 1];
       });
     }
-    if (oi != n_outliers)
-      throw std::runtime_error("sz: outlier stream not fully consumed");
     return;
   }
 
@@ -651,8 +641,6 @@ void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
       }
     }
   }
-  if (oi != n_outliers)
-    throw std::runtime_error("sz: outlier stream not fully consumed");
 }
 
 }  // namespace
@@ -914,9 +902,9 @@ Header read_header(ByteReader& r) {
   return h;
 }
 
-/// The stream's element count, block volume × nblocks, checked against
+/// Checks the stream's element count, block volume × nblocks, against
 /// the caller's count before anything is allocated.
-std::size_t checked_total(const SzStreamInfo& info, std::size_t count) {
+void check_total(const SzStreamInfo& info, std::size_t count) {
   const Dims3& b = info.block_dims;
   std::size_t total = 0;
   if (__builtin_mul_overflow(b.nx, b.ny, &total) ||
@@ -929,68 +917,87 @@ std::size_t checked_total(const SzStreamInfo& info, std::size_t count) {
     throw CountError("sz::decompress: stream declares " +
                      std::to_string(total) + " elements, expected " +
                      std::to_string(count));
-  return total;
 }
 
-}  // namespace
-
+/// Reads a stream header holding `count` elements of type T.
 template <class T>
-std::vector<T> decompress(std::span<const std::uint8_t> bytes,
-                          std::size_t count,
-                          std::optional<lossless::CodecProfile> expected) {
-  TAC_SPAN_BYTES("sz.decompress", bytes.size());
-  TAC_COUNTER_ADD("sz.decompress_bytes_in", bytes.size());
-  ByteReader r(bytes);
+Header read_checked_header(ByteReader& r, std::size_t count) {
   Header h = read_header(r);
   if (h.info.scalar_size != sizeof(T))
     throw std::runtime_error("sz::decompress: scalar type mismatch");
-  const std::size_t vol = h.info.block_dims.volume();
-  const std::size_t total = checked_total(h.info, count);
+  check_total(h.info, count);
+  return h;
+}
 
-  // Strict when the container declared a profile for this payload,
-  // lenient (dispatch on each stream's own method byte) otherwise.
-  const auto unpack = [&](std::span<const std::uint8_t> blob) {
-    return expected ? lossless::decompress(blob, *expected)
-                    : lossless::decompress(blob);
-  };
+/// Strict when the container declared a profile for this payload,
+/// lenient (dispatch on each stream's own method byte) otherwise.
+std::vector<std::uint8_t> unpack(
+    std::span<const std::uint8_t> blob,
+    std::optional<lossless::CodecProfile> expected) {
+  return expected ? lossless::decompress(blob, *expected)
+                  : lossless::decompress(blob);
+}
+
+/// Where a decode delivers its values: into `out` (the stream's count of
+/// elements), or block by block to `sink`. `finish`, when set, rewrites
+/// each decoded block b in place before it is delivered.
+template <class T>
+struct Target {
+  T* out = nullptr;
+  const BlockSink<T>* sink = nullptr;
+  std::function<void(std::size_t, T*)> finish;
+};
+
+/// Runs `make(b, dst)` for every block b, concurrently, and delivers the
+/// block: `dst` is block b of the output array, or a block of the
+/// worker's arena scratch that goes to the sink once it is filled.
+template <class T, class Make>
+void deliver_blocks(const Target<T>& to, std::size_t nblocks, std::size_t vol,
+                    const Make& make) {
+  parallel_for(
+      0, nblocks,
+      [&](std::size_t b) {
+        const auto fill = [&](T* dst) {
+          make(b, dst);
+          if (to.finish) to.finish(b, dst);
+        };
+        if (to.out != nullptr) {
+          fill(to.out + b * vol);
+          return;
+        }
+        ArenaScope scratch;
+        const auto block = scratch.alloc<T>(vol);
+        fill(block.data());
+        (*to.sink)(b, std::span<const T>(block.data(), vol));
+      },
+      grain_for(vol));
+}
+
+/// Decodes a constant or general stream whose header `h` (holding
+/// `total` elements) was just read from `r`. Every check runs before the
+/// first value is delivered.
+template <class T>
+void decode_body(ByteReader& r, const Header& h, std::size_t total,
+                 std::optional<lossless::CodecProfile> expected,
+                 const Target<T>& to) {
+  const Dims3 dims = h.info.block_dims;
+  const std::size_t vol = dims.volume();
+  const std::size_t nblocks = h.info.nblocks;
 
   if (h.kind == StreamKind::kConstant) {
     const T v = r.get<T>();
-    return std::vector<T>(total, v);
+    deliver_blocks(to, nblocks, vol,
+                   [&](std::size_t, T* dst) { std::fill_n(dst, vol, v); });
+    return;
   }
 
-  if (h.kind == StreamKind::kPwRel) {
-    const auto inner = r.get_blob();
-    std::vector<T> logs = decompress<T>(inner, total, expected);
-    const auto sign_bytes = unpack(r.get_blob());
-    if (sign_bytes.size() < (total + 7) / 8)
-      throw std::runtime_error("sz::decompress: pw-rel sign bits truncated");
-    std::vector<T> out(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      const double mag = std::exp(static_cast<double>(logs[i]));
-      const bool neg = (sign_bytes[i / 8] >> (i % 8)) & 1u;
-      out[i] = static_cast<T>(neg ? -mag : mag);
-    }
-    const std::uint64_t nex = r.get_varint();
-    std::uint64_t idx = 0;
-    for (std::uint64_t e = 0; e < nex; ++e) {
-      idx += r.get_varint();
-      if (idx >= total)
-        throw std::runtime_error("sz::decompress: pw-rel exception index");
-      out[idx] = r.get<T>();
-    }
-    return out;
-  }
-
-  const auto huff_packed = r.get_blob();
-  const auto huff = unpack(huff_packed);
-  const auto codes = lossless::huffman_decompress(huff);
+  const auto codes =
+      lossless::huffman_decompress(unpack(r.get_blob(), expected));
   if (codes.size() != total)
     throw std::runtime_error("sz::decompress: code count mismatch");
 
   ArenaScope scratch;
-  const auto outliers_packed = r.get_blob();
-  const auto outlier_bytes = unpack(outliers_packed);
+  const auto outlier_bytes = unpack(r.get_blob(), expected);
   if (outlier_bytes.size() % sizeof(T) != 0)
     throw std::runtime_error("sz::decompress: outlier byte count");
   const auto outliers = scratch.alloc<T>(outlier_bytes.size() / sizeof(T));
@@ -999,9 +1006,9 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
 
   const auto counts_blob = r.get_blob();
   ByteReader counts_r(counts_blob);
-  const auto offsets = scratch.alloc<std::size_t>(h.info.nblocks + 1);
+  const auto offsets = scratch.alloc<std::size_t>(nblocks + 1);
   offsets[0] = 0;
-  for (std::size_t b = 0; b < h.info.nblocks; ++b)
+  for (std::size_t b = 0; b < nblocks; ++b)
     offsets[b + 1] =
         offsets[b] + static_cast<std::size_t>(counts_r.get_varint());
   if (offsets.back() != outliers.size())
@@ -1009,15 +1016,15 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
 
   std::vector<TilePlan> plans;
   if (h.cfg.predictor == Predictor::kHybrid) {
-    const auto mode_bits = unpack(r.get_blob());
-    const auto coeff_bytes = unpack(r.get_blob());
+    const auto mode_bits = unpack(r.get_blob(), expected);
+    const auto coeff_bytes = unpack(r.get_blob(), expected);
     if (coeff_bytes.size() % (4 * sizeof(float)) != 0)
       throw std::runtime_error("sz::decompress: coefficient payload");
-    const Dims3 tiles = tile_counts(h.info.block_dims, h.cfg.pred_block);
+    const Dims3 tiles = tile_counts(dims, h.cfg.pred_block);
     const std::size_t ntiles = tiles.volume();
-    if (mode_bits.size() < (ntiles * h.info.nblocks + 7) / 8)
+    if (mode_bits.size() < (ntiles * nblocks + 7) / 8)
       throw std::runtime_error("sz::decompress: tile mode payload");
-    plans.resize(h.info.nblocks);
+    plans.resize(nblocks);
     std::size_t bit = 0;
     std::size_t coeff = 0;
     const std::size_t ncoeffs = coeff_bytes.size() / sizeof(float);
@@ -1040,23 +1047,139 @@ std::vector<T> decompress(std::span<const std::uint8_t> bytes,
     }
   }
 
-  std::vector<T> out(total);
+  TAC_SPAN_BYTES("sz.reconstruct", total * sizeof(T));
+  // Block b's code-0 cells take exactly its own outliers, in scan order.
+  // Checking every block's count first keeps a hostile stream from
+  // delivering any block, and lets reconstruct_block trust its cursors.
+  parallel_for(
+      0, nblocks,
+      [&](std::size_t b) {
+        const std::uint32_t* bc = codes.data() + b * vol;
+        std::size_t zeros = 0;
+        for (std::size_t i = 0; i < vol; ++i) zeros += bc[i] == 0;
+        const std::size_t have = offsets[b + 1] - offsets[b];
+        if (zeros > have)
+          throw std::runtime_error("sz: outlier stream underrun");
+        if (zeros < have)
+          throw std::runtime_error("sz: outlier stream not fully consumed");
+      },
+      grain_for(vol));
   const double eb = h.info.abs_error_bound;
   const std::uint32_t radius = h.cfg.quant_radius;
-  {
-    TAC_SPAN_BYTES("sz.reconstruct", total * sizeof(T));
-    parallel_for(
-        0, h.info.nblocks,
-        [&](std::size_t b) {
-          reconstruct_block(codes.data() + b * vol, h.info.block_dims, eb,
-                            radius, outliers.data() + offsets[b],
-                            offsets[b + 1] - offsets[b], out.data() + b * vol,
-                            plans.empty() ? nullptr : &plans[b]);
-        },
-        grain_for(vol));
+  deliver_blocks(to, nblocks, vol, [&](std::size_t b, T* dst) {
+    reconstruct_block(codes.data() + b * vol, dims, eb, radius,
+                      outliers.data() + offsets[b], dst,
+                      plans.empty() ? nullptr : &plans[b]);
+  });
+}
+
+/// Turns the log magnitudes of elements [first, first + n) into their
+/// point-wise-relative values, in place: ±exp(v[j]) by the stored sign
+/// bit, then the stored exceptions (zeros, non-finite values) of that
+/// range, later entries winning. `exceptions` is sorted by index.
+template <class T>
+void pwrel_values(T* v, std::size_t first, std::size_t n,
+                  std::span<const std::uint8_t> signs,
+                  std::span<const std::pair<std::size_t, T>> exceptions) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = first + j;
+    const double mag = std::exp(static_cast<double>(v[j]));
+    const bool neg = (signs[i / 8] >> (i % 8)) & 1u;
+    v[j] = static_cast<T>(neg ? -mag : mag);
   }
-  TAC_COUNTER_ADD("sz.decompress_bytes_out", out.size() * sizeof(T));
+  auto it = std::lower_bound(
+      exceptions.begin(), exceptions.end(), first,
+      [](const std::pair<std::size_t, T>& e, std::size_t i) {
+        return e.first < i;
+      });
+  for (; it != exceptions.end() && it->first < first + n; ++it)
+    v[it->first - first] = it->second;
+}
+
+/// The one decoder behind decompress, decompress_into and
+/// decompress_blocks.
+template <class T>
+void decode(std::span<const std::uint8_t> bytes, std::size_t total,
+            std::optional<lossless::CodecProfile> expected,
+            const Target<T>& to) {
+  TAC_SPAN_BYTES("sz.decompress", bytes.size());
+  TAC_COUNTER_ADD("sz.decompress_bytes_in", bytes.size());
+  ByteReader r(bytes);
+  const Header h = read_checked_header<T>(r, total);
+
+  if (h.kind != StreamKind::kPwRel) {
+    decode_body(r, h, total, expected, to);
+  } else {
+    // The log magnitudes are an absolute-bound stream of the same blocks;
+    // each decoded block of logs turns into values on its own worker.
+    ByteReader inner(r.get_blob());
+    const Header ih = read_checked_header<T>(inner, total);
+    if (ih.kind == StreamKind::kPwRel ||
+        !(ih.info.block_dims == h.info.block_dims) ||
+        ih.info.nblocks != h.info.nblocks)
+      throw std::runtime_error(
+          "sz::decompress: pw-rel log stream does not match its header");
+    const auto signs = unpack(r.get_blob(), expected);
+    if (signs.size() < (total + 7) / 8)
+      throw std::runtime_error("sz::decompress: pw-rel sign bits truncated");
+    std::vector<std::pair<std::size_t, T>> exceptions(
+        r.get_count("sz::decompress: pw-rel exceptions", 1 + sizeof(T)));
+    // Deltas keep the indices sorted and below `total`; one that would
+    // pass `total` (or wrap) is rejected rather than reduced.
+    std::size_t idx = 0;
+    for (auto& [i, v] : exceptions) {
+      const std::uint64_t delta = r.get_varint();
+      if (delta >= total - idx)
+        throw std::runtime_error("sz::decompress: pw-rel exception index");
+      idx += static_cast<std::size_t>(delta);
+      i = idx;
+      v = r.get<T>();
+    }
+    const std::size_t vol = h.info.block_dims.volume();
+    decode_body(inner, ih, total, expected,
+                Target<T>{to.out, to.sink, [&](std::size_t b, T* block) {
+                            pwrel_values<T>(block, b * vol, vol, signs,
+                                            exceptions);
+                          }});
+  }
+  TAC_COUNTER_ADD("sz.decompress_bytes_out", total * sizeof(T));
+}
+
+}  // namespace
+
+template <class T>
+std::vector<T> decompress(std::span<const std::uint8_t> bytes,
+                          std::size_t count,
+                          std::optional<lossless::CodecProfile> expected) {
+  {
+    ByteReader r(bytes);  // CountError before the result is allocated
+    (void)read_checked_header<T>(r, count);
+  }
+  std::vector<T> out(count);
+  decompress_into<T>(bytes, out, expected);
   return out;
+}
+
+template <class T>
+void decompress_into(std::span<const std::uint8_t> bytes, std::span<T> out,
+                     std::optional<lossless::CodecProfile> expected) {
+  decode<T>(bytes, out.size(), expected, Target<T>{out.data(), nullptr, {}});
+}
+
+template <class T>
+void decompress_blocks(std::span<const std::uint8_t> bytes, Dims3 block_dims,
+                       std::size_t nblocks, const BlockSink<T>& sink,
+                       std::optional<lossless::CodecProfile> expected) {
+  const std::size_t count = block_dims.volume() * nblocks;
+  ByteReader r(bytes);
+  const Header h = read_checked_header<T>(r, count);
+  if (!(h.info.block_dims == block_dims) || h.info.nblocks != nblocks)
+    throw CountError("sz::decompress: stream declares other blocks than " +
+                     std::to_string(nblocks) + " of " +
+                     std::to_string(block_dims.nx) + "x" +
+                     std::to_string(block_dims.ny) + "x" +
+                     std::to_string(block_dims.nz));
+  decode<T>(bytes, count, expected, Target<T>{nullptr, &sink, {}});
 }
 
 SzStreamInfo peek(std::span<const std::uint8_t> bytes) {
@@ -1103,5 +1226,17 @@ template std::vector<float> decompress<float>(
 template std::vector<double> decompress<double>(
     std::span<const std::uint8_t>, std::size_t,
     std::optional<lossless::CodecProfile>);
+template void decompress_into<float>(std::span<const std::uint8_t>,
+                                    std::span<float>,
+                                    std::optional<lossless::CodecProfile>);
+template void decompress_into<double>(std::span<const std::uint8_t>,
+                                     std::span<double>,
+                                     std::optional<lossless::CodecProfile>);
+template void decompress_blocks<float>(std::span<const std::uint8_t>, Dims3,
+                                      std::size_t, const BlockSink<float>&,
+                                      std::optional<lossless::CodecProfile>);
+template void decompress_blocks<double>(std::span<const std::uint8_t>, Dims3,
+                                       std::size_t, const BlockSink<double>&,
+                                       std::optional<lossless::CodecProfile>);
 
 }  // namespace tac::sz

@@ -12,6 +12,7 @@
 /// Prediction never crosses block boundaries.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -65,10 +66,42 @@ class CountError : public std::runtime_error {
 /// byte of that profile — a mismatch is a lossless::ProfileError; nullopt
 /// decodes leniently (pre-v3 containers). Reconstruction is the same
 /// under every profile.
+///
+/// A wrapper over decompress_into; callers with memory of their own
+/// should decode into it instead of into this value-initialized vector.
 template <class T>
 [[nodiscard]] std::vector<T> decompress(
     std::span<const std::uint8_t> bytes, std::size_t count,
     std::optional<lossless::CodecProfile> expected = std::nullopt);
+
+/// decompress straight into caller memory: the stream must hold exactly
+/// out.size() elements. Every check (CountError, scalar type, profile,
+/// truncated blobs, per-block outlier counts) runs before the first value
+/// is written, so a rejected stream leaves `out` untouched; nothing is
+/// ever written outside it.
+template <class T>
+void decompress_into(std::span<const std::uint8_t> bytes, std::span<T> out,
+                     std::optional<lossless::CodecProfile> expected =
+                         std::nullopt);
+
+/// Receives block `b` of a stream (its block-dims volume of values, in
+/// raster order). The span is the calling worker's scratch and is only
+/// valid during the call.
+template <class T>
+using BlockSink = std::function<void(std::size_t b, std::span<const T>)>;
+
+/// decompress block by block: each block is reconstructed into the
+/// calling worker's arena scratch (one block at a time, so it is still in
+/// cache) and handed to `sink` on that same worker. Blocks arrive in no particular
+/// order and, with more than one worker, concurrently, so `sink` must be
+/// safe to call for different blocks at once. The stream must declare
+/// exactly `nblocks` blocks of `block_dims` (else CountError), and every
+/// check of decompress_into runs before the first sink call.
+template <class T>
+void decompress_blocks(std::span<const std::uint8_t> bytes, Dims3 block_dims,
+                       std::size_t nblocks, const BlockSink<T>& sink,
+                       std::optional<lossless::CodecProfile> expected =
+                           std::nullopt);
 
 /// Reads the stream header without decompressing the payload.
 [[nodiscard]] SzStreamInfo peek(std::span<const std::uint8_t> bytes);

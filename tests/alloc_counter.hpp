@@ -18,10 +18,11 @@
 /// Include it from exactly one source file of a test binary: the
 /// replacements bind for the whole binary. The counters only ever grow,
 /// so tests compare them across the region they measure and gtest's own
-/// allocations elsewhere do not matter. Under ASan the sanitizer owns the
-/// allocator (a replacement trips its alloc/dealloc-mismatch checker), so
-/// the replacements are compiled out, TAC_TEST_COUNTS_ALLOCS is 0 and
-/// allocation assertions must skip.
+/// allocations elsewhere do not matter. Under ASan and TSan the sanitizer
+/// owns the allocator (a replacement trips ASan's alloc/dealloc-mismatch
+/// checker, and TSan crashes at start when malloc runs before its runtime
+/// is up), so the replacements are compiled out, TAC_TEST_COUNTS_ALLOCS
+/// is 0 and allocation assertions must skip.
 
 #include <sys/mman.h>
 #include <sys/syscall.h>
@@ -32,10 +33,10 @@
 #include <cstdlib>
 #include <new>
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define TAC_TEST_COUNTS_ALLOCS 0
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define TAC_TEST_COUNTS_ALLOCS 0
 #endif
 #endif

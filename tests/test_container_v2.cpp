@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "container_downgrade.hpp"
 #include "amr/snapshot.hpp"
 #include "common/crc32.hpp"
+#include "common/parallel.hpp"
 #include "core/adaptive.hpp"
 #include "core/backend.hpp"
 #include "core/baselines.hpp"
@@ -267,7 +269,8 @@ std::size_t header_slack(std::span<const std::uint8_t> container) {
 }
 
 TEST(ContainerAllocation, DecompressLevelBuildsOnlyThatLevel) {
-  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
+  if (!TAC_TEST_COUNTS_ALLOCS)
+    GTEST_SKIP() << "the sanitizer owns the allocator";
   const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
   for (const Method m : {Method::kTac, Method::kOneD, Method::kAuto}) {
     const auto bytes = compress_with(m, ds);
@@ -301,8 +304,50 @@ TEST(ContainerAllocation, DecompressLevelBuildsOnlyThatLevel) {
   }
 }
 
+TEST(ContainerAllocation, TacLevelDecodeBuildsNoValueBuffer) {
+  if (!TAC_TEST_COUNTS_ALLOCS)
+    GTEST_SKIP() << "the sanitizer owns the allocator";
+  // A fully valid level, forced through both TAC decode paths: GSP
+  // decodes straight into the level, OpST hands each member block from
+  // the decoder's scratch to the level. The payload decode allocates the
+  // quantization codes (4 bytes a cell) and the unpacked blobs, but no
+  // double per cell, so it stays under one value buffer.
+  const Dims3 d{48, 48, 48};
+  amr::AmrLevel full(d);
+  for (std::size_t z = 0; z < d.nz; ++z)
+    for (std::size_t y = 0; y < d.ny; ++y)
+      for (std::size_t x = 0; x < d.nx; ++x) {
+        full.mask(x, y, z) = 1;
+        full.data(x, y, z) = std::sin(0.2 * static_cast<double>(x)) +
+                             0.01 * static_cast<double>(y + z);
+      }
+  const amr::AmrDataset ds("baryon_density", {full});
+  const ParallelismGuard one(1);  // worker arenas warm up unevenly
+  for (const Strategy s : {Strategy::kGSP, Strategy::kOpST}) {
+    TacConfig cfg = test_config();
+    cfg.sz.error_bound = 1e-3;
+    cfg.force_strategy = s;
+    const auto bytes = backend_for(Method::kTac).compress(ds, cfg).bytes;
+    const CommonHeader h = header_of(bytes);
+    (void)decompress_level(bytes, 0);  // warm up pools and arenas
+    amr::AmrLevel lv = materialize_level(h, 0);
+    const PayloadEntry& e = h.index.entries[0];
+    ByteReader payload(std::span<const std::uint8_t>(bytes).subspan(
+        static_cast<std::size_t>(e.offset),
+        static_cast<std::size_t>(e.length)));
+    const std::size_t decode = bytes_allocated_by([&] {
+      backend_for(Method::kTac)
+          .decompress_level_payload(payload, lv, payload_profile(h, 0));
+    });
+    EXPECT_LT(decode, d.volume() * sizeof(double))
+        << (s == Strategy::kGSP ? "GSP" : "OpST");
+    EXPECT_EQ(lv.data, decompress_any(bytes).level(0).data);
+  }
+}
+
 TEST(ContainerAllocation, CounterSeesMappedLevelArrays) {
-  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
+  if (!TAC_TEST_COUNTS_ALLOCS)
+    GTEST_SKIP() << "the sanitizer owns the allocator";
   // A level this large maps its own pages instead of calling calloc; the
   // bounds above only hold if those mappings are counted too.
   const Dims3 d{128, 128, 128};
@@ -313,7 +358,8 @@ TEST(ContainerAllocation, CounterSeesMappedLevelArrays) {
 }
 
 TEST(ContainerAllocation, V1SnapshotFieldNamesBuildNoLevels) {
-  if (!TAC_TEST_COUNTS_ALLOCS) GTEST_SKIP() << "ASan owns the allocator";
+  if (!TAC_TEST_COUNTS_ALLOCS)
+    GTEST_SKIP() << "the sanitizer owns the allocator";
   const auto base = small_dataset(32, {0.1, 0.3, 0.6});
   // v1 snapshots keep no name index: each name is read from its field's
   // container header.

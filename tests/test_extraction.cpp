@@ -293,12 +293,73 @@ TEST(GatherScatter, ClippedEdgeBlocksRoundTrip) {
     const auto subs = (*extract)(occ);
     ASSERT_TRUE(covers_exactly(occ, subs));
     tac::ArenaScope scratch;
-  const auto groups = gather_groups(lv, grid, subs, scratch);
+    const auto groups = gather_groups(lv, grid, subs, scratch);
     amr::AmrLevel out({10, 10, 10});
     out.mask = lv.mask;
     scatter_groups(out, grid, groups);
     EXPECT_EQ(out.data, lv.data);
   }
+}
+
+TEST(GatherScatter, ScatterBlockWritesValidCoveredCellsOnly) {
+  // 10^3 level, block size 4: edge blocks are clipped to 2 cells. The
+  // lower half of the level has scattered empty cells, the upper half is
+  // fully valid (whole-row copies); several unit blocks no member covers.
+  const Dims3 d{10, 10, 10};
+  amr::AmrLevel lv(d);
+  std::mt19937 rng(12);
+  for (std::size_t z = 0; z < d.nz; ++z)
+    for (std::size_t y = 0; y < d.ny; ++y)
+      for (std::size_t x = 0; x < d.nx; ++x)
+        lv.mask(x, y, z) = z >= 5 || rng() % 3 != 0;
+  const BlockGrid grid(d, 4);
+  // Extent 2x2x2 blocks at (1,1,1): clipped on every axis. Extent 1^3:
+  // an inner block and edge blocks clipped on one axis.
+  const std::vector<std::pair<Dims3, SubBlock>> members = {
+      {{8, 8, 8}, {1, 1, 1, 2, 2, 2}},
+      {{4, 4, 4}, {0, 0, 0, 1, 1, 1}},
+      {{4, 4, 4}, {2, 0, 0, 1, 1, 1}},
+      {{4, 4, 4}, {0, 2, 1, 1, 1, 1}},
+  };
+  Array3D<double> want(d);  // zero wherever no valid covered cell is
+  std::vector<std::vector<double>> values;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const auto& [bd, sb] = members[m];
+    std::vector<double> v(bd.volume());
+    for (std::size_t z = 0; z < bd.nz; ++z)
+      for (std::size_t y = 0; y < bd.ny; ++y)
+        for (std::size_t x = 0; x < bd.nx; ++x) {
+          const double value = 1000.0 * static_cast<double>(m + 1) +
+                               static_cast<double>(bd.index(x, y, z));
+          v[bd.index(x, y, z)] = value;
+          const std::size_t cx = sb.bx * 4 + x, cy = sb.by * 4 + y,
+                            cz = sb.bz * 4 + z;
+          if (cx < d.nx && cy < d.ny && cz < d.nz && lv.mask(cx, cy, cz))
+            want(cx, cy, cz) = value;
+        }
+    values.push_back(std::move(v));
+  }
+
+  amr::AmrLevel out(d);
+  out.mask = lv.mask;
+  for (std::size_t m = 0; m < members.size(); ++m)
+    scatter_block(out, grid, members[m].first, members[m].second, values[m]);
+  EXPECT_EQ(out.data, want);
+
+  // scatter_groups runs the same kernel over group buffers.
+  std::vector<BlockGroup> groups(2);
+  std::vector<double> storage[2];
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const std::size_t g = m == 0 ? 0 : 1;
+    groups[g].block_cell_dims = members[m].first;
+    groups[g].members.push_back(members[m].second);
+    storage[g].insert(storage[g].end(), values[m].begin(), values[m].end());
+  }
+  for (std::size_t g = 0; g < 2; ++g) groups[g].buffer = storage[g];
+  amr::AmrLevel via_groups(d);
+  via_groups.mask = lv.mask;
+  scatter_groups(via_groups, grid, groups);
+  EXPECT_EQ(via_groups.data, want);
 }
 
 TEST(GatherScatter, GroupsMergeEqualExtents) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/parallel.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
 #include "sz/sz.hpp"
@@ -294,6 +300,251 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripCase{{16, 16, 16}, 1e-6, 6},   // tight
                       RoundTripCase{{16, 16, 16}, 10.0, 7},   // loose
                       RoundTripCase{{33, 17, 9}, 1e-4, 8}));
+
+
+// ------------------------------------------------------------ output sinks
+
+/// A stream of each kind the decoder tells apart, over `nblocks` blocks
+/// of `dims`, with its decoded values.
+struct SinkCase {
+  std::string name;
+  std::vector<std::uint8_t> stream;
+  Dims3 dims;
+  std::size_t nblocks;
+};
+
+template <class T>
+std::vector<SinkCase> sink_cases(std::size_t nblocks) {
+  const Dims3 d{13, 9, 7};  // odd extents: hybrid tiles and wave fronts clip
+  std::mt19937 rng(static_cast<unsigned>(nblocks));
+  std::uniform_real_distribution<double> noise(-0.05, 0.05);
+  std::vector<T> smooth(d.volume() * nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b)
+    for (std::size_t z = 0; z < d.nz; ++z)
+      for (std::size_t y = 0; y < d.ny; ++y)
+        for (std::size_t x = 0; x < d.nx; ++x)
+          smooth[b * d.volume() + d.index(x, y, z)] = static_cast<T>(
+              0.3 * static_cast<double>(x) - 0.2 * static_cast<double>(y) +
+              0.1 * static_cast<double>(z + b) + noise(rng));
+  // Unpredictable cells in some blocks: outliers, and pw-rel exceptions.
+  std::vector<T> rough = smooth;
+  for (std::size_t i = 0; i < rough.size(); i += 97)
+    rough[i] = i % 2 ? std::numeric_limits<T>::quiet_NaN() : T{0};
+  std::vector<T> signed_values = rough;
+  for (std::size_t i = 0; i < signed_values.size(); i += 5)
+    signed_values[i] = -signed_values[i];
+  const std::vector<T> constant(smooth.size(), static_cast<T>(1.25));
+
+  const SzConfig lorenzo{.mode = ErrorBoundMode::kAbsolute,
+                         .error_bound = 1e-3};
+  SzConfig hybrid = lorenzo;
+  hybrid.predictor = Predictor::kHybrid;
+  hybrid.pred_block = 4;
+  const SzConfig pwrel{.mode = ErrorBoundMode::kPointwiseRelative,
+                       .error_bound = 1e-2};
+  const auto make = [&](const char* name, const std::vector<T>& v,
+                        const SzConfig& cfg) {
+    return SinkCase{name, compress<T>(v, d, cfg, nblocks), d, nblocks};
+  };
+  return {make("lorenzo", rough, lorenzo), make("hybrid", smooth, hybrid),
+          make("constant", constant, lorenzo),
+          make("pwrel", signed_values, pwrel)};
+}
+
+/// The values `sink` receives, reassembled in block order; every block
+/// must arrive exactly once.
+template <class T>
+std::vector<T> decode_through_sink(const SinkCase& c) {
+  const std::size_t vol = c.dims.volume();
+  std::vector<T> out(vol * c.nblocks);
+  std::vector<int> seen(c.nblocks, 0);  // one slot per block: no race
+  const BlockSink<T> sink = [&](std::size_t b, std::span<const T> block) {
+    ASSERT_LT(b, c.nblocks);
+    ASSERT_EQ(block.size(), vol);
+    ++seen[b];
+    std::memcpy(out.data() + b * vol, block.data(), vol * sizeof(T));
+  };
+  decompress_blocks<T>(c.stream, c.dims, c.nblocks, sink);
+  for (std::size_t b = 0; b < c.nblocks; ++b)
+    EXPECT_EQ(seen[b], 1) << c.name << " block " << b;
+  return out;
+}
+
+template <class T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+template <class T>
+void expect_sinks_match_decompress() {
+  for (const std::size_t nblocks : {std::size_t{1}, std::size_t{200}}) {
+    for (const SinkCase& c : sink_cases<T>(nblocks)) {
+      const std::size_t n = c.dims.volume() * nblocks;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        const ParallelismGuard guard(threads);
+        const auto want = decompress<T>(c.stream, n);
+        // Sentinels on both sides of `out` catch a write past it.
+        std::vector<T> padded(n + 2, static_cast<T>(-7));
+        decompress_into<T>(c.stream, std::span<T>(padded).subspan(1, n));
+        const std::span<const T> got = std::span<const T>(padded).subspan(1, n);
+        EXPECT_TRUE(same_bits<T>(want, got))
+            << c.name << " nblocks " << nblocks << " threads " << threads;
+        EXPECT_EQ(padded.front(), static_cast<T>(-7));
+        EXPECT_EQ(padded.back(), static_cast<T>(-7));
+        const auto sunk = decode_through_sink<T>(c);
+        EXPECT_TRUE(same_bits<T>(want, sunk))
+            << c.name << " nblocks " << nblocks << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(SzSinks, IntoAndBlocksEqualDecompressFloat) {
+  expect_sinks_match_decompress<float>();
+}
+
+TEST(SzSinks, IntoAndBlocksEqualDecompressDouble) {
+  expect_sinks_match_decompress<double>();
+}
+
+/// Reads past a stream header and returns its stream kind byte.
+std::uint8_t skip_header(ByteReader& r) {
+  (void)r.get<std::uint16_t>();
+  (void)r.get<std::uint8_t>();
+  (void)r.get<std::uint8_t>();
+  for (int i = 0; i < 4; ++i) (void)r.get_varint();
+  (void)r.get<std::uint8_t>();
+  for (int i = 0; i < 3; ++i) (void)r.get<double>();
+  (void)r.get_varint();
+  (void)r.get<std::uint8_t>();
+  (void)r.get_varint();
+  return r.get<std::uint8_t>();
+}
+
+/// `stream` (a general stream) with its per-block outlier counts replaced
+/// by `edit(counts)`.
+std::vector<std::uint8_t> with_outlier_counts(
+    std::span<const std::uint8_t> stream,
+    const std::function<void(std::vector<std::uint64_t>&)>& edit,
+    std::size_t nblocks) {
+  ByteReader r(stream);
+  EXPECT_EQ(skip_header(r), 1u) << "not a general stream";
+  const std::size_t header = r.position();
+  const auto huff = r.get_blob();
+  const auto outliers = r.get_blob();
+  ByteReader cr(r.get_blob());
+  std::vector<std::uint64_t> counts(nblocks);
+  for (auto& c : counts) c = cr.get_varint();
+  edit(counts);
+  ByteWriter w;
+  w.put_bytes(stream.first(header));
+  w.put_blob(huff);
+  w.put_blob(outliers);
+  ByteWriter cw;
+  for (const auto c : counts) cw.put_varint(c);
+  w.put_blob(cw.buffer());
+  w.put_bytes(stream.subspan(r.position()));
+  return w.take();
+}
+
+/// `stream` (a pw-rel stream of doubles) with its exception index deltas
+/// replaced by `edit(deltas)`.
+std::vector<std::uint8_t> with_exception_deltas(
+    std::span<const std::uint8_t> stream,
+    const std::function<void(std::vector<std::uint64_t>&)>& edit) {
+  ByteReader r(stream);
+  EXPECT_EQ(skip_header(r), 2u) << "not a pw-rel stream";
+  (void)r.get_blob();  // log magnitudes
+  (void)r.get_blob();  // sign bits
+  const std::size_t head = r.position();
+  std::vector<std::uint64_t> deltas(r.get_varint());
+  std::vector<double> values(deltas.size());
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    deltas[i] = r.get_varint();
+    values[i] = r.get<double>();
+  }
+  edit(deltas);
+  ByteWriter w;
+  w.put_bytes(stream.first(head));
+  w.put_varint(deltas.size());
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    w.put_varint(deltas[i]);
+    w.put<double>(values[i]);
+  }
+  w.put_bytes(stream.subspan(r.position()));
+  return w.take();
+}
+
+TEST(SzSinks, HostileStreamsFailBeforeAnyOutput) {
+  const SinkCase c = sink_cases<double>(200).front();  // lorenzo, outliers
+  const std::size_t n = c.dims.volume() * c.nblocks;
+  // Block 0 loses an outlier to the last block: the totals still agree,
+  // but block 0 would run out of outliers and the last keep one over.
+  const auto moved = with_outlier_counts(
+      c.stream,
+      [](std::vector<std::uint64_t>& counts) {
+        ASSERT_GT(counts.front(), 0u);
+        --counts.front();
+        ++counts.back();
+      },
+      c.nblocks);
+  // Exception indices 5, 6, then 1: the third delta wraps around.
+  const auto wrapped = with_exception_deltas(
+      sink_cases<double>(200).back().stream,
+      [](std::vector<std::uint64_t>& deltas) {
+        ASSERT_GE(deltas.size(), 3u);
+        deltas[0] = 5;
+        deltas[1] = 1;
+        deltas[2] = ~std::uint64_t{0} - 4;
+      });
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const ParallelismGuard guard(threads);
+    std::vector<double> padded(n + 2, -7.0);
+    const auto out = std::span<double>(padded).subspan(1, n);
+    const auto untouched = [&] {
+      return std::all_of(padded.begin(), padded.end(),
+                         [](double v) { return v == -7.0; });
+    };
+    std::atomic<int> delivered{0};
+    const BlockSink<double> sink = [&](std::size_t, std::span<const double>) {
+      ++delivered;
+    };
+
+    // Another count than the caller's: CountError.
+    EXPECT_THROW(decompress_into<double>(c.stream, out.first(n - 1)),
+                 CountError);
+    EXPECT_THROW(decompress_blocks<double>(c.stream, {9, 13, 7}, c.nblocks,
+                                           sink),
+                 CountError);
+    EXPECT_THROW(decompress_blocks<double>(c.stream, c.dims, c.nblocks - 1,
+                                           sink),
+                 CountError);
+
+    // Per-block outlier counts that disagree with the codes, and pw-rel
+    // exception indices that wrap past 2^64 back below earlier ones.
+    for (const auto& [stream, error] :
+         {std::pair{moved, "outlier stream"},
+          std::pair{wrapped, "pw-rel exception index"}}) {
+      for (const bool into : {true, false}) {
+        try {
+          if (into)
+            decompress_into<double>(stream, out);
+          else
+            decompress_blocks<double>(stream, c.dims, c.nblocks, sink);
+          ADD_FAILURE() << "stream with bad " << error << " decoded";
+        } catch (const CountError&) {
+          ADD_FAILURE() << error << " is not a CountError";
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+    EXPECT_TRUE(untouched()) << "threads " << threads;
+    EXPECT_EQ(delivered.load(), 0) << "threads " << threads;
+  }
+}
 
 }  // namespace
 }  // namespace tac::sz

@@ -291,7 +291,7 @@ TEST(TelemetryOff, NoAllocationsAndNoRecords) {
   EXPECT_EQ(after - before, 0u) << "disabled telemetry must not allocate";
 #else
   (void)before;
-  (void)after;  // ASan owns the allocator; only the no-records half runs
+  (void)after;  // a sanitizer owns the allocator; only the no-records half runs
 #endif
   EXPECT_TRUE(telemetry::collect_spans().empty());
   for (const auto& c : telemetry::collect_counters())
