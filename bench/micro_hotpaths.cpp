@@ -16,7 +16,8 @@
 ///     >= 82 MB/s (see kLzssCompressFloorMbps; host-dependent),
 ///   - every vectorized kernel must be no slower than its scalar fallback,
 ///   - disabled telemetry (TAC_TRACE off) must cost <= 1% on the
-///     instrumented huffman_decompress wrapper.
+///     instrumented huffman_decompress wrapper, in the median of the
+///     per-round ratios.
 /// The valid_scan row (sparse AmrLevel mask scans against raster byte
 /// loops) and the huffman_build and huffman_encode rows (the encode-side
 /// entropy stage, timed alone over the huffman_decode symbols) are
@@ -58,9 +59,20 @@ struct KernelResult {
   double b_seconds = 0;  ///< baseline path, summed over rounds
   const char* baseline = "scalar";  ///< nullptr: no baseline was timed
   double mb_per_s = 0;  ///< optimized-path throughput over the input bytes
+  std::vector<double> round_speedups;  ///< each round's B/A time ratio
 
   [[nodiscard]] double speedup() const {
     return a_seconds > 0 ? b_seconds / a_seconds : 0.0;
+  }
+
+  /// Median of the per-round B/A ratios: unlike speedup(), one round that
+  /// a host hiccup slowed on one side cannot move it.
+  [[nodiscard]] double median_speedup() const {
+    std::vector<double> v = round_speedups;
+    if (v.empty()) return 0.0;
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
   }
 };
 
@@ -84,10 +96,13 @@ KernelResult ab(const std::string& name, std::size_t bytes, A&& a, B&& b) {
   for (int round = 0; round < kRounds; ++round) {
     Timer t;
     a();
-    r.a_seconds += t.seconds();
+    const double a_s = t.seconds();
     t.reset();
     b();
-    r.b_seconds += t.seconds();
+    const double b_s = t.seconds();
+    r.a_seconds += a_s;
+    r.b_seconds += b_s;
+    r.round_speedups.push_back(a_s > 0 ? b_s / a_s : 0.0);
   }
   r.mb_per_s = static_cast<double>(bytes) * kRounds / r.a_seconds / 1.0e6;
   return r;
@@ -490,11 +505,17 @@ int main() {
                   r.mb_per_s, kLzssCompressFloorMbps);
       ok = false;
     }
-    if (r.name == "telemetry_off" && r.speedup() < 0.99) {
-      std::printf("FAIL: disabled telemetry costs %.1f%% on huffman "
-                  "decode (budget: <= 1%%)\n",
-                  100.0 * (1.0 / r.speedup() - 1.0));
-      ok = false;
+    // Judged per round (median of the B/A ratios), not on the summed
+    // times: the 1% budget is below what one disturbed round moves a sum.
+    if (r.name == "telemetry_off") {
+      std::printf("%-16s median of %d round ratios: %.3fx\n", "", kRounds,
+                  r.median_speedup());
+      if (r.median_speedup() < 0.99) {
+        std::printf("FAIL: disabled telemetry costs %.1f%% on huffman "
+                    "decode (median round; budget: <= 1%%)\n",
+                    100.0 * (1.0 / r.median_speedup() - 1.0));
+        ok = false;
+      }
     }
   }
   write_json(results);

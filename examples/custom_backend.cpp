@@ -5,14 +5,16 @@
 ///
 /// The backend is a lossless "passthrough" — each level's valid cells
 /// stored as raw doubles — chosen so the example stays about the
-/// CompressorBackend/PayloadIndexBuilder protocol, not about coding
-/// theory. The class between the snippet markers below is embedded
-/// verbatim in docs/BACKENDS.md; scripts/check_docs.py fails CI when the
-/// two copies drift apart.
+/// CompressorBackend contract (per-level payloads handed to
+/// write_container), not about coding theory. The class between the
+/// snippet markers below is embedded verbatim in docs/BACKENDS.md;
+/// scripts/check_docs.py fails CI when the two copies drift apart.
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "amr/dataset.hpp"
@@ -26,8 +28,9 @@ using namespace tac;
 
 // [backends-guide:passthrough]
 /// A lossless do-nothing backend: every level's valid cells stored as raw
-/// little-endian doubles. Real backends replace the payload body; the
-/// header/index protocol shown here is the part they all share.
+/// little-endian doubles, one payload per level. Real backends replace the
+/// payload body; handing one payload per level to write_container is the
+/// part they share.
 class PassthroughBackend final : public core::CompressorBackend {
  public:
   /// Any tag without a registered backend works (5..254; 0..4 are the
@@ -39,40 +42,41 @@ class PassthroughBackend final : public core::CompressorBackend {
   [[nodiscard]] const char* name() const override { return "passthrough"; }
 
   [[nodiscard]] core::CompressedAmr compress(
-      const amr::AmrDataset& ds, const core::TacConfig&) const override {
+      const amr::AmrDataset& ds, const core::TacConfig& cfg) const override {
+    // One payload per level, so index entry i maps to level i: with the
+    // per-level hooks below, decompress_level reads only that payload.
+    std::vector<core::LevelPayload> payloads;
+    for (std::size_t l = 0; l < ds.num_levels(); ++l)
+      payloads.push_back(compress_level_payload(ds.level(l), l, cfg));
+    // Lays out header, masks and index: {offset, length, crc32, profile,
+    // selector = report.method} per payload.
+    return core::write_container(method(), ds, std::move(payloads));
+  }
+
+  // decompress is inherited: decompress_per_level hands each payload to
+  // decompress_level_payload below.
+
+  [[nodiscard]] bool supports_level_payloads() const override { return true; }
+
+  [[nodiscard]] core::LevelPayload compress_level_payload(
+      const amr::AmrLevel& lv, std::size_t,
+      const core::TacConfig&) const override {
+    const std::vector<double> values = lv.gather_valid();
     ByteWriter w;
-    // One payload per level, so index entry i maps to level i. With the
-    // per-level hooks that mapping gives decompress_level O(level) random
-    // access; without them, as here, it decodes the whole container.
-    auto index = core::write_common_header(w, method(), ds, ds.num_levels());
-    for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-      index.begin_payload();
-      const std::vector<double> values = ds.level(l).gather_valid();
-      w.put_varint(values.size());
-      for (const double v : values) w.put(v);
-      index.end_payload();  // patches {offset, length, crc32, profile, tag}
-    }
-    index.finish();  // throws if any reserved entry was left unsealed
-    core::CompressedAmr out;
-    out.bytes = w.take();
-    out.report.method = method();
-    out.report.original_bytes = ds.original_bytes();
-    out.report.compressed_bytes = out.bytes.size();
-    return out;
+    w.put_varint(values.size());
+    for (const double v : values) w.put(v);
+    core::LevelPayload p;
+    p.bytes = w.take();
+    p.report.method = kTag;  // the payload's selector byte
+    p.report.valid_cells = values.size();
+    return p;
   }
 
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const core::CommonHeader&) const override {
-    // `skeleton` arrives with dims + masks decoded from the common header
-    // and data zeroed; `r` is positioned at this backend's first payload.
-    for (std::size_t l = 0; l < skeleton.num_levels(); ++l)
-      decode_level(r, skeleton.level(l));
-    return skeleton;
-  }
-
- private:
-  static void decode_level(ByteReader& r, amr::AmrLevel& lv) {
+  void decompress_level_payload(
+      ByteReader& r, amr::AmrLevel& lv,
+      std::optional<lossless::CodecProfile>) const override {
+    // `r` spans this level's payload; `lv` arrives with dims and mask
+    // decoded from the container header and data zeroed.
     std::vector<double> values(static_cast<std::size_t>(r.get_varint()));
     for (double& v : values) v = r.get<double>();
     lv.scatter_valid(values);
@@ -136,13 +140,17 @@ int main() {
     }
   }
 
-  // Partial decompression works too: decompress_level's full-decode
-  // fallback is correct for any backend (backends with the per-level
-  // hooks get an O(level) indexed read — see docs/BACKENDS.md).
-  const amr::AmrLevel coarse = core::decompress_level(compressed.bytes, 1);
-  if (!levels_identical(ds.level(1), coarse)) {
-    std::fprintf(stderr, "FAIL: decompress_level(1) not bit-identical\n");
-    return 1;
+  // Partial decompression: the per-level hooks give decompress_level an
+  // O(level) indexed read, which must equal that level of the full decode.
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    const amr::AmrLevel one = core::decompress_level(compressed.bytes, l);
+    if (!levels_identical(back.level(l), one)) {
+      std::fprintf(stderr,
+                   "FAIL: decompress_level(%zu) differs from the full "
+                   "decode\n",
+                   l);
+      return 1;
+    }
   }
 
   std::printf("passthrough backend (tag %u): %zu levels round-tripped "

@@ -16,9 +16,8 @@ namespace {
 constexpr std::uint32_t kMagic = 0x524D4154;  // "TAMR"
 constexpr std::uint8_t kVersion = 1;
 
-// A level record is three dims varints plus two length-prefixed blobs
-// (mask, values): at least five bytes.
-constexpr std::size_t kMinLevelBytes = 5;
+// A level's entry is its level record plus the length-prefixed value blob.
+constexpr std::size_t kMinLevelBytes = kMinLevelRecordBytes + 1;
 
 // A materialized cell costs a double of data plus a mask byte.
 constexpr std::size_t kLevelBytesPerCell = sizeof(double) + 1;
@@ -44,7 +43,8 @@ void spread_bits(std::span<const std::uint8_t> packed,
 }
 }  // namespace
 
-Dims3 read_level_dims(ByteReader& r, std::size_t level, const char* context) {
+LevelRecord read_level_record(ByteReader& r, std::size_t level,
+                              const char* context) {
   const std::uint64_t nx = r.get_varint();
   const std::uint64_t ny = r.get_varint();
   const std::uint64_t nz = r.get_varint();
@@ -56,8 +56,16 @@ Dims3 read_level_dims(ByteReader& r, std::size_t level, const char* context) {
         std::string(context) + ": level " + std::to_string(level) + " dims " +
         std::to_string(nx) + "x" + std::to_string(ny) + "x" +
         std::to_string(nz) + " overflow the addressable cell count");
-  return {static_cast<std::size_t>(nx), static_cast<std::size_t>(ny),
-          static_cast<std::size_t>(nz)};
+  const Dims3 dims{static_cast<std::size_t>(nx), static_cast<std::size_t>(ny),
+                   static_cast<std::size_t>(nz)};
+  return {dims, r.get_blob()};
+}
+
+void write_level_record(ByteWriter& w, const AmrLevel& lv) {
+  w.put_varint(lv.dims().nx);
+  w.put_varint(lv.dims().ny);
+  w.put_varint(lv.dims().nz);
+  w.put_blob(lossless::compress(pack_mask(lv.mask.span())));
 }
 
 std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
@@ -185,11 +193,17 @@ void advise_dense_runs(Array3D<T>& a, std::span<const std::uint8_t> packed) {
 }
 }  // namespace
 
-AmrLevel level_from_packed_mask(Dims3 dims,
-                                std::span<const std::uint8_t> packed) {
-  if (packed.size() < (dims.volume() + 7) / 8)
-    throw std::runtime_error("unpack_mask: truncated mask");
-  AmrLevel lv(dims);
+AmrLevel level_from_record(const LevelRecord& rec, std::size_t level,
+                           const char* context) {
+  const std::size_t volume = rec.dims.volume();
+  const auto packed = lossless::decompress(rec.mask_blob);
+  if (packed.size() < (volume + 7) / 8)
+    throw std::runtime_error(
+        std::string(context) + ": level " + std::to_string(level) +
+        " mask holds " + std::to_string(packed.size()) + " bytes but its " +
+        std::to_string(volume) + " cells need " +
+        std::to_string((volume + 7) / 8));
+  AmrLevel lv(rec.dims);
   advise_dense_runs(lv.data, packed);
   advise_dense_runs(lv.mask, packed);
   unpack_mask_into(packed, lv.mask.span());
@@ -205,11 +219,7 @@ std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
   w.put_varint(ds.num_levels());
   for (std::size_t l = 0; l < ds.num_levels(); ++l) {
     const AmrLevel& lv = ds.level(l);
-    w.put_varint(lv.dims().nx);
-    w.put_varint(lv.dims().ny);
-    w.put_varint(lv.dims().nz);
-    const auto packed = pack_mask(lv.mask.span());
-    w.put_blob(lossless::compress(packed));
+    write_level_record(w, lv);
     const auto values = lv.gather_valid();
     std::span<const std::uint8_t> value_bytes{
         reinterpret_cast<const std::uint8_t*>(values.data()),
@@ -232,11 +242,8 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
   std::vector<AmrLevel> levels;
   levels.reserve(nlevels);
   for (std::size_t l = 0; l < nlevels; ++l) {
-    const Dims3 d = read_level_dims(r, l, "amr_io");
-    const auto packed = lossless::decompress(r.get_blob());
-    if (packed.size() < (d.volume() + 7) / 8)
-      throw std::runtime_error("amr_io: truncated mask");
-    AmrLevel lv = level_from_packed_mask(d, packed);
+    AmrLevel lv = level_from_record(read_level_record(r, l, "amr_io"), l,
+                                    "amr_io");
     const auto value_bytes = r.get_blob();
     if (value_bytes.size() % sizeof(double) != 0)
       throw std::runtime_error("amr_io: bad value payload");

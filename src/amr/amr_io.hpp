@@ -25,7 +25,7 @@ namespace tac::amr {
 void save_dataset(const std::string& path, const AmrDataset& ds);
 [[nodiscard]] AmrDataset load_dataset(const std::string& path);
 
-/// Bit-packs a 0/1 mask; helper shared with the compression container.
+/// Bit-packs a 0/1 mask LSB-first, the layout of a level record's mask.
 [[nodiscard]] std::vector<std::uint8_t> pack_mask(
     std::span<const std::uint8_t> mask);
 [[nodiscard]] std::vector<std::uint8_t> unpack_mask(
@@ -54,27 +54,45 @@ void unpack_mask_into(std::span<const std::uint8_t> packed,
 /// its pages are empty, so a sparse level costs a few loads per page.
 /// Returns nothing unless `base` is page-aligned and a page holds whole
 /// 64-cell words. The sizes are parameters so the rule does not depend on
-/// the host; level_from_packed_mask passes the host's.
+/// the host; level_from_record passes the host's.
 [[nodiscard]] std::vector<std::size_t> dense_page_runs(
     std::span<const std::uint8_t> packed, std::size_t cells,
     std::size_t cell_bytes, std::uintptr_t base, std::size_t page_bytes,
     std::size_t run_bytes);
 
-/// The one builder of a level from its bit-packed mask (container level
-/// skeletons and .amr loads): zero data and mask arrays, huge pages hinted
-/// on the dense_page_runs of each, then the mask unpacked into them.
-/// Throws std::runtime_error if `packed` holds fewer than
-/// ceil(dims.volume()/8) bytes.
-[[nodiscard]] AmrLevel level_from_packed_mask(
-    Dims3 dims, std::span<const std::uint8_t> packed);
+/// A level record: the structure of one level, laid out the same way in
+/// this file format and in the compression container header. It is the
+/// extents as three varints, then the length-prefixed mask blob,
+/// lossless::compress(pack_mask(mask)). `mask_blob` views the bytes the
+/// record was read from.
+struct LevelRecord {
+  Dims3 dims;
+  std::span<const std::uint8_t> mask_blob;
+};
 
-/// Reads one level's extents — three varints, the layout both this file
-/// format and the compression container use — and throws
-/// std::runtime_error, prefixed with `context`, when the cell count or
-/// the bytes a materialized level of that many cells needs (a double plus
-/// a mask byte each) overflows. Callers run it before allocating a level.
-[[nodiscard]] Dims3 read_level_dims(ByteReader& r, std::size_t level,
-                                    const char* context);
+/// Fewest bytes a level record takes: three one-byte varints and an empty
+/// blob's length.
+inline constexpr std::size_t kMinLevelRecordBytes = 4;
+
+/// Appends `lv`'s level record to `w`.
+void write_level_record(ByteWriter& w, const AmrLevel& lv);
+
+/// Reads the level record of level `level` and throws std::runtime_error,
+/// prefixed with `context`, when the cell count or the bytes a
+/// materialized level of that many cells needs (a double plus a mask byte
+/// each) overflows. Nothing volume-sized is allocated.
+[[nodiscard]] LevelRecord read_level_record(ByteReader& r, std::size_t level,
+                                            const char* context);
+
+/// The one builder of a level from its record (container level skeletons
+/// and .amr loads): decompresses the mask blob and checks that it holds
+/// ceil(volume/8) bytes before the level is allocated (std::runtime_error
+/// naming `context` and `level` otherwise). Then it makes zero data and
+/// mask arrays, hints huge pages on the dense_page_runs of each, and
+/// unpacks the mask into them.
+[[nodiscard]] AmrLevel level_from_record(const LevelRecord& rec,
+                                         std::size_t level,
+                                         const char* context);
 
 }  // namespace tac::amr
 

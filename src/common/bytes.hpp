@@ -23,8 +23,9 @@ class ByteWriter {
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void put(const T& v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    const std::size_t pos = buf_.size();
+    buf_.resize(pos + sizeof(T));
+    std::memcpy(buf_.data() + pos, &v, sizeof(T));
   }
 
   /// LEB128-style unsigned varint; compact for the many small counts in

@@ -4,31 +4,11 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/parallel.hpp"
 
 namespace tac::core {
-
-CompressedAmr write_container(Method method, const amr::AmrDataset& ds,
-                              std::vector<LevelPayload> payloads) {
-  CompressedAmr out;
-  out.report.method = method;
-  ByteWriter w;
-  PayloadIndexBuilder index =
-      write_common_header(w, method, ds, payloads.size());
-  for (LevelPayload& p : payloads) {
-    index.begin_payload();
-    w.put_bytes(p.bytes);
-    index.end_payload(p.report.method);
-    p.report.compressed_bytes = p.bytes.size();
-    out.report.original_bytes += p.report.valid_cells * sizeof(double);
-    out.report.levels.push_back(p.report);
-  }
-  index.finish();
-  out.bytes = w.take();
-  out.report.compressed_bytes = out.bytes.size();
-  return out;
-}
 
 CompressedAmr compress_per_level(
     Method method, const amr::AmrDataset& ds,
@@ -141,6 +121,12 @@ void detail::check_level_config(const char* who, const amr::AmrDataset& ds,
         " levels (need one bound per level, finest first)");
   if (cfg.block_size == 0)
     throw std::invalid_argument(prefix + "block_size must be > 0");
+}
+
+amr::AmrDataset CompressorBackend::decompress(
+    ByteReader& r, amr::AmrDataset skeleton,
+    const CommonHeader& header) const {
+  return decompress_per_level(r, std::move(skeleton), header);
 }
 
 LevelPayload CompressorBackend::compress_level_payload(

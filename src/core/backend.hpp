@@ -11,12 +11,11 @@
 /// payload to whichever backend owns the tag, so adding a method never
 /// touches existing call sites.
 ///
-/// Contract: `compress` writes the common outer header (via
-/// `write_common_header` with this backend's tag, or `write_container`)
-/// followed by payloads only this backend can read; `decompress` receives
-/// the reader positioned at the first payload plus the structural
-/// skeleton decoded from the header, and must fill every level's valid
-/// cells. Levels arrive zero-filled, so
+/// Contract: `compress` hands its payloads, which only this backend can
+/// read, to `write_container` (core/container.hpp) under its own tag;
+/// `decompress` receives the reader positioned at the first payload plus
+/// the structural skeleton decoded from the header, and must fill every
+/// level's valid cells. Levels arrive zero-filled, so
 /// a decoder writes valid cells only: empty cells keep their +0.0, and the
 /// pages of a sparse level that hold no valid cell are never touched
 /// (their lazily zeroed memory never becomes resident). Backends must be
@@ -65,11 +64,12 @@ class CompressorBackend {
   /// immediately after the common header (and, for v2+ containers, after
   /// the payload index). `header` supplies the payload index — in
   /// particular `payload_profile(header, i)`, the codec profile each
-  /// payload's lossless streams must decode under. Per-level backends
-  /// implement it as one call to decompress_per_level.
+  /// payload's lossless streams must decode under. The default is
+  /// decompress_per_level, the reader of every per-level backend; a
+  /// backend whose payloads are not one per level overrides it.
   [[nodiscard]] virtual amr::AmrDataset decompress(
       ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const = 0;
+      const CommonHeader& header) const;
 
   /// True when this backend can encode and decode a single level as a
   /// standalone payload (the `auto` pseudo-backend only considers such
@@ -77,11 +77,11 @@ class CompressorBackend {
   /// all levels (zMesh, 3D) return the default false.
   [[nodiscard]] virtual bool supports_level_payloads() const { return false; }
 
-  /// Encodes one level as a standalone payload: exactly the bytes this
-  /// backend would write between begin_payload()/end_payload() for `lv`
-  /// when it is level `level` of a dataset compressed under `cfg` — so a
-  /// container stitched from such payloads (selector byte = this backend's
-  /// tag) decodes through decompress_level_payload(). The report's
+  /// Encodes one level as a standalone payload: exactly the payload this
+  /// backend's compress() hands write_container for `lv` when it is level
+  /// `level` of a dataset compressed under `cfg`, so a container stitched
+  /// from such payloads (selector byte = this backend's tag) decodes
+  /// through decompress_level_payload(). The report's
   /// valid_cells must count the level's valid cells: the auto backend
   /// sums them into original_bytes. Only called when
   /// supports_level_payloads() is true; the default throws.
@@ -97,18 +97,6 @@ class CompressorBackend {
       ByteReader& r, amr::AmrLevel& lv,
       std::optional<lossless::CodecProfile> profile) const;
 };
-
-/// The container writer of every built-in backend: writes the common
-/// header under `method`, then `payloads` as the indexed payloads in
-/// order, sealing payload i with `payloads[i].report.method` as its
-/// selector byte (the container's own tag for fixed backends, the winner
-/// for auto). The report sums `original_bytes` from the payloads'
-/// `valid_cells`, and each level report's `compressed_bytes` is its
-/// payload's index-entry length. The single-payload backends (zMesh, 3D)
-/// pass one payload that interleaves every level.
-[[nodiscard]] CompressedAmr write_container(Method method,
-                                            const amr::AmrDataset& ds,
-                                            std::vector<LevelPayload> payloads);
 
 /// The writer of every built-in per-level backend (TAC, 1D, auto):
 /// encodes the levels concurrently through `encode(l)`, then hands them to

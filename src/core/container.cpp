@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "amr/amr_io.hpp"
 #include "common/crc32.hpp"
@@ -57,10 +58,6 @@ HeaderPrefix read_header_prefix(ByteReader& r) {
   return {static_cast<Method>(tag), version};
 }
 
-// A level header is three dims varints plus a length-prefixed mask blob:
-// at least four bytes, so a level count above remaining/4 is a lie.
-constexpr std::size_t kMinLevelHeaderBytes = 4;
-
 /// materialize_level without its span, so materialize_skeleton records one
 /// span for the whole skeleton.
 amr::AmrLevel build_level(const CommonHeader& header, std::size_t l) {
@@ -70,15 +67,7 @@ amr::AmrLevel build_level(const CommonHeader& header, std::size_t l) {
         " out of range (container has " +
         std::to_string(header.num_levels()) + " levels)");
   const LevelHeader& lh = header.levels[l];
-  const std::size_t volume = lh.dims.volume();
-  const auto packed = lossless::decompress(lh.mask_blob);
-  if (packed.size() < (volume + 7) / 8)
-    throw std::runtime_error(
-        "container: level " + std::to_string(l) + " mask holds " +
-        std::to_string(packed.size()) + " bytes but its " +
-        std::to_string(volume) + " cells need " +
-        std::to_string((volume + 7) / 8));
-  return amr::level_from_packed_mask(lh.dims, packed);
+  return amr::level_from_record({lh.dims, lh.mask_blob}, l, "container");
 }
 
 }  // namespace
@@ -105,72 +94,47 @@ const char* to_string(Strategy s) {
   return "?";
 }
 
-void PayloadIndexBuilder::begin_payload() {
-  if (w_ == nullptr)
-    throw std::logic_error("PayloadIndexBuilder: not attached to a writer");
-  if (open_begin_ != kNone)
-    throw std::logic_error(
-        "PayloadIndexBuilder: begin_payload with a payload still open");
-  if (sealed_ >= count_)
-    throw std::logic_error(
-        "PayloadIndexBuilder: more payloads than the " +
-        std::to_string(count_) + " reserved index entries");
-  open_begin_ = w_->size();
-}
-
-void PayloadIndexBuilder::end_payload() { end_payload(method_); }
-
-void PayloadIndexBuilder::end_payload(Method chosen) {
-  if (open_begin_ == kNone)
-    throw std::logic_error(
-        "PayloadIndexBuilder: end_payload without begin_payload");
-  const std::size_t end = w_->size();
-  const std::span<const std::uint8_t> written(w_->buffer());
-  PayloadEntry e;
-  e.offset = open_begin_;
-  e.length = end - open_begin_;
-  e.crc32 = crc32(written.subspan(open_begin_, end - open_begin_));
-  e.profile = static_cast<std::uint8_t>(lossless::default_profile());
-  e.selector = static_cast<std::uint8_t>(chosen);
-  patch_payload_entry_v4(*w_, entries_pos_ + sealed_ * kPayloadEntryV4Bytes,
-                         e);
-  ++sealed_;
-  TAC_COUNTER_ADD("container.payloads_written", 1);
-  TAC_COUNTER_ADD("container.payload_bytes_written", e.length);
-  open_begin_ = kNone;
-}
-
-void PayloadIndexBuilder::finish() const {
-  if (open_begin_ != kNone)
-    throw std::logic_error("PayloadIndexBuilder: unsealed payload at finish");
-  if (sealed_ != count_)
-    throw std::logic_error(
-        "PayloadIndexBuilder: sealed " + std::to_string(sealed_) + " of " +
-        std::to_string(count_) + " reserved payloads");
-}
-
-PayloadIndexBuilder write_common_header(ByteWriter& w, Method method,
-                                        const amr::AmrDataset& ds,
-                                        std::size_t n_payloads) {
-  TAC_SPAN("container.header_write");
-  w.put<std::uint32_t>(kMagic);
-  w.put<std::uint8_t>(kFormatVersion);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(method));
-  w.put_string(ds.field_name());
-  w.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
-  w.put_varint(ds.num_levels());
-  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-    const auto& lv = ds.level(l);
-    w.put_varint(lv.dims().nx);
-    w.put_varint(lv.dims().ny);
-    w.put_varint(lv.dims().nz);
-    const auto packed = amr::pack_mask(lv.mask.span());
-    w.put_blob(lossless::compress(packed));
+CompressedAmr write_container(Method method, const amr::AmrDataset& ds,
+                              std::vector<LevelPayload> payloads) {
+  ByteWriter w;
+  {
+    TAC_SPAN("container.header_write");
+    w.put<std::uint32_t>(kMagic);
+    w.put<std::uint8_t>(kFormatVersion);
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(method));
+    w.put_string(ds.field_name());
+    w.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
+    w.put_varint(ds.num_levels());
+    for (std::size_t l = 0; l < ds.num_levels(); ++l)
+      amr::write_level_record(w, ds.level(l));
   }
-  w.put_varint(n_payloads);
-  const std::size_t entries_pos =
-      w.reserve(n_payloads * kPayloadEntryV4Bytes);
-  return PayloadIndexBuilder(w, entries_pos, n_payloads, method);
+  // The index: every payload's length is known, so each entry is written
+  // whole, its offset counted from the index end.
+  w.put_varint(payloads.size());
+  const std::uint64_t payload_offset =
+      w.size() + payloads.size() * kPayloadEntryV4Bytes;
+  std::uint64_t offset = payload_offset;
+  for (const LevelPayload& p : payloads) {
+    w.put<std::uint64_t>(offset);
+    w.put<std::uint64_t>(p.bytes.size());
+    w.put<std::uint32_t>(crc32(p.bytes));
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(lossless::default_profile()));
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(p.report.method));
+    offset += p.bytes.size();
+  }
+  TAC_COUNTER_ADD("container.payloads_written", payloads.size());
+  TAC_COUNTER_ADD("container.payload_bytes_written", offset - payload_offset);
+  CompressedAmr out;
+  out.report.method = method;
+  for (LevelPayload& p : payloads) {
+    w.put_bytes(p.bytes);
+    p.report.compressed_bytes = p.bytes.size();
+    out.report.original_bytes += p.report.valid_cells * sizeof(double);
+    out.report.levels.push_back(std::move(p.report));
+  }
+  out.bytes = w.take();
+  out.report.compressed_bytes = out.bytes.size();
+  return out;
 }
 
 CommonHeader read_common_header(ByteReader& r) {
@@ -182,12 +146,11 @@ CommonHeader read_common_header(ByteReader& r) {
   h.field_name = r.get_string();
   h.refinement_ratio = static_cast<int>(r.get_varint());
   h.levels.resize(
-      r.get_count("container: level count", kMinLevelHeaderBytes));
+      r.get_count("container: level count", amr::kMinLevelRecordBytes));
   for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    LevelHeader& lh = h.levels[l];
-    lh.dims = amr::read_level_dims(r, l, "container");
-    const auto blob = r.get_blob();
-    lh.mask_blob.assign(blob.begin(), blob.end());
+    const amr::LevelRecord rec = amr::read_level_record(r, l, "container");
+    h.levels[l].dims = rec.dims;
+    h.levels[l].mask_blob.assign(rec.mask_blob.begin(), rec.mask_blob.end());
   }
   h.index_offset = r.position();
   if (h.version >= 2) {
@@ -198,9 +161,7 @@ CommonHeader read_common_header(ByteReader& r) {
         r.get_count("container: payload index entry count", entry_bytes);
     h.index.entries.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const PayloadEntry e = h.version >= 4   ? read_payload_entry_v4(r)
-                             : h.version >= 3 ? read_payload_entry_v3(r)
-                                              : read_payload_entry(r);
+      const PayloadEntry e = read_payload_entry(r, h.version);
       if (h.version >= 3 &&
           e.profile > static_cast<std::uint8_t>(lossless::CodecProfile::kFast))
         throw lossless::ProfileError(

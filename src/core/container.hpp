@@ -123,8 +123,8 @@ inline constexpr std::size_t kPayloadEntryV3Bytes = kPayloadEntryBytes + 1;
 /// v4 container entries append the selector (per-payload method) byte.
 inline constexpr std::size_t kPayloadEntryV4Bytes = kPayloadEntryV3Bytes + 1;
 
-/// The single source of truth for the on-disk entry layout — every
-/// writer back-patches and every reader parses through these helpers.
+/// Writes the v2 entry fields (offset, length, crc32) at `pos`: the
+/// snapshot codec's field index back-patches its entries through it.
 inline void patch_payload_entry(ByteWriter& w, std::size_t pos,
                                 const PayloadEntry& e) {
   w.patch<std::uint64_t>(pos, e.offset);
@@ -132,35 +132,17 @@ inline void patch_payload_entry(ByteWriter& w, std::size_t pos,
   w.patch<std::uint32_t>(pos + 16, e.crc32);
 }
 
-inline void patch_payload_entry_v3(ByteWriter& w, std::size_t pos,
-                                   const PayloadEntry& e) {
-  patch_payload_entry(w, pos, e);
-  w.patch<std::uint8_t>(pos + kPayloadEntryBytes, e.profile);
-}
-
-inline void patch_payload_entry_v4(ByteWriter& w, std::size_t pos,
-                                   const PayloadEntry& e) {
-  patch_payload_entry_v3(w, pos, e);
-  w.patch<std::uint8_t>(pos + kPayloadEntryV3Bytes, e.selector);
-}
-
-[[nodiscard]] inline PayloadEntry read_payload_entry(ByteReader& r) {
+/// Reads one index entry as container version `version` lays it out: the
+/// v2 fields, then the codec-profile byte from v3 and the selector byte
+/// from v4. The snapshot codec's field index reads its entries as v2.
+[[nodiscard]] inline PayloadEntry read_payload_entry(ByteReader& r,
+                                                     std::uint8_t version) {
   PayloadEntry e;
   e.offset = r.get<std::uint64_t>();
   e.length = r.get<std::uint64_t>();
   e.crc32 = r.get<std::uint32_t>();
-  return e;
-}
-
-[[nodiscard]] inline PayloadEntry read_payload_entry_v3(ByteReader& r) {
-  PayloadEntry e = read_payload_entry(r);
-  e.profile = r.get<std::uint8_t>();
-  return e;
-}
-
-[[nodiscard]] inline PayloadEntry read_payload_entry_v4(ByteReader& r) {
-  PayloadEntry e = read_payload_entry_v3(r);
-  e.selector = r.get<std::uint8_t>();
+  if (version >= 3) e.profile = r.get<std::uint8_t>();
+  if (version >= 4) e.selector = r.get<std::uint8_t>();
   return e;
 }
 
@@ -172,62 +154,24 @@ struct PayloadIndex {
   std::vector<PayloadEntry> entries;
 };
 
-/// Fills the reserved index slots of a v2 container as payloads are
-/// written. `write_common_header` reserves `n_payloads` zeroed entries and
-/// returns a builder; the backend brackets every payload it appends with
-/// begin_payload()/end_payload(), which records the offset/length and
-/// checksums the bytes in between. Sealing fewer or more payloads than
-/// reserved is a logic error (caught by end_payload / finish).
-class PayloadIndexBuilder {
- public:
-  PayloadIndexBuilder() = default;
+struct CompressedAmr;  // core/tac.hpp
+struct LevelPayload;   // core/backend.hpp
 
-  /// Marks the writer's current position as the start of the next payload.
-  void begin_payload();
-
-  /// Seals the payload opened by the last begin_payload(): patches its
-  /// index entry with {offset, length, crc32 of the written bytes} and
-  /// stamps the selector byte with the container's own method tag.
-  void end_payload();
-
-  /// Like end_payload(), but records `chosen` as the payload's selector
-  /// byte — the auto pseudo-backend's per-level winner.
-  void end_payload(Method chosen);
-
-  /// Verifies every reserved entry was sealed; throws std::logic_error
-  /// otherwise. Called by backends after their last payload as a cheap
-  /// format self-check.
-  void finish() const;
-
- private:
-  friend PayloadIndexBuilder write_common_header(ByteWriter& w, Method method,
-                                                 const amr::AmrDataset& ds,
-                                                 std::size_t n_payloads);
-  PayloadIndexBuilder(ByteWriter& w, std::size_t entries_pos,
-                      std::size_t count, Method method)
-      : w_(&w), entries_pos_(entries_pos), count_(count), method_(method) {}
-
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  ByteWriter* w_ = nullptr;
-  std::size_t entries_pos_ = 0;  ///< buffer offset of the first entry
-  std::size_t count_ = 0;
-  std::size_t sealed_ = 0;
-  std::size_t open_begin_ = kNone;
-  Method method_ = Method::kTac;  ///< default selector stamp
-};
-
-/// Writes the v4 outer header — method, field, ratio, level masks — and
-/// reserves a payload index with `n_payloads` entries, each stamped with
-/// the kFast codec profile (lossless::default_profile(), the encoder
-/// family of every stream a writer emits, including the mask blobs
-/// written here) and, at end_payload time, a selector byte (the container
-/// method unless the `end_payload(Method)` overload names a per-payload
-/// winner). The returned builder must seal exactly `n_payloads` payloads
-/// appended directly after the header.
-[[nodiscard]] PayloadIndexBuilder write_common_header(
-    ByteWriter& w, Method method, const amr::AmrDataset& ds,
-    std::size_t n_payloads);
+/// The one container writer: lays out the v4 header (method, field,
+/// ratio, one amr level record per level), a payload index with one entry
+/// per element of `payloads`, then the payloads in order. Entry i records
+/// payload i's absolute offset, length and CRC32, the kFast codec profile
+/// (lossless::default_profile(), the encoder family of every stream a
+/// writer emits, the header's mask blobs included) and
+/// `payloads[i].report.method` as its selector byte: the container's own
+/// tag for fixed backends, the per-level winner for auto. The report sums
+/// `original_bytes` from the payloads' `valid_cells`, and each level
+/// report's `compressed_bytes` is its payload's length. Per-level
+/// backends pass one payload per level; zMesh and 3D pass one payload that
+/// interleaves every level.
+[[nodiscard]] CompressedAmr write_container(
+    Method method, const amr::AmrDataset& ds,
+    std::vector<LevelPayload> payloads);
 
 /// One level's structure as the header stores it: the grid extents and
 /// the still-compressed bit-packed mask (a few KB even for a 256^3
@@ -263,11 +207,10 @@ struct CommonHeader {
 /// than the header's, raises SelectorError naming the payload.
 [[nodiscard]] CommonHeader read_common_header(ByteReader& r);
 
-/// Builds level `l` of the header's structure: the mask blob is
-/// decompressed and checked to hold at least ceil(volume/8) bytes
-/// (std::runtime_error otherwise) before the level is allocated, the mask
-/// is unpacked in place and the data array is zero. Throws
-/// std::out_of_range for a level the header does not have.
+/// Builds level `l` of the header's structure through
+/// amr::level_from_record, which checks the mask blob before the level is
+/// allocated (std::runtime_error). Throws std::out_of_range for a level
+/// the header does not have.
 [[nodiscard]] amr::AmrLevel materialize_level(const CommonHeader& header,
                                               std::size_t l);
 

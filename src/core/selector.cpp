@@ -164,7 +164,7 @@ namespace {
 
 /// The `auto` pseudo-backend: per level, run the selection trial, encode
 /// with the winner, and stamp the winner's tag into the v4 selector byte.
-/// Decoding is the shared per-level reader (decompress_per_level), which
+/// It decodes through the default decompress, decompress_per_level, which
 /// dispatches every payload to the backend its index entry names, so
 /// mixed-method containers round-trip through the ordinary
 /// decompress_any / decompress_level entry points.
@@ -188,12 +188,6 @@ class AutoBackend final : public CompressorBackend {
       payload.report.method = winner;
       return payload;
     });
-  }
-
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const override {
-    return decompress_per_level(r, std::move(skeleton), header);
   }
 };
 

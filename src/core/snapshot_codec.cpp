@@ -66,7 +66,7 @@ ParsedSnapshot parse_snapshot(std::span<const std::uint8_t> bytes) {
   out.entries.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.names.push_back(r.get_string());
-    const PayloadEntry e = read_payload_entry(r);
+    const PayloadEntry e = read_payload_entry(r, /*version=*/2);
     if (e.offset > bytes.size() || e.length > bytes.size() - e.offset)
       throw std::runtime_error(
           "snapshot container: field \"" + out.names.back() +

@@ -300,12 +300,6 @@ class TacBackend final : public CompressorBackend {
     });
   }
 
-  [[nodiscard]] amr::AmrDataset decompress(
-      ByteReader& r, amr::AmrDataset skeleton,
-      const CommonHeader& header) const override {
-    return decompress_per_level(r, std::move(skeleton), header);
-  }
-
   [[nodiscard]] bool supports_level_payloads() const override { return true; }
 
   [[nodiscard]] LevelPayload compress_level_payload(

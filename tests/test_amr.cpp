@@ -15,6 +15,7 @@
 #include "amr/amr_io.hpp"
 #include "amr/dataset.hpp"
 #include "amr/uniform.hpp"
+#include "lossless/codec.hpp"
 
 namespace tac::amr {
 namespace {
@@ -552,15 +553,16 @@ TEST(HugePageRuns, BuilderUnpacksTheSameMask) {
   for (std::size_t i = 0; i < mask.size(); ++i)
     mask[i] = i < mask.size() / 2 ? (rng() % 4 != 0) : (rng() % 5000 == 0);
   const auto packed = pack_mask(mask);
-  const AmrLevel lv = level_from_packed_mask(d, packed);
+  const auto blob = lossless::compress(packed);
+  const AmrLevel lv = level_from_record({d, blob}, 0, "test");
   ASSERT_EQ(lv.dims(), d);
   EXPECT_TRUE(std::equal(mask.begin(), mask.end(), lv.mask.span().begin()));
   EXPECT_EQ(lv.mask.span().size(), mask.size());
   for (std::size_t i = 0; i < lv.data.size(); ++i)
     ASSERT_EQ(lv.data[i], 0.0) << i;
-  EXPECT_THROW((void)level_from_packed_mask(
-                   d, std::span<const std::uint8_t>(packed).first(
-                          packed.size() - 1)),
+  const auto short_blob = lossless::compress(
+      std::span<const std::uint8_t>(packed).first(packed.size() - 1));
+  EXPECT_THROW((void)level_from_record({d, short_blob}, 0, "test"),
                std::runtime_error);
 }
 

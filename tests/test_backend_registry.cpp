@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -221,7 +222,9 @@ TEST(BackendRegistry, ContainerRejectsTruncatedAndForeignHeaders) {
 }
 
 // A minimal lossless backend on a free tag: proves third-party methods
-// plug in through the registry with no changes to decompress_any.
+// plug in through the registry with no changes to decompress_any. It is a
+// whole-container backend (it reads its payloads in order from `r` and
+// has no per-level hooks), so it never joins auto's candidate set.
 class RawBackend final : public CompressorBackend {
  public:
   static constexpr Method kTag = static_cast<Method>(200);
@@ -231,21 +234,16 @@ class RawBackend final : public CompressorBackend {
 
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig&) const override {
-    ByteWriter w;
-    PayloadIndexBuilder index =
-        write_common_header(w, kTag, ds, ds.num_levels());
+    std::vector<LevelPayload> payloads(ds.num_levels());
     for (std::size_t l = 0; l < ds.num_levels(); ++l) {
       const auto& data = ds.level(l).data;
-      index.begin_payload();
+      ByteWriter w;
       w.put_blob({reinterpret_cast<const std::uint8_t*>(data.span().data()),
                   data.size() * sizeof(double)});
-      index.end_payload();
+      payloads[l].bytes = w.take();
+      payloads[l].report.method = kTag;
     }
-    index.finish();
-    CompressedAmr out;
-    out.bytes = w.take();
-    out.report.method = kTag;
-    return out;
+    return write_container(kTag, ds, std::move(payloads));
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

@@ -8,6 +8,7 @@
 
 #include "alloc_counter.hpp"
 #include "container_downgrade.hpp"
+#include "amr/amr_io.hpp"
 #include "amr/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/parallel.hpp"
@@ -72,6 +73,36 @@ TEST(ContainerV2, HeaderCarriesPayloadIndex) {
     }
     EXPECT_EQ(cursor, bytes.size()) << to_string(m);
     EXPECT_NO_THROW(verify_payloads(bytes, h.index)) << to_string(m);
+  }
+}
+
+TEST(ContainerV2, HeaderLevelRecordsAreTheAmrFileRecords) {
+  // The container header and the .amr file store each level through one
+  // record writer, so a level's mask blob is the same bytes in both.
+  const auto ds = small_dataset(32, {0.1, 0.3, 0.6});
+  const auto file = amr::dataset_to_bytes(ds);
+  ByteReader fr(file);
+  (void)fr.get<std::uint32_t>();  // magic
+  (void)fr.get<std::uint8_t>();   // version
+  (void)fr.get_string();
+  (void)fr.get_varint();  // refinement ratio
+  ASSERT_EQ(fr.get_varint(), ds.num_levels());
+  std::vector<amr::LevelRecord> records;
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    records.push_back(amr::read_level_record(fr, l, "test"));
+    (void)fr.get_blob();  // values
+  }
+  for (const Method m : {Method::kTac, Method::kOneD, Method::kZMesh,
+                         Method::kUpsample3D, Method::kAuto}) {
+    const auto bytes = compress_with(m, ds);
+    const CommonHeader h = header_of(bytes);
+    ASSERT_EQ(h.num_levels(), records.size()) << to_string(m);
+    for (std::size_t l = 0; l < records.size(); ++l) {
+      EXPECT_EQ(h.levels[l].dims, records[l].dims) << to_string(m) << l;
+      EXPECT_TRUE(std::ranges::equal(h.levels[l].mask_blob,
+                                     records[l].mask_blob))
+          << to_string(m) << " level " << l;
+    }
   }
 }
 

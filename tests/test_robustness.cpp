@@ -287,6 +287,18 @@ TEST(HostileAmrFile, HandBuiltFileParses) {
   EXPECT_EQ(ds.level(0).valid_count(), 0u);
 }
 
+TEST(HostileAmrFile, OversizedDimsThrowBeforeAllocating) {
+  // 2048^3 cells behind a one-byte mask: the level record builder the
+  // container shares (see HostileHeader) rejects the mask before the
+  // level exists.
+  const auto bytes = hand_built_amr(1, 2048, 2048, 2048);
+  EXPECT_LT(bytes.size(), 64u);
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)amr::dataset_from_bytes(bytes), std::runtime_error);
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
 TEST(HostileAmrFile, LevelCountBeyondTheBytesThrows) {
   const auto bytes = hand_built_amr(std::uint64_t{1} << 40, 2, 2, 2);
   EXPECT_LT(bytes.size(), 32u);
