@@ -18,10 +18,10 @@
 ///   - disabled telemetry (TAC_TRACE off) must cost <= 1% on the
 ///     instrumented huffman_decompress wrapper, in the median of the
 ///     per-round ratios.
-/// The valid_scan row (sparse AmrLevel mask scans against raster byte
-/// loops) and the huffman_build and huffman_encode rows (the encode-side
-/// entropy stage, timed alone over the huffman_decode symbols) are
-/// report-only.
+/// The valid_scan rows (AmrLevel mask scans against raster byte loops,
+/// on a sparse and a dense level) and the huffman_build and
+/// huffman_encode rows (the encode-side entropy stage, timed alone over
+/// the huffman_decode symbols) are report-only.
 
 #include <algorithm>
 #include <cstdio>
@@ -251,12 +251,9 @@ KernelResult bench_mask_roundtrip() {
   });
 }
 
-/// The AmrLevel mask scans on a Run2_T4-like finest level: 256^3 cells of
-/// which 512 are valid (0.003%), in 64 scattered 2^3 clusters. A runs
-/// valid_count, valid_range and gather_valid_into, which skip empty mask
-/// chunks; B runs the raster byte loops they replaced. Report only: the
-/// gap follows the density, so no floor is set on it.
-KernelResult bench_valid_scan() {
+/// A Run2_T4-like finest level: 256^3 cells of which 512 are valid
+/// (0.003%), in 64 scattered 2^3 clusters.
+amr::AmrLevel sparse_scan_level() {
   const std::size_t n = 256;
   amr::AmrLevel lv(Dims3{n, n, n});
   std::fill_n(lv.mask.data(), lv.mask.size(), std::uint8_t{0});  // page in
@@ -271,9 +268,42 @@ KernelResult bench_valid_scan() {
           lv.data(x, y, z) = static_cast<double>(x + y + z);
         }
   }
-  std::vector<double> out(lv.mask.size() / 64);
+  return lv;
+}
+
+/// A Run1_Z10-like finest level: 256^3 cells, about a quarter valid, in
+/// refinement boxes of 4 to 40 cells a side, so rows hold runs of every
+/// length.
+amr::AmrLevel dense_scan_level() {
+  const std::size_t n = 256;
+  amr::AmrLevel lv(Dims3{n, n, n});
+  std::fill_n(lv.mask.data(), lv.mask.size(), std::uint8_t{0});  // page in
+  std::mt19937 rng(17);
+  std::size_t valid = 0;
+  while (valid < lv.mask.size() / 4) {
+    const std::size_t w = 4 + rng() % 37;
+    const std::size_t x0 = rng() % (n - w), y0 = rng() % (n - w),
+                      z0 = rng() % (n - w);
+    for (std::size_t z = z0; z < z0 + w; ++z)
+      for (std::size_t y = y0; y < y0 + w; ++y)
+        for (std::size_t x = x0; x < x0 + w; ++x) {
+          valid += lv.mask(x, y, z) == 0;
+          lv.mask(x, y, z) = 1;
+          lv.data(x, y, z) = static_cast<double>(x + y + z);
+        }
+  }
+  return lv;
+}
+
+/// The AmrLevel mask scans on one level: A runs valid_count, valid_range
+/// and gather_valid_into, which walk the mask's runs; B runs the raster
+/// byte loops they replaced. Report only: the gap follows the density
+/// and the run lengths, so no floor is set on it.
+KernelResult bench_valid_scan(const std::string& name,
+                              const amr::AmrLevel& lv) {
+  std::vector<double> out(lv.valid_count());
   auto r = ab(
-      "valid_scan", lv.mask.size(),
+      name, lv.mask.size(),
       [&] {
         const std::size_t count = lv.valid_count();
         const auto [lo, hi] = lv.valid_range();
@@ -482,7 +512,9 @@ int main() {
   results.push_back(bench_lzss_compress());
   results.push_back(bench_lzss_decompress());
   results.push_back(bench_mask_roundtrip());
-  results.push_back(bench_valid_scan());
+  results.push_back(bench_valid_scan("valid_scan", sparse_scan_level()));
+  results.push_back(
+      bench_valid_scan("valid_scan_dense", dense_scan_level()));
   results.push_back(bench_arena_vs_heap());
   results.push_back(bench_telemetry_off_overhead());
 

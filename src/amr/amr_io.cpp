@@ -70,30 +70,20 @@ void write_level_record(ByteWriter& w, const AmrLevel& lv) {
 
 std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
   std::vector<std::uint8_t> out((mask.size() + 7) / 8, 0);
-  std::size_t i = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Eight mask bytes at a time: collapse each byte to its "nonzero"
-    // bit, then gather the eight indicator bits (LSB-first, matching the
-    // scalar loop) with one multiply. Bit-identical to the byte loop.
-    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-    constexpr std::uint64_t kGather = 0x0102040810204080ULL;
-    const auto pack_word = [&](std::size_t k) {
-      std::uint64_t v;
-      std::memcpy(&v, mask.data() + k, 8);
-      const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
-      out[k / 8] = static_cast<std::uint8_t>((nonzero * kGather) >> 56);
-    };
-    // `out` starts zeroed, so an all-empty chunk (most of a sparse level)
-    // costs its four word loads and no write.
-    for (; i + kMaskChunk <= mask.size(); i += kMaskChunk) {
-      if (mask_chunk_empty(mask.data() + i)) continue;
-      for (std::size_t k = i; k < i + kMaskChunk; k += 8) pack_word(k);
+  // Bits LSB-first; `out` starts zeroed, so only runs cost writes.
+  for_each_valid_run(mask, [&](std::size_t lo, std::size_t hi) {
+    const std::size_t first = lo / 8;
+    const std::size_t last = hi / 8;
+    const auto head = static_cast<std::uint8_t>(0xFFu << (lo % 8));
+    const auto tail = static_cast<std::uint8_t>((1u << (hi % 8)) - 1);
+    if (first == last) {
+      out[first] |= head & tail;
+      return;
     }
-    for (; i + 8 <= mask.size(); i += 8) pack_word(i);
-  }
-  for (; i < mask.size(); ++i)
-    if (mask[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    out[first] |= head;
+    std::memset(out.data() + first + 1, 0xFF, last - first - 1);
+    if (tail != 0) out[last] |= tail;
+  });
   return out;
 }
 

@@ -8,35 +8,41 @@
 namespace tac::amr {
 
 std::size_t AmrLevel::valid_count() const {
-  const std::uint8_t* m = mask.data();
-  const std::size_t size = mask.size();
   std::size_t n = 0;
-  std::size_t i = 0;
-  for (; i + kMaskChunk <= size; i += kMaskChunk)
-    if (!mask_chunk_empty(m + i)) n += count_nonzero_bytes(m + i, kMaskChunk);
-  return n + count_nonzero_bytes(m + i, size - i);
+  for_each_valid_run(mask.span(), [&](std::size_t lo, std::size_t hi) {
+    n += hi - lo;
+  });
+  return n;
 }
 
 std::vector<double> AmrLevel::gather_valid() const {
   std::vector<double> out;
   out.reserve(valid_count());
-  for_each_valid([&](std::size_t i) { out.push_back(data[i]); });
+  const double* d = data.data();
+  for_each_valid_run(mask.span(), [&](std::size_t lo, std::size_t hi) {
+    out.insert(out.end(), d + lo, d + hi);
+  });
   return out;
 }
 
 std::size_t AmrLevel::gather_valid_into(std::span<double> out) const {
+  const double* d = data.data();
   std::size_t n = 0;
-  for_each_valid([&](std::size_t i) { out[n++] = data[i]; });
+  for_each_valid_run(mask.span(), [&](std::size_t lo, std::size_t hi) {
+    std::memcpy(out.data() + n, d + lo, (hi - lo) * sizeof(double));
+    n += hi - lo;
+  });
   return n;
 }
 
 void AmrLevel::scatter_valid(std::span<const double> values) {
   double* d = data.data();
   std::size_t vi = 0;
-  for_each_valid([&](std::size_t i) {
-    if (vi >= values.size())
+  for_each_valid_run(mask.span(), [&](std::size_t lo, std::size_t hi) {
+    if (hi - lo > values.size() - vi)
       throw std::invalid_argument("scatter_valid: too few values");
-    d[i] = values[vi++];
+    std::memcpy(d + lo, values.data() + vi, (hi - lo) * sizeof(double));
+    vi += hi - lo;
   });
   if (vi != values.size())
     throw std::invalid_argument("scatter_valid: too many values");
@@ -45,11 +51,12 @@ void AmrLevel::scatter_valid(std::span<const double> values) {
 std::pair<double, double> AmrLevel::valid_range() const {
   bool any = false;
   double lo = 0, hi = 0;
-  for_each_valid([&](std::size_t i) {
+  for_each_valid_run(mask.span(), [&](std::size_t b, std::size_t e) {
     if (!any) {
-      lo = hi = data[i];
+      lo = hi = data[b];
       any = true;
-    } else {
+    }
+    for (std::size_t i = b; i < e; ++i) {
       lo = std::min(lo, data[i]);
       hi = std::max(hi, data[i]);
     }

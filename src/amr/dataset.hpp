@@ -10,6 +10,8 @@
 /// refinement (no redundancy across levels, unlike patch-based AMR).
 /// Level 0 is the finest.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -19,65 +21,110 @@
 #include "common/array3d.hpp"
 #include "common/dims.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace tac::amr {
 
-/// Mask bytes a scan tests at once: four 8-byte words.
-inline constexpr std::size_t kMaskChunk = 32;
-
-/// True when the kMaskChunk mask bytes at `p` are all zero: four word
-/// loads and one branch.
-inline bool mask_chunk_empty(const std::uint8_t* p) {
-  std::uint64_t w[kMaskChunk / 8];
-  std::memcpy(w, p, sizeof(w));
-  return (w[0] | w[1] | w[2] | w[3]) == 0;
-}
-
-/// True when the `n` mask bytes at `p` are all zero. Stops at the first
-/// nonzero chunk.
-inline bool mask_bytes_empty(const std::uint8_t* p, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kMaskChunk <= n; i += kMaskChunk)
-    if (!mask_chunk_empty(p + i)) return false;
-  std::uint8_t any = 0;
-  for (; i < n; ++i) any |= p[i];
-  return any == 0;
-}
-
-/// True when none of the `n` mask bytes at `p` is zero, eight at a time:
-/// a word w holds a zero byte exactly when (w - 0x01..01) & ~w & 0x80..80
-/// is nonzero. Stops at the first word with an empty cell.
-inline bool mask_bytes_full(const std::uint8_t* p, std::size_t n) {
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-  constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, sizeof(w));
-    if ((w - kOnes) & ~w & kHighs) return false;
-  }
-  for (; i < n; ++i)
-    if (p[i] == 0) return false;
-  return true;
-}
-
-/// Number of nonzero bytes among the `n` mask bytes at `p`. Per 8-byte
-/// word, the high bit of each byte becomes its "nonzero" flag (the same
-/// kLow7 trick as amr_io's pack_mask) and one multiply sums the eight
-/// flags into the top byte. No popcount instruction: the build targets
-/// baseline x86-64, where __builtin_popcountll is a libgcc call.
-inline std::size_t count_nonzero_bytes(const std::uint8_t* p, std::size_t n) {
+namespace detail {
+/// Bit k of the result set when p[k] is nonzero, k < len <= 64, on any
+/// host: eight bytes per step, each byte's high bit made its "nonzero"
+/// flag without carries between bytes, then one multiply gathers the
+/// eight flags LSB-first. An all-empty group of 64 costs one test.
+inline std::uint64_t nonzero_bits_portable(const std::uint8_t* p,
+                                           std::size_t len) {
   constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t v;
-    std::memcpy(&v, p + i, sizeof(v));
-    const std::uint64_t nonzero = (((v & kLow7) + kLow7) | v) >> 7 & kOnes;
-    count += static_cast<std::size_t>((nonzero * kOnes) >> 56);
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;
+  const auto word = [p](std::size_t at) {
+    std::uint64_t w;
+    std::memcpy(&w, p + at, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big)
+      w = __builtin_bswap64(w);
+    return w;
+  };
+  if (len == 64) {
+    std::uint64_t any = 0;
+    for (std::size_t k = 0; k < 64; k += 8) any |= word(k);
+    if (any == 0) return 0;
   }
-  for (; i < n; ++i) count += p[i] ? 1 : 0;
-  return count;
+  std::uint64_t bits = 0;
+  std::size_t k = 0;
+  for (; k + 8 <= len; k += 8) {
+    const std::uint64_t w = word(k);
+    const std::uint64_t flags = (((w & kLow7) + kLow7) | w) & ~kLow7;
+    bits |= ((flags >> 7) * kGather >> 56) << k;
+  }
+  for (; k < len; ++k) bits |= std::uint64_t{p[k] != 0} << k;
+  return bits;
+}
+
+/// The same bitmap. A whole group of 64 takes four SSE2 byte compares
+/// where the host has them (every x86-64), which reads dense levels in
+/// about half the time of the multiply gather; a shorter group, and
+/// every group elsewhere, takes `nonzero_bits_portable`.
+inline std::uint64_t nonzero_bits(const std::uint8_t* p, std::size_t len) {
+#if defined(__SSE2__)
+  if (len == 64) {
+    const auto load = [p](int at) {
+      return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + at));
+    };
+    const auto nonzero = [](__m128i v) {
+      const int empty =
+          _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128()));
+      return std::uint64_t{static_cast<std::uint16_t>(~empty)};
+    };
+    const __m128i v[4] = {load(0), load(16), load(32), load(48)};
+    if (nonzero(_mm_or_si128(_mm_or_si128(v[0], v[1]),
+                             _mm_or_si128(v[2], v[3]))) == 0)
+      return 0;
+    return nonzero(v[0]) | nonzero(v[1]) << 16 | nonzero(v[2]) << 32 |
+           nonzero(v[3]) << 48;
+  }
+#endif
+  return nonzero_bits_portable(p, len);
+}
+}  // namespace detail
+
+/// Calls `fn(lo, hi)` for each maximal run [lo, hi) of nonzero bytes of
+/// `mask`, in raster order. Every bulk read of a level mask goes through
+/// here. Each group of 64 mask bytes (the last one shorter) becomes a
+/// bitmap whose run edges are found with bit scans, so an empty or a
+/// full group costs one compare and a run two bit scans however long it
+/// is.
+template <class Fn>
+void for_each_valid_run(std::span<const std::uint8_t> mask, Fn&& fn) {
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  const std::uint8_t* m = mask.data();
+  const std::size_t n = mask.size();
+  std::size_t lo = 0;
+  bool open = false;  // a run reached the end of the previous group
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = std::min<std::size_t>(n - base, 64);
+    std::uint64_t bits = detail::nonzero_bits(m + base, len);
+    // A full group only extends the open run. Taking it by a branch, not
+    // by bit scans, lets a fully valid short span (a TAC block row) call
+    // `fn` before its mask bytes have loaded.
+    if (bits == kAll >> (64 - len)) {
+      if (!open) lo = base;
+      open = true;
+      continue;
+    }
+    if (open && (bits & 1) == 0) {
+      fn(lo, base);
+      open = false;
+    }
+    while (bits != 0) {
+      const int start = std::countr_zero(bits);
+      const int end = start + std::countr_one(bits >> start);
+      if (!open) lo = base + start;
+      open = end == 64;
+      if (open) break;
+      fn(lo, base + end);
+      bits &= kAll << end;
+    }
+  }
+  if (open) fn(lo, n);
 }
 
 /// One refinement level: a full-domain grid plus a validity mask. Cells
@@ -92,28 +139,8 @@ struct AmrLevel {
 
   [[nodiscard]] const Dims3& dims() const { return data.dims(); }
 
-  /// Number of valid cells. Counts eight mask bytes per step
-  /// (count_nonzero_bytes) and skips all-empty 32-byte chunks, so a
-  /// sparse level costs about one load per mask word.
+  /// Number of valid cells: the summed length of the mask's runs.
   [[nodiscard]] std::size_t valid_count() const;
-
-  /// Calls `fn(i)` with the raster index of every valid cell, in raster
-  /// order. An all-empty 32-byte chunk of the mask costs four word loads
-  /// and no per-cell branch, so a sparse level's scan is mostly word
-  /// loads. Every full-level mask scan goes through here.
-  template <class Fn>
-  void for_each_valid(Fn&& fn) const {
-    const std::uint8_t* m = mask.data();
-    const std::size_t n = mask.size();
-    std::size_t i = 0;
-    for (; i + kMaskChunk <= n; i += kMaskChunk) {
-      if (mask_chunk_empty(m + i)) continue;
-      for (std::size_t k = i; k < i + kMaskChunk; ++k)
-        if (m[k]) fn(k);
-    }
-    for (; i < n; ++i)
-      if (m[i]) fn(i);
-  }
 
   /// Fraction of this level's grid that is valid — the "density" the
   /// paper's filter switches on (Table 1 column 3).

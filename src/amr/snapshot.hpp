@@ -5,9 +5,10 @@
 /// \brief Multi-field timestep snapshots.
 ///
 /// AMR codes dump every field of a timestep together (Nyx: six fields on
-/// one grid hierarchy). A Snapshot bundles the per-field datasets, and the
-/// compressed form stores the shared refinement structure once plus one
-/// method-tagged payload per field.
+/// one grid hierarchy). A Snapshot bundles the per-field datasets. The
+/// compressed form is a field index followed by one complete container
+/// per field, each with its own level records, so every field carries
+/// its own copy of the shared refinement structure (docs/FORMAT.md).
 
 #include <string>
 #include <vector>

@@ -53,26 +53,6 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Appends `n` zero bytes and returns their offset, for fields whose
-  /// values are only known later (payload index tables): write the rest of
-  /// the buffer, then `patch` the reserved range.
-  std::size_t reserve(std::size_t n) {
-    const std::size_t pos = buf_.size();
-    buf_.resize(pos + n, 0);
-    return pos;
-  }
-
-  /// Overwrites previously written (or reserved) bytes at `pos`. Throws if
-  /// the value would extend past the current end — patching never grows
-  /// the buffer.
-  template <class T>
-    requires std::is_trivially_copyable_v<T>
-  void patch(std::size_t pos, const T& v) {
-    if (pos + sizeof(T) > buf_.size())
-      throw std::out_of_range("ByteWriter::patch: range past end of buffer");
-    std::memcpy(buf_.data() + pos, &v, sizeof(T));
-  }
-
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const {

@@ -1,7 +1,5 @@
 #include "common/telemetry.hpp"
 
-#if TAC_TELEMETRY
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -528,5 +526,3 @@ bool write_chrome_trace_file(const std::string& path) {
 }
 
 }  // namespace tac::telemetry
-
-#endif  // TAC_TELEMETRY

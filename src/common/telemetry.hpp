@@ -7,9 +7,7 @@
 ///   1. Zero cost when off. `TAC_TRACE` is unset for every production
 ///      decode, so the disabled path of a span or counter is one relaxed
 ///      atomic load and a predictable branch — no clock reads, no
-///      allocation, no thread-local ring touch. Compiling with
-///      -DTAC_TELEMETRY=0 removes even that load: the macros expand to
-///      nothing and the API degrades to inline stubs.
+///      allocation, no thread-local ring touch.
 ///   2. No locks on the hot path. Spans append to a fixed-capacity
 ///      thread-local ring (single writer, release-published size);
 ///      per-name stage totals accumulate in a thread-local open-address
@@ -37,10 +35,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef TAC_TELEMETRY
-#define TAC_TELEMETRY 1
-#endif
 
 namespace tac::telemetry {
 
@@ -91,8 +85,6 @@ struct CounterValue {
   std::string name;
   std::uint64_t value = 0;
 };
-
-#if TAC_TELEMETRY
 
 namespace detail {
 // Mode lives in a plain atomic so the disabled check inlines everywhere
@@ -200,39 +192,6 @@ void write_chrome_trace(std::ostream& os);
 /// I/O failure.
 bool write_chrome_trace_file(const std::string& path);
 
-#else  // !TAC_TELEMETRY — stubs; macros below compile to nothing.
-
-[[nodiscard]] inline Mode mode() { return Mode::kOff; }
-[[nodiscard]] inline bool counters_enabled() { return false; }
-[[nodiscard]] inline bool spans_enabled() { return false; }
-inline Mode set_mode(Mode) { return Mode::kOff; }
-inline Counter& counter(std::string_view) {
-  static Counter c;
-  return c;
-}
-inline void register_collect_hook(std::function<void()>) {}
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*, std::uint64_t = 0) {}
-  void set_bytes(std::uint64_t) noexcept {}
-  void add_bytes(std::uint64_t) noexcept {}
-};
-[[nodiscard]] inline std::vector<Span> collect_spans() { return {}; }
-[[nodiscard]] inline std::vector<StageStat> collect_stages() { return {}; }
-[[nodiscard]] inline std::vector<CounterValue> collect_counters() {
-  return {};
-}
-inline void reset_spans() {}
-inline void reset_stages() {}
-inline void reset_counters() {}
-inline void reset_all() {}
-inline void print_stage_tree(std::ostream&) {}
-inline void print_counters(std::ostream&) {}
-inline void write_chrome_trace(std::ostream&) {}
-inline bool write_chrome_trace_file(const std::string&) { return true; }
-
-#endif  // TAC_TELEMETRY
-
 }  // namespace tac::telemetry
 
 // ---- instrumentation macros ------------------------------------------------
@@ -242,14 +201,13 @@ inline bool write_chrome_trace_file(const std::string&) { return true; }
 //   can set_bytes()/add_bytes() before it closes.
 // TAC_COUNTER_ADD("name", n) / TAC_COUNTER_MAX("name", v): registry
 //   counters; the lookup is amortised behind a function-local static.
-#define TAC_TELEMETRY_CAT2(a, b) a##b
-#define TAC_TELEMETRY_CAT(a, b) TAC_TELEMETRY_CAT2(a, b)
+#define TAC_SPAN_CAT2(a, b) a##b
+#define TAC_SPAN_CAT(a, b) TAC_SPAN_CAT2(a, b)
 
-#if TAC_TELEMETRY
 #define TAC_SPAN(name) \
-  ::tac::telemetry::ScopedSpan TAC_TELEMETRY_CAT(tac_span_, __LINE__)(name)
-#define TAC_SPAN_BYTES(name, n)                                       \
-  ::tac::telemetry::ScopedSpan TAC_TELEMETRY_CAT(tac_span_, __LINE__)( \
+  ::tac::telemetry::ScopedSpan TAC_SPAN_CAT(tac_span_, __LINE__)(name)
+#define TAC_SPAN_BYTES(name, n)                                  \
+  ::tac::telemetry::ScopedSpan TAC_SPAN_CAT(tac_span_, __LINE__)( \
       name, static_cast<std::uint64_t>(n))
 #define TAC_SPAN_NAMED(var, name) ::tac::telemetry::ScopedSpan var(name)
 #define TAC_COUNTER_ADD(name, n)                                          \
@@ -268,12 +226,3 @@ inline bool write_chrome_trace_file(const std::string&) { return true; }
       tac_counter_.record_max(static_cast<std::uint64_t>(v));             \
     }                                                                     \
   } while (0)
-#else
-// sizeof keeps the operands name-checked (and silences set-but-unused
-// warnings) without evaluating them.
-#define TAC_SPAN(name) ((void)sizeof(name))
-#define TAC_SPAN_BYTES(name, n) ((void)sizeof(name), (void)sizeof(n))
-#define TAC_SPAN_NAMED(var, name) ::tac::telemetry::ScopedSpan var(name)
-#define TAC_COUNTER_ADD(name, n) ((void)sizeof(name), (void)sizeof(n))
-#define TAC_COUNTER_MAX(name, v) ((void)sizeof(name), (void)sizeof(v))
-#endif

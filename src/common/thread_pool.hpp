@@ -8,7 +8,7 @@
 /// parallel_for used to spawn (and join) fresh std::threads on every call;
 /// with the level pipeline issuing nested loops per container that cost
 /// shows up as thousands of short-lived threads. The pool keeps one set of
-/// hardware_concurrency workers alive and hands them *loops*: a loop is a
+/// workers alive and hands them *loops*: a loop is a
 /// chunk counter plus a run_chunk callable, and every idle worker claims
 /// chunks from the oldest loop that has any left (work stealing at chunk
 /// granularity — a single enqueue fans out to all workers).
@@ -21,7 +21,10 @@
 /// hardware_parallelism() threads (the cap parallel_for passes) run chunks
 /// at once: an idle worker takes a chunk only below that cap, while a
 /// thread already inside a chunk (running its nested loop) keeps the slot
-/// it holds.
+/// it holds. The caller is one of those threads, so the pool starts
+/// hardware_parallelism() - 1 workers and grows only when a loop asks for
+/// a larger cap (a larger set_parallelism pin); it never starts threads
+/// that the cap would keep idle.
 ///
 /// Deadlock-freedom: every thread's stack holds chunks in the order it
 /// claimed them, and a waiting thread waits only for chunks of a loop it
@@ -63,10 +66,13 @@ class ThreadPool {
   /// it visible to the workers, claims its chunks on the calling thread,
   /// then runs pending chunks of any loop until the last of its own
   /// chunks, claimed elsewhere, has finished.
-  /// `max_busy` caps the threads that run chunks at once.
+  /// `max_busy` caps the threads that run chunks at once; the pool grows
+  /// to max_busy - 1 workers, the calling thread being the last one.
   void run(const std::shared_ptr<Loop>& loop, unsigned max_busy) {
     const bool outermost = !tl_in_chunk;
     std::unique_lock<std::mutex> lock(m_);
+    while (workers_.size() + 1 < max_busy)
+      workers_.emplace_back([this] { worker_loop(); });
     max_busy_ = max_busy;
     loops_.push_back(loop);
     TAC_COUNTER_ADD("pool.loops_submitted", 1);
@@ -110,13 +116,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
  private:
-  ThreadPool() {
-    unsigned n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
+  ThreadPool() = default;
 
   ~ThreadPool() {
     {

@@ -48,17 +48,12 @@ class BlockGrid {
   Dims3 blocks_;
 };
 
-/// Per-unit-block occupancy (1 = contains at least one valid cell).
-[[nodiscard]] Array3D<std::uint8_t> block_occupancy(const amr::AmrLevel& level,
-                                                    const BlockGrid& grid);
-
-/// Valid cells of `level`, counted inside the blocks `occ`
-/// (block_occupancy(level, grid)) marks occupied only: equal to
-/// level.valid_count(), but a sparse level costs its occupied blocks, not
-/// another scan of its domain.
-[[nodiscard]] std::size_t occupied_valid_count(
+/// Per-unit-block occupancy (1 = contains at least one valid cell), from
+/// the runs of the level's mask. The walk also counts the level's valid
+/// cells, stored to `valid_cells` when it is given.
+[[nodiscard]] Array3D<std::uint8_t> block_occupancy(
     const amr::AmrLevel& level, const BlockGrid& grid,
-    const Array3D<std::uint8_t>& occ);
+    std::size_t* valid_cells = nullptr);
 
 /// Fraction of non-empty unit blocks — the density the hybrid filter
 /// thresholds (T1/T2) compare against.

@@ -113,8 +113,8 @@ struct PayloadEntry {
 };
 
 /// Serialized size of one v2 index entry (offset u64 + length u64 + crc
-/// u32, little-endian, fixed width so entries can be back-patched in
-/// place). Still written by the snapshot codec's field index.
+/// u32, little-endian, fixed width). Still written by the snapshot codec's
+/// field index.
 inline constexpr std::size_t kPayloadEntryBytes = 20;
 
 /// v3 container entries append the codec-profile byte.
@@ -122,15 +122,6 @@ inline constexpr std::size_t kPayloadEntryV3Bytes = kPayloadEntryBytes + 1;
 
 /// v4 container entries append the selector (per-payload method) byte.
 inline constexpr std::size_t kPayloadEntryV4Bytes = kPayloadEntryV3Bytes + 1;
-
-/// Writes the v2 entry fields (offset, length, crc32) at `pos`: the
-/// snapshot codec's field index back-patches its entries through it.
-inline void patch_payload_entry(ByteWriter& w, std::size_t pos,
-                                const PayloadEntry& e) {
-  w.patch<std::uint64_t>(pos, e.offset);
-  w.patch<std::uint64_t>(pos + 8, e.length);
-  w.patch<std::uint32_t>(pos + 16, e.crc32);
-}
 
 /// Reads one index entry as container version `version` lays it out: the
 /// v2 fields, then the codec-profile byte from v3 and the selector byte

@@ -247,15 +247,13 @@ void scatter_block(amr::AmrLevel& level, const BlockGrid& grid,
   for (std::size_t z = 0; z < nz; ++z)
     for (std::size_t y = 0; y < ny; ++y) {
       const std::size_t at = cells.index(cx, cy + y, cz + z);
-      const std::uint8_t* m = level.mask.data() + at;
       double* dst = level.data.data() + at;
       const double* src = values.data() + bd.index(0, y, z);
-      if (amr::mask_bytes_full(m, nx)) {
-        std::memcpy(dst, src, nx * sizeof(double));
-      } else {
-        for (std::size_t x = 0; x < nx; ++x)
-          if (m[x]) dst[x] = src[x];
-      }
+      amr::for_each_valid_run(level.mask.span().subspan(at, nx),
+                              [&](std::size_t lo, std::size_t hi) {
+                                std::memcpy(dst + lo, src + lo,
+                                            (hi - lo) * sizeof(double));
+                              });
     }
 }
 

@@ -116,20 +116,23 @@ std::vector<std::uint8_t> write_snapshot(const amr::Snapshot& s,
   w.put<std::uint32_t>(kMagic);
   w.put<std::uint8_t>(kVersion);
   w.put_varint(s.fields.size());
-  std::vector<std::size_t> entry_pos;
-  entry_pos.reserve(s.fields.size());
+  // Every index entry is a name plus a fixed-width v2 entry, so the index
+  // length, and with it every field's offset, is known before it is
+  // written.
+  std::uint64_t offset = w.size();
   for (const auto& field : s.fields) {
-    w.put_string(field.field_name());
-    entry_pos.push_back(w.reserve(kPayloadEntryBytes));
+    ByteWriter name;
+    name.put_string(field.field_name());
+    offset += name.size() + kPayloadEntryBytes;
   }
   for (std::size_t i = 0; i < blobs.size(); ++i) {
-    PayloadEntry e;
-    e.offset = w.size();
-    e.length = blobs[i].size();
-    e.crc32 = crc32(blobs[i]);
-    w.put_bytes(blobs[i]);
-    patch_payload_entry(w, entry_pos[i], e);
+    w.put_string(s.fields[i].field_name());
+    w.put<std::uint64_t>(offset);
+    w.put<std::uint64_t>(blobs[i].size());
+    w.put<std::uint32_t>(crc32(blobs[i]));
+    offset += blobs[i].size();
   }
+  for (const auto& blob : blobs) w.put_bytes(blob);
   return w.take();
 }
 

@@ -172,18 +172,19 @@ void decode_tac_level(ByteReader& r, amr::AmrLevel& lv,
       TAC_SPAN("tac.scatter");
       const std::size_t n = lv.data.size();
       double* d = lv.data.data();
-      const std::uint8_t* m = lv.mask.data();
       parallel_for(
           0, ceil_div(n, kMinElementsPerChunk),
           [&](std::size_t c) {
-            const std::size_t lo = c * kMinElementsPerChunk;
-            const std::size_t hi = std::min(n, lo + kMinElementsPerChunk);
-            for (std::size_t i = lo; i < hi; i += amr::kMaskChunk) {
-              const std::size_t end = std::min(hi, i + amr::kMaskChunk);
-              if (amr::mask_bytes_full(m + i, end - i)) continue;
-              for (std::size_t k = i; k < end; ++k)
-                if (!m[k]) d[k] = 0.0;
-            }
+            const std::size_t first = c * kMinElementsPerChunk;
+            const std::size_t last = std::min(n, first + kMinElementsPerChunk);
+            std::size_t gap = first;  // start of the empty cells to zero
+            amr::for_each_valid_run(
+                lv.mask.span().subspan(first, last - first),
+                [&](std::size_t lo, std::size_t hi) {
+                  std::fill(d + gap, d + first + lo, 0.0);
+                  gap = first + hi;
+                });
+            std::fill(d + gap, d + last, 0.0);
           },
           1);
       break;
@@ -209,9 +210,7 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
   const BlockGrid grid(lv.dims(), cfg.block_size);
   const auto occ = [&] {
     TAC_SPAN("tac.occupancy");
-    auto o = block_occupancy(lv, grid);
-    lr.valid_cells = occupied_valid_count(lv, grid, o);
-    return o;
+    return block_occupancy(lv, grid, &lr.valid_cells);
   }();
   lr.block_density = occupancy_density(occ);
   lr.strategy = cfg.force_strategy.value_or(

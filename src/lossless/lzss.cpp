@@ -90,6 +90,7 @@ constexpr std::size_t kSkipTrigger = 6;  ///< skip step doubles every 64 misses
 constexpr std::size_t kLazyCutoff = 64;  ///< lazy-probe only modest matches
 constexpr std::size_t kDenseInsert = 128;  ///< chain-insert cap inside a match
 constexpr std::size_t kGoodEnough = 128;   ///< stop the chain walk here
+constexpr unsigned kMaxChain = 64;         ///< chain walks per position
 
 void put_ext(std::vector<std::uint8_t>& out, std::size_t v) {
   while (v >= 255) {
@@ -101,8 +102,7 @@ void put_ext(std::vector<std::uint8_t>& out, std::size_t v) {
 
 }  // namespace
 
-std::vector<std::uint8_t> lzss2_compress(std::span<const std::uint8_t> input,
-                                         const LzssConfig& cfg) {
+std::vector<std::uint8_t> lzss2_compress(std::span<const std::uint8_t> input) {
   const std::size_t n = input.size();
   const std::uint8_t* const in = input.data();
 
@@ -127,7 +127,7 @@ std::vector<std::uint8_t> lzss2_compress(std::span<const std::uint8_t> input,
     const std::size_t limit = n - p;  // match lengths are unbounded in v2
     std::uint64_t entry = mt.head[hash4(in + p)];
     unsigned walked = 0;
-    while (mt.valid(entry) && walked < cfg.max_chain) {
+    while (mt.valid(entry) && walked < kMaxChain) {
       const auto c = static_cast<std::size_t>(entry & MatchTable::kPosMask);
       if (p - c > kWindow) break;
       // One-byte probe at the current best length: a candidate that can't

@@ -14,10 +14,6 @@
 
 namespace tac::lossless {
 
-struct LzssConfig {
-  unsigned max_chain = 64;  ///< cap on hash-chain walks per position
-};
-
 /// LZSS v2: the stream every writer emits (the fast codec profile, see
 /// `lossless::CodecProfile`). A 64 KiB window searched through hash
 /// chains, a byte-aligned token format, one-step lazy matching,
@@ -32,7 +28,7 @@ struct LzssConfig {
 /// length extension. The final token carries literals only; the decoder
 /// stops once the declared size is reached.
 [[nodiscard]] std::vector<std::uint8_t> lzss2_compress(
-    std::span<const std::uint8_t> input, const LzssConfig& cfg = {});
+    std::span<const std::uint8_t> input);
 
 [[nodiscard]] std::vector<std::uint8_t> lzss2_decompress(
     std::span<const std::uint8_t> compressed);

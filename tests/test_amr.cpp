@@ -333,14 +333,84 @@ TEST(MaskScanOracle, CellsAtChunkEdgesOfASparseLevel) {
   EXPECT_EQ(lv.valid_count(), 10u);
 }
 
-TEST(MaskScanOracle, ForEachValidVisitsInRasterOrder) {
-  const AmrLevel lv = random_scan_level({13, 7, 5}, 0.3, 99);
-  std::vector<std::size_t> want;
-  for (std::size_t i = 0; i < lv.mask.size(); ++i)
-    if (lv.mask[i]) want.push_back(i);
-  std::vector<std::size_t> got;
-  lv.for_each_valid([&](std::size_t i) { got.push_back(i); });
-  EXPECT_EQ(got, want);
+/// The maximal runs of nonzero bytes, found byte by byte.
+std::vector<std::pair<std::size_t, std::size_t>> raster_runs(
+    std::span<const std::uint8_t> mask) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    if (!runs.empty() && runs.back().second == i)
+      ++runs.back().second;
+    else
+      runs.emplace_back(i, i + 1);
+  }
+  return runs;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> walked_runs(
+    std::span<const std::uint8_t> mask) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for_each_valid_run(mask, [&](std::size_t lo, std::size_t hi) {
+    runs.emplace_back(lo, hi);
+  });
+  return runs;
+}
+
+TEST(MaskScanOracle, RunsAreMaximalOrderedAndExact) {
+  // Random masks with every nonzero byte kind, at lengths around the 8-,
+  // 32- and 64-byte groups the walk reads.
+  std::mt19937 rng(99);
+  const std::uint8_t bytes[] = {1, 0x80, 0xFF};
+  for (const double density : {0.05, 0.3, 0.7, 0.97})
+    for (std::size_t n = 0; n <= 200; ++n) {
+      std::bernoulli_distribution valid(density);
+      std::vector<std::uint8_t> mask(n, 0);
+      for (auto& b : mask)
+        if (valid(rng)) b = bytes[rng() % 3];
+      EXPECT_EQ(walked_runs(mask), raster_runs(mask))
+          << n << " bytes, density " << density;
+    }
+  // Runs that start and end on every offset near a group boundary,
+  // including runs that span whole groups and reach the mask's end.
+  const std::size_t edges[] = {0,  1,  7,  8,  9,   31,  32,  33, 63,
+                               64, 65, 95, 96, 127, 128, 129, 192, 256};
+  for (const std::size_t n : {std::size_t{256}, std::size_t{257}})
+    for (const std::size_t lo : edges)
+      for (const std::size_t hi : edges) {
+        if (hi <= lo || hi > n) continue;
+        std::vector<std::uint8_t> mask(n, 0);
+        std::fill(mask.begin() + lo, mask.begin() + hi, 0x80);
+        mask[n - 1] = 0xFF;  // a second run, or the end of the first
+        EXPECT_EQ(walked_runs(mask), raster_runs(mask))
+            << "run [" << lo << ", " << hi << ") in " << n << " bytes";
+      }
+  const std::vector<std::uint8_t> full(300, 1);
+  EXPECT_EQ(walked_runs(full),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 300}}));
+}
+
+TEST(MaskScanOracle, GroupBitmapsAgreeOnEveryHost) {
+  // `nonzero_bits` reads a whole 64-byte group with SSE2 where the host
+  // has it; `nonzero_bits_portable`, which every shorter group and every
+  // host without SSE2 takes, must give the same bitmap.
+  std::mt19937 rng(7);
+  const std::uint8_t bytes[] = {1, 0x7F, 0x80, 0xFF};
+  std::vector<std::uint8_t> buf(64 + 7);
+  for (const double density : {0.0, 0.02, 0.5, 0.98, 1.0})
+    for (int trial = 0; trial < 200; ++trial) {
+      std::bernoulli_distribution valid(density);
+      for (auto& b : buf) b = valid(rng) ? bytes[rng() % 4] : 0;
+      const std::uint8_t* p = buf.data() + trial % 8;  // any alignment
+      for (std::size_t len = 0; len <= 64; ++len) {
+        std::uint64_t expect = 0;
+        for (std::size_t k = 0; k < len; ++k)
+          expect |= std::uint64_t{p[k] != 0} << k;
+        ASSERT_EQ(detail::nonzero_bits_portable(p, len), expect)
+            << len << " bytes, density " << density;
+        ASSERT_EQ(detail::nonzero_bits(p, len), expect)
+            << len << " bytes, density " << density;
+      }
+    }
 }
 
 TEST(AmrDataset, ValidPartitionPasses) {

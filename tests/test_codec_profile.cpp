@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "amr/amr_io.hpp"
+#include "amr/snapshot.hpp"
 #include "common/crc32.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
@@ -277,6 +278,26 @@ TEST(CodecProfile, WriterBytesArePinned) {
     EXPECT_EQ(bytes.size(), p.size) << p.cli;
     EXPECT_EQ(crc32(bytes), p.crc) << p.cli;
   }
+}
+
+/// A two-field snapshot of the golden input (the field itself and a copy
+/// with every value doubled, which is exact) through the TAC backend,
+/// pinned as snapshot size and CRC-32: the field index and the field
+/// containers it points at.
+TEST(CodecProfile, SnapshotBytesArePinned) {
+  amr::AmrDataset doubled = golden_input();
+  for (amr::AmrLevel& lv : doubled.levels())
+    for (std::size_t i = 0; i < lv.data.size(); ++i) lv.data[i] *= 2;
+  amr::Snapshot s;
+  s.fields = {golden_input(),
+              amr::AmrDataset("doubled", std::move(doubled.levels()),
+                              doubled.refinement_ratio())};
+  TacConfig cfg;
+  cfg.sz.mode = sz::ErrorBoundMode::kRelative;
+  cfg.sz.error_bound = kGoldenRelEb;
+  const auto bytes = compress_snapshot(s, cfg, Method::kTac);
+  EXPECT_EQ(bytes.size(), 12046u);
+  EXPECT_EQ(crc32(bytes), 0xc8a71d99u);
 }
 
 /// What the reader decodes from each pinned container: the CRC-32 of every

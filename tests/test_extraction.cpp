@@ -60,7 +60,7 @@ TEST(BlockGrid, OccupancyDetectsAnyValidCell) {
 
 // Occupancy oracle: block_occupancy against a per-cell reference, with
 // clipped edge blocks (extents not a multiple of the block size) and mask
-// bytes other than 1; occupied_valid_count against a raster count.
+// bytes other than 1; its valid count against a raster count.
 TEST(BlockGrid, OccupancyMatchesPerCellReference) {
   unsigned seed = 1;
   const std::uint8_t bytes[] = {1, 0x80, 0xFF};
@@ -81,10 +81,11 @@ TEST(BlockGrid, OccupancyMatchesPerCellReference) {
           for (std::size_t y = 0; y < d.ny; ++y)
             for (std::size_t x = 0; x < d.nx; ++x)
               if (lv.mask(x, y, z)) want(x / bs, y / bs, z / bs) = 1;
-        const auto occ = block_occupancy(lv, grid);
+        std::size_t valid = 0;
+        const auto occ = block_occupancy(lv, grid, &valid);
         EXPECT_EQ(occ, want) << d.nx << "x" << d.ny << "x" << d.nz
                              << " density " << density << " block " << bs;
-        EXPECT_EQ(occupied_valid_count(lv, grid, occ), want_valid)
+        EXPECT_EQ(valid, want_valid)
             << d.nx << "x" << d.ny << "x" << d.nz << " density " << density
             << " block " << bs;
       }

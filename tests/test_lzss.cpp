@@ -92,15 +92,6 @@ TEST(Lzss, TruncatedStreamThrows) {
   EXPECT_THROW((void)lzss2_decompress(c), std::exception);
 }
 
-TEST(Lzss, ChainCapStillCorrect) {
-  // Tiny chain cap degrades ratio, never correctness.
-  std::vector<std::uint8_t> in;
-  for (int i = 0; i < 20000; ++i) in.push_back(static_cast<std::uint8_t>(i % 7));
-  const LzssConfig cfg{.max_chain = 1};
-  const auto c = lzss2_compress(in, cfg);
-  EXPECT_EQ(lzss2_decompress(c), in);
-}
-
 class LzssSizeTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LzssSizeTest, MixedContentRoundTrip) {

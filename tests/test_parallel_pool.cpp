@@ -3,10 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -236,6 +241,71 @@ TEST(ParallelScheduler, NestedExceptionReachesOuterCaller) {
                  /*grain=*/1);
     EXPECT_EQ(after.load(), 128u);
   }
+}
+
+#if !defined(_OPENMP)
+/// Threads of this process, from /proc/self/status; 0 where unreadable.
+unsigned process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      unsigned n = 0;
+      status >> n;
+      return n;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Distinct threads that ran a body of 64 wide loops.
+std::size_t body_threads() {
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  for (int rep = 0; rep < 64; ++rep)
+    parallel_for(
+        0, 8,
+        [&](std::size_t) {
+          {
+            const std::lock_guard<std::mutex> lock(ids_mutex);
+            ids.insert(std::this_thread::get_id());
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        },
+        /*grain=*/1);
+  return ids.size();
+}
+#endif
+
+// A process whose pool is first created under a pin of two runs loop
+// bodies on two threads, the caller included, and starts no more; a
+// larger pin grows the pool to match. The statement runs in a fresh
+// process, where no earlier test has created the pool.
+TEST(ThreadPoolSize, PoolFollowsThePinnedCount) {
+#if defined(_OPENMP)
+  GTEST_SKIP() << "OpenMP path: the runtime owns the worker threads";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        // A sanitizer's helper thread, if any, starts with the first
+        // thread: count the pool's threads from after that.
+        std::thread([] {}).join();
+        const unsigned base = process_threads();
+        bool ok = true;
+        for (const unsigned pin : {2u, 3u}) {
+          const ParallelismGuard guard(pin);
+          const std::size_t ids = body_threads();
+          const unsigned workers = process_threads() - base;
+          std::fprintf(stderr, "pin %u: %zu body threads, %u workers\n", pin,
+                       ids, workers);
+          ok = ok && ids <= pin && (base == 0 || workers == pin - 1);
+        }
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace
