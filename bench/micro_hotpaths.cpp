@@ -19,7 +19,8 @@
 ///     instrumented huffman_decompress wrapper, in the median of the
 ///     per-round ratios.
 /// The valid_scan rows (AmrLevel mask scans against raster byte loops,
-/// on a sparse and a dense level) and the huffman_build and
+/// on a sparse and a dense level), the sz_hybrid_roundtrip row (the
+/// hybrid predictor on the sz_roundtrip field) and the huffman_build and
 /// huffman_encode rows (the encode-side entropy stage, timed alone over
 /// the huffman_decode symbols) are report-only.
 
@@ -144,6 +145,20 @@ KernelResult bench_sz_roundtrip() {
         simd::force_scalar(true);
         run();
       });
+}
+
+/// The hybrid (Lorenzo + regression tile) predictor on the sz_roundtrip
+/// field, timed alone: its walk has no scalar/SIMD pair to race.
+KernelResult bench_sz_hybrid_roundtrip() {
+  const Dims3 dims{128, 128, 128};
+  const auto data = smooth_field(dims.volume());
+  const sz::SzConfig cfg{.mode = sz::ErrorBoundMode::kAbsolute,
+                         .error_bound = 1e-3,
+                         .predictor = sz::Predictor::kHybrid};
+  return timed("sz_hybrid_roundtrip", dims.volume() * sizeof(double), [&] {
+    const auto stream = sz::compress<double>(data, dims, cfg);
+    (void)sz::decompress<double>(stream, data.size());
+  });
 }
 
 KernelResult bench_scan_range() {
@@ -498,11 +513,12 @@ void write_json(const std::vector<KernelResult>& results) {
 
 int main() {
   std::printf("hot-path kernels, %d alternating rounds each\n", kRounds);
-  std::printf("%-16s %12s %12s %9s %10s  %s\n", "kernel", "opt(s)", "base(s)",
+  std::printf("%-19s %12s %12s %9s %10s  %s\n", "kernel", "opt(s)", "base(s)",
               "speedup", "MB/s", "baseline");
 
   std::vector<KernelResult> results;
   results.push_back(bench_sz_roundtrip());
+  results.push_back(bench_sz_hybrid_roundtrip());
   results.push_back(bench_scan_range());
   results.push_back(bench_pack_sign_bits());
   results.push_back(bench_huffman_build());
@@ -521,11 +537,11 @@ int main() {
   bool ok = true;
   for (const auto& r : results) {
     if (r.baseline)
-      std::printf("%-16s %12.4f %12.4f %8.2fx %10.1f  %s\n", r.name.c_str(),
+      std::printf("%-19s %12.4f %12.4f %8.2fx %10.1f  %s\n", r.name.c_str(),
                   r.a_seconds, r.b_seconds, r.speedup(), r.mb_per_s,
                   r.baseline);
     else
-      std::printf("%-16s %12.4f %12s %9s %10.1f  -\n", r.name.c_str(),
+      std::printf("%-19s %12.4f %12s %9s %10.1f  -\n", r.name.c_str(),
                   r.a_seconds, "-", "n/a", r.mb_per_s);
     if (r.name == "huffman_decode" && r.speedup() < 4.0) {
       std::printf("FAIL: huffman_decode speedup %.2fx < 4x target\n",
@@ -540,7 +556,7 @@ int main() {
     // Judged per round (median of the B/A ratios), not on the summed
     // times: the 1% budget is below what one disturbed round moves a sum.
     if (r.name == "telemetry_off") {
-      std::printf("%-16s median of %d round ratios: %.3fx\n", "", kRounds,
+      std::printf("%-19s median of %d round ratios: %.3fx\n", "", kRounds,
                   r.median_speedup());
       if (r.median_speedup() < 0.99) {
         std::printf("FAIL: disabled telemetry costs %.1f%% on huffman "

@@ -68,9 +68,10 @@ inline std::ostream& operator<<(std::ostream& os, const Box3& b) {
             << ")x[" << b.z0 << "," << b.z1 << ")";
 }
 
-/// Ceiling division for grid/block arithmetic.
+/// Ceiling division for grid/block arithmetic. Cannot overflow: a block
+/// side of SIZE_MAX still covers any extent with one block.
 [[nodiscard]] constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0);
 }
 
 }  // namespace tac

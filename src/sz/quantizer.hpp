@@ -22,8 +22,11 @@ struct QuantResult {
 };
 
 /// Quantizes `value` against `predicted`. `eb` must be > 0 and finite.
-[[nodiscard]] inline QuantResult quantize(double value, double predicted,
-                                          double eb, std::uint32_t radius) {
+/// always_inline: the prediction walk in sz.cpp calls it once per
+/// wavefront lane. Past GCC's inline growth limit those calls went out of
+/// line, returning the result through memory on the loop-carried chain.
+[[nodiscard, gnu::always_inline]] inline QuantResult quantize(
+    double value, double predicted, double eb, std::uint32_t radius) {
   QuantResult r;
   if (!std::isfinite(value) || !std::isfinite(predicted)) {
     r.outlier = true;

@@ -291,17 +291,21 @@ template <class T>
           finite_or_zero(static_cast<double>(yzm[x - 1])));
 }
 
-/// Interior rows per wavefront. The quantizer keeps simd::kWavefrontRows
-/// chains in flight to cover its divide-and-round latency. The
+/// Interior rows per wavefront. The quantizer keeps four loop-carried
+/// chains in flight to cover its divide-and-round latency; six- and
+/// eight-row fronts spill the per-row pointer and carry state past the 16
+/// general registers and ran up to 14% slower on 128^3 grids. The
 /// reconstruction chain has no divide or round, and three rows measured
-/// faster than four on 8^3 and 128^2 x 32 blocks (4-vCPU Xeon VM).
-constexpr std::size_t kQuantizeWaveRows = simd::kWavefrontRows;
+/// faster than four on 8^3 and 128^2 x 32 blocks (4-vCPU Xeon VM). Not
+/// dispatched at runtime: a front is a pure reschedule of the raster
+/// dataflow, so every row count produces the same bytes.
+constexpr std::size_t kQuantizeWaveRows = 4;
 constexpr std::size_t kReconstructWaveRows = 3;
 
 /// Runs one W-row interleaved wavefront over interior rows [y, y+W) of
-/// plane z. `first_cell(w, i, yy)` handles the x == 0 boundary cell of
-/// row w; `row_cell(w, i, pred)` the interior cells. Both return the
-/// filtered reconstructed value that becomes the row's carried `left`.
+/// plane z. `first_cell(i, yy)` handles the x == 0 boundary cell of row
+/// yy; `row_cell(i, pred)` the interior cells. Both return the filtered
+/// reconstructed value that becomes the row's carried `left`.
 template <std::size_t W, class T, class FirstCell, class RowCell>
 [[gnu::always_inline]] inline void wave_rows(const T* recon,
                                              std::size_t plane, std::size_t y,
@@ -320,7 +324,7 @@ template <std::size_t W, class T, class FirstCell, class RowCell>
   }
   for (std::size_t w = 0; w < W; ++w) {
     rows[w] = plane + (y + w) * nx;
-    left[w] = first_cell(w, rows[w], y + w);
+    left[w] = first_cell(rows[w], y + w);
   }
   // Runs cell x - w * kRowLag of every row w for which `active(w)`.
   const auto lanes = [&](std::size_t x, auto&& active)
@@ -328,7 +332,7 @@ template <std::size_t W, class T, class FirstCell, class RowCell>
     [&]<std::size_t... Ws>(std::index_sequence<Ws...>)
         __attribute__((always_inline)) {
           ((active(Ws) ? (void)(left[Ws] = row_cell(
-                             Ws, rows[Ws] + (x - Ws * kRowLag),
+                             rows[Ws] + (x - Ws * kRowLag),
                              lorenzo_row_predict(left[Ws], up[Ws],
                                                  down[Ws + 1], down[Ws],
                                                  x - Ws * kRowLag)))
@@ -375,41 +379,20 @@ template <std::size_t W, class Front>
       }(std::make_index_sequence<W - 1>{});
 }
 
-/// Quantizes one block: fills `codes` and `recon` (the values the
-/// decompressor will see). Returns the number of outliers (codes[i] == 0
-/// cells); their exact values are collected by a second pass in compress.
-template <class T>
-std::size_t quantize_block(const T* block, Dims3 dims, double eb,
-                           std::uint32_t radius, std::uint32_t* codes,
-                           T* recon, const TilePlan* plan) {
+/// The one prediction walk of a block, shared by the quantizer and the
+/// decoder so that both see the same predictions in the same order. Calls
+/// `cell(i, pred)` once for every cell i, after it was called for every
+/// neighbour that `pred` reads: `cell` stores the reconstructed value at
+/// recon[i] and returns it filtered, as the west neighbour the next
+/// prediction carries. Lorenzo blocks (no plan) run W-row wavefronts;
+/// hybrid blocks run each row tile by tile.
+template <std::size_t W, class T, class Cell>
+[[gnu::always_inline]] inline void predict_block(const T* recon, Dims3 dims,
+                                                 const TilePlan* plan,
+                                                 Cell&& cell) {
   const ReconView<T> view{recon, dims};
   const std::size_t nx = dims.nx;
   const std::size_t nxy = dims.nx * dims.ny;
-  std::size_t n_outliers = 0;
-
-  // Returns the just-reconstructed value, filtered, so callers can carry
-  // the west neighbour in a register instead of reloading recon[i].
-  const auto cell = [&](std::size_t i, double pred)
-      __attribute__((always_inline)) -> double {
-    const double value = static_cast<double>(block[i]);
-    if (eb > 0) {
-      QuantResult q = quantize(value, pred, eb, radius);
-      if (!q.outlier) {
-        // The decompressor stores T; validate the bound on the rounded
-        // value so float truncation cannot break the contract.
-        const T stored = static_cast<T>(q.reconstructed);
-        if (std::fabs(static_cast<double>(stored) - value) <= eb) {
-          codes[i] = q.code;
-          recon[i] = stored;
-          return finite_or_zero(static_cast<double>(stored));
-        }
-      }
-    }
-    codes[i] = 0;
-    recon[i] = block[i];  // exact
-    ++n_outliers;
-    return finite_or_zero(static_cast<double>(block[i]));
-  };
 
   if (plan == nullptr) {
     for (std::size_t z = 0; z < dims.nz; ++z) {
@@ -422,20 +405,18 @@ std::size_t quantize_block(const T* block, Dims3 dims, double eb,
       }
       for (std::size_t x = 0; x < nx; ++x)
         cell(plane + x, lorenzo_predict(view, x, 0, z));
-      wave_fronts<kQuantizeWaveRows>(
-          dims.ny, [&]<std::size_t R>(std::size_t y)
-                       __attribute__((always_inline)) {
+      wave_fronts<W>(dims.ny, [&]<std::size_t R>(std::size_t y)
+                                  __attribute__((always_inline)) {
         wave_rows<R, T>(
             recon, plane, y, nx, nxy,
-            [&](std::size_t, std::size_t i, std::size_t yy)
+            [&](std::size_t i, std::size_t yy)
                 __attribute__((always_inline)) {
                   return cell(i, lorenzo_predict(view, 0, yy, z));
                 },
-            [&](std::size_t, std::size_t i, double pred)
-                __attribute__((always_inline)) { return cell(i, pred); });
+            cell);
       });
     }
-    return n_outliers;
+    return;
   }
 
   const std::size_t pb = plan->pred_block;
@@ -489,158 +470,84 @@ std::size_t quantize_block(const T* block, Dims3 dims, double eb,
       }
     }
   }
+}
+
+/// Quantizes one block: fills `codes` and `recon` (the values the
+/// decompressor will see). Returns the number of outliers (codes[i] == 0
+/// cells); their exact values are collected by a second pass in compress.
+template <class T>
+std::size_t quantize_block(const T* block, Dims3 dims, double eb,
+                           std::uint32_t radius, std::uint32_t* codes,
+                           T* recon, const TilePlan* plan) {
+  std::size_t n_outliers = 0;
+  predict_block<kQuantizeWaveRows>(
+      recon, dims, plan,
+      [&](std::size_t i, double pred) __attribute__((always_inline)) {
+        const double value = static_cast<double>(block[i]);
+        if (eb > 0) {
+          QuantResult q = quantize(value, pred, eb, radius);
+          if (!q.outlier) {
+            // The decompressor stores T; validate the bound on the rounded
+            // value so float truncation cannot break the contract.
+            const T stored = static_cast<T>(q.reconstructed);
+            if (std::fabs(static_cast<double>(stored) - value) <= eb) {
+              codes[i] = q.code;
+              recon[i] = stored;
+              return finite_or_zero(static_cast<double>(stored));
+            }
+          }
+        }
+        codes[i] = 0;
+        recon[i] = block[i];  // exact
+        ++n_outliers;
+        return finite_or_zero(static_cast<double>(block[i]));
+      });
   return n_outliers;
 }
 
 /// Reconstructs one block into `out`. The caller checked that `outliers`
-/// holds exactly one value per code-0 cell of the block.
+/// holds exactly one value per code-0 cell of the block, in scan order.
+/// They go into their cells before the walk, so the walk reads an
+/// outlier like any other reconstructed neighbour.
 template <class T>
 void reconstruct_block(const std::uint32_t* codes, Dims3 dims, double eb,
-                       std::uint32_t radius, const T* outliers, T* out,
-                       const TilePlan* plan) {
-  const ReconView<T> view{out, dims};
-  const std::size_t nx = dims.nx;
-  const std::size_t nxy = dims.nx * dims.ny;
-  std::size_t oi = 0;
-
-  const auto take_outlier = [&](std::size_t i) { out[i] = outliers[oi++]; };
-
-  if (plan == nullptr) {
-    // Dequantized cell with an explicit outlier cursor (so wavefront
-    // rows can each hold their own scan-order position). Every neighbour
-    // a prediction reads precedes the cell in scan order, so computing
-    // pred eagerly only ever touches already-written memory.
-    const auto rcell = [&](std::size_t i, double pred, std::size_t& oix)
-        __attribute__((always_inline)) -> double {
-      const std::uint32_t code = codes[i];
-      const T v = code == 0
-                      ? outliers[oix++]
-                      : static_cast<T>(dequantize(code, pred, eb, radius));
-      out[i] = v;
-      return finite_or_zero(static_cast<double>(v));
-    };
-
-    for (std::size_t z = 0; z < dims.nz; ++z) {
-      const std::size_t plane = z * nxy;
-      if (z == 0) {
-        for (std::size_t y = 0; y < dims.ny; ++y)
-          for (std::size_t x = 0; x < nx; ++x)
-            rcell(plane + y * nx + x, lorenzo_predict(view, x, y, z), oi);
-        continue;
-      }
-      for (std::size_t x = 0; x < nx; ++x)
-        rcell(plane + x, lorenzo_predict(view, x, 0, z), oi);
-      wave_fronts<kReconstructWaveRows>(
-          dims.ny, [&]<std::size_t R>(std::size_t y)
-                       __attribute__((always_inline)) {
-        // Per-row outlier cursors: row w starts past every code-0 cell of
-        // the rows above it, so the k-th zero cell in scan order still
-        // takes outliers[k] — the wavefront only reorders the
-        // instruction schedule.
-        std::array<std::size_t, R> cur;
-        cur[0] = oi;
-        for (std::size_t w = 0; w + 1 < R; ++w) {
-          const std::size_t row = plane + (y + w) * nx;
-          std::size_t zeros = 0;
-          for (std::size_t x = 0; x < nx; ++x) zeros += codes[row + x] == 0;
-          cur[w + 1] = cur[w] + zeros;
-        }
-        wave_rows<R, T>(
-            out, plane, y, nx, nxy,
-            [&](std::size_t w, std::size_t i, std::size_t yy)
-                __attribute__((always_inline)) {
-                  return rcell(i, lorenzo_predict(view, 0, yy, z), cur[w]);
-                },
-            [&](std::size_t w, std::size_t i, double pred)
-                __attribute__((always_inline)) {
-                  return rcell(i, pred, cur[w]);
-                });
-        oi = cur[R - 1];
+                       std::uint32_t radius, std::span<const T> outliers,
+                       T* out, const TilePlan* plan) {
+  for (std::size_t i = 0, k = 0; k < outliers.size(); ++i)
+    if (codes[i] == 0) out[i] = outliers[k++];
+  predict_block<kReconstructWaveRows>(
+      out, dims, plan,
+      [&](std::size_t i, double pred) __attribute__((always_inline)) {
+        const std::uint32_t code = codes[i];
+        const T v = code == 0
+                        ? out[i]
+                        : static_cast<T>(dequantize(code, pred, eb, radius));
+        out[i] = v;
+        return finite_or_zero(static_cast<double>(v));
       });
-    }
-    return;
-  }
+}
 
-  const std::size_t pb = plan->pred_block;
-  for (std::size_t z = 0; z < dims.nz; ++z) {
-    const std::size_t tz = z / pb;
-    for (std::size_t y = 0; y < dims.ny; ++y) {
-      const std::size_t ty = y / pb;
-      const std::size_t row = z * nxy + y * nx;
-      const T* rc = out + row;
-      for (std::size_t tx = 0; tx < plan->tiles.nx; ++tx) {
-        const std::size_t x0 = tx * pb;
-        const std::size_t x1 = std::min(nx, x0 + pb);
-        const std::int32_t fi = plan->fit_index[plan->tiles.index(tx, ty, tz)];
-        if (fi >= 0) {
-          const Box3 box = plan->tile_box(dims, tx, ty, tz);
-          const PlaneFit& f = plan->fits[static_cast<std::size_t>(fi)];
-          const double cx =
-              (static_cast<double>(box.x1 - box.x0) - 1) / 2.0;
-          const double cy =
-              (static_cast<double>(box.y1 - box.y0) - 1) / 2.0;
-          const double cz =
-              (static_cast<double>(box.z1 - box.z0) - 1) / 2.0;
-          const double b0 = static_cast<double>(f.b0);
-          const double bx = static_cast<double>(f.bx);
-          const double byuy = static_cast<double>(f.by) *
-                              (static_cast<double>(y - box.y0) - cy);
-          const double bzuz = static_cast<double>(f.bz) *
-                              (static_cast<double>(z - box.z0) - cz);
-          for (std::size_t x = x0; x < x1; ++x) {
-            const std::uint32_t code = codes[row + x];
-            if (code == 0) {
-              take_outlier(row + x);
-            } else {
-              const double pred =
-                  ((b0 + bx * (static_cast<double>(x - box.x0) - cx)) +
-                   byuy) +
-                  bzuz;
-              out[row + x] = static_cast<T>(dequantize(code, pred, eb, radius));
-            }
-          }
-        } else if (z == 0 || y == 0) {
-          for (std::size_t x = x0; x < x1; ++x) {
-            const std::uint32_t code = codes[row + x];
-            if (code == 0) {
-              take_outlier(row + x);
-            } else {
-              const double pred = lorenzo_predict(view, x, y, z);
-              out[row + x] = static_cast<T>(dequantize(code, pred, eb, radius));
-            }
-          }
-        } else {
-          const T* ym = rc - nx;
-          const T* zm = rc - nxy;
-          const T* yzm = zm - nx;
-          std::size_t x = x0;
-          if (x == 0) {
-            const std::uint32_t code = codes[row];
-            if (code == 0)
-              take_outlier(row);
-            else
-              out[row] = static_cast<T>(dequantize(
-                  code, lorenzo_predict(view, 0, y, z), eb, radius));
-            ++x;
-          }
-          if (x < x1) {
-            double left = finite_or_zero(static_cast<double>(rc[x - 1]));
-            for (; x < x1; ++x) {
-              const std::uint32_t code = codes[row + x];
-              if (code == 0) {
-                take_outlier(row + x);
-              } else {
-                const double pred = lorenzo_row_predict(left, ym, zm, yzm, x);
-                out[row + x] =
-                    static_cast<T>(dequantize(code, pred, eb, radius));
-              }
-              left = finite_or_zero(static_cast<double>(rc[x]));
-            }
-          }
-        }
-      }
-    }
-  }
+/// Writes the stream header that every stream kind starts with, up to
+/// and including the kind byte. read_header parses it.
+template <class T>
+void put_header(ByteWriter& w, Dims3 dims, std::size_t nblocks,
+                const SzConfig& cfg, double abs_eb, double value_range,
+                StreamKind kind) {
+  w.put<std::uint16_t>(kMagic);
+  w.put<std::uint8_t>(kVersion);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(sizeof(T)));
+  w.put_varint(dims.nx);
+  w.put_varint(dims.ny);
+  w.put_varint(dims.nz);
+  w.put_varint(nblocks);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.mode));
+  w.put<double>(cfg.error_bound);
+  w.put<double>(abs_eb);
+  w.put<double>(value_range);
+  w.put_varint(cfg.quant_radius);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.predictor));
+  w.put_varint(cfg.pred_block);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(kind));
 }
 
 }  // namespace
@@ -714,21 +621,8 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
         compress<T>(std::span<const T>(logs), dims, inner_cfg, nblocks);
 
     ByteWriter w;
-    w.put<std::uint16_t>(kMagic);
-    w.put<std::uint8_t>(kVersion);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(sizeof(T)));
-    w.put_varint(dims.nx);
-    w.put_varint(dims.ny);
-    w.put_varint(dims.nz);
-    w.put_varint(nblocks);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.mode));
-    w.put<double>(cfg.error_bound);
-    w.put<double>(theta);  // abs bound slot carries the log-domain bound
-    w.put<double>(0.0);
-    w.put_varint(cfg.quant_radius);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.predictor));
-    w.put_varint(cfg.pred_block);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(StreamKind::kPwRel));
+    // The abs bound slot carries the log-domain bound.
+    put_header<T>(w, dims, nblocks, cfg, theta, 0.0, StreamKind::kPwRel);
     w.put_blob(inner);
     w.put_blob(lossless::compress(pack_sign_bits(data)));
     w.put_varint(exceptions.size());
@@ -755,27 +649,13 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
   if (!(abs_eb > 0) || !std::isfinite(abs_eb)) abs_eb = 0;  // lossless path
 
   ByteWriter w;
-  w.put<std::uint16_t>(kMagic);
-  w.put<std::uint8_t>(kVersion);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(sizeof(T)));
-  w.put_varint(dims.nx);
-  w.put_varint(dims.ny);
-  w.put_varint(dims.nz);
-  w.put_varint(nblocks);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.mode));
-  w.put<double>(cfg.error_bound);
-  w.put<double>(abs_eb);
-  w.put<double>(span_val);
-  w.put_varint(cfg.quant_radius);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(cfg.predictor));
-  w.put_varint(cfg.pred_block);
-
+  put_header<T>(w, dims, nblocks, cfg, abs_eb, span_val,
+                range.all_identical ? StreamKind::kConstant
+                                    : StreamKind::kGeneral);
   if (range.all_identical) {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(StreamKind::kConstant));
     w.put<T>(data[0]);
     return w.take();
   }
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(StreamKind::kGeneral));
 
   const bool hybrid = cfg.predictor == Predictor::kHybrid;
 
@@ -895,8 +775,15 @@ Header read_header(ByteReader& r) {
   h.info.abs_error_bound = r.get<double>();
   h.info.value_range = r.get<double>();
   h.cfg.quant_radius = static_cast<std::uint32_t>(r.get_varint());
-  h.cfg.predictor = static_cast<Predictor>(r.get<std::uint8_t>());
+  const auto predictor = r.get<std::uint8_t>();
+  if (predictor > static_cast<std::uint8_t>(Predictor::kHybrid))
+    throw std::runtime_error("sz: unknown predictor " +
+                             std::to_string(predictor));
+  h.cfg.predictor = static_cast<Predictor>(predictor);
   h.cfg.pred_block = static_cast<std::size_t>(r.get_varint());
+  // Hybrid tiles divide by the tile side; compress rejects the same.
+  if (h.cfg.predictor == Predictor::kHybrid && h.cfg.pred_block < 2)
+    throw std::runtime_error("sz: hybrid pred_block must be >= 2");
   h.kind = static_cast<StreamKind>(r.get<std::uint8_t>());
   h.info.constant = h.kind == StreamKind::kConstant;
   return h;
@@ -1068,8 +955,9 @@ void decode_body(ByteReader& r, const Header& h, std::size_t total,
   const std::uint32_t radius = h.cfg.quant_radius;
   deliver_blocks(to, nblocks, vol, [&](std::size_t b, T* dst) {
     reconstruct_block(codes.data() + b * vol, dims, eb, radius,
-                      outliers.data() + offsets[b], dst,
-                      plans.empty() ? nullptr : &plans[b]);
+                      std::span<const T>(outliers.data() + offsets[b],
+                                         offsets[b + 1] - offsets[b]),
+                      dst, plans.empty() ? nullptr : &plans[b]);
   });
 }
 

@@ -2,15 +2,18 @@
 /// \brief The SIMD/scalar contract: every dispatched hot path must produce
 /// byte-identical results at every size, including the awkward ones
 /// (empty, sub-vector-width, vector width +/- 1, page-ish). Also pins the
-/// Lorenzo wavefront kernel against a raster-order reference, the CRC32
-/// known-answer vector, the Huffman up-front truncation check, and the
-/// arena's steady-state no-new-blocks guarantee.
+/// Lorenzo and hybrid prediction walks against raster-order references,
+/// the CRC32 known-answer vector, the Huffman up-front truncation check,
+/// and the arena's steady-state no-new-blocks guarantee.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "lossless/huffman.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
+#include "sz/regression.hpp"
 #include "sz/sz.hpp"
 
 namespace tac {
@@ -150,12 +154,14 @@ TEST(HotpathEquivalence, FullSzStreamsMatchScalar) {
 /// What sz::compress must reconstruct, computed one cell at a time in
 /// raster order: predict from this function's own reconstruction buffer,
 /// quantize, keep the value as T only if it still meets the bound, else
-/// store the input exactly as an outlier. No wavefront, no row pointers.
-template <class T>
-std::vector<T> raster_lorenzo_reference(const std::vector<T>& data,
-                                        Dims3 dims, std::size_t nblocks,
-                                        double eb, std::uint32_t radius,
-                                        std::size_t& n_outliers) {
+/// store the input exactly as an outlier. No wavefront, no row pointers,
+/// no tile loop. `block_predictor(in)` returns block `in`'s predictor,
+/// called as `predict(view, x, y, z)` on the reconstruction so far.
+template <class T, class BlockPredictor>
+std::vector<T> raster_reference(const std::vector<T>& data, Dims3 dims,
+                                std::size_t nblocks, double eb,
+                                std::uint32_t radius, std::size_t& n_outliers,
+                                const BlockPredictor& block_predictor) {
   std::vector<T> recon(data.size());
   const std::size_t vol = dims.volume();
   n_outliers = 0;
@@ -163,13 +169,14 @@ std::vector<T> raster_lorenzo_reference(const std::vector<T>& data,
     const T* in = data.data() + b * vol;
     T* rb = recon.data() + b * vol;
     const sz::ReconView<T> view{rb, dims};
+    const auto predict = block_predictor(in);
     for (std::size_t z = 0; z < dims.nz; ++z)
       for (std::size_t y = 0; y < dims.ny; ++y)
         for (std::size_t x = 0; x < dims.nx; ++x) {
           const std::size_t i = dims.index(x, y, z);
           const double value = static_cast<double>(in[i]);
-          const sz::QuantResult q = sz::quantize(
-              value, sz::lorenzo_predict(view, x, y, z), eb, radius);
+          const sz::QuantResult q =
+              sz::quantize(value, predict(view, x, y, z), eb, radius);
           const T stored = static_cast<T>(q.reconstructed);
           if (!q.outlier &&
               std::fabs(static_cast<double>(stored) - value) <= eb) {
@@ -181,6 +188,79 @@ std::vector<T> raster_lorenzo_reference(const std::vector<T>& data,
         }
   }
   return recon;
+}
+
+template <class T>
+std::vector<T> raster_lorenzo_reference(const std::vector<T>& data,
+                                        Dims3 dims, std::size_t nblocks,
+                                        double eb, std::uint32_t radius,
+                                        std::size_t& n_outliers) {
+  return raster_reference(data, dims, nblocks, eb, radius, n_outliers,
+                          [](const T*) {
+                            return [](const sz::ReconView<T>& view,
+                                      std::size_t x, std::size_t y,
+                                      std::size_t z) {
+                              return sz::lorenzo_predict(view, x, y, z);
+                            };
+                          });
+}
+
+/// The hybrid predictor, one cell at a time: the block is cut into
+/// pb-sided tiles (clipped at the block edge), and a tile predicts by its
+/// fitted plane when the plane's absolute residual over the input is
+/// smaller than Lorenzo's on the input, else by Lorenzo on the
+/// reconstruction. Counts the tiles of each kind into `n_regression` and
+/// `n_lorenzo`.
+template <class T>
+std::vector<T> raster_hybrid_reference(const std::vector<T>& data, Dims3 dims,
+                                       std::size_t nblocks, std::size_t pb,
+                                       double eb, std::uint32_t radius,
+                                       std::size_t& n_outliers,
+                                       std::size_t& n_regression,
+                                       std::size_t& n_lorenzo) {
+  const auto tile_of = [&](std::size_t x, std::size_t y, std::size_t z) {
+    const std::size_t x0 = x / pb * pb, y0 = y / pb * pb, z0 = z / pb * pb;
+    return Box3{x0,
+                y0,
+                z0,
+                std::min(dims.nx, x0 + pb),
+                std::min(dims.ny, y0 + pb),
+                std::min(dims.nz, z0 + pb)};
+  };
+  return raster_reference(
+      data, dims, nblocks, eb, radius, n_outliers, [&](const T* in) {
+        // Regression fits, by tile origin, for the tiles that take them.
+        std::map<std::array<std::size_t, 3>, sz::PlaneFit> fits;
+        const sz::ReconView<T> input{in, dims};
+        for (std::size_t z0 = 0; z0 < dims.nz; z0 += pb)
+          for (std::size_t y0 = 0; y0 < dims.ny; y0 += pb)
+            for (std::size_t x0 = 0; x0 < dims.nx; x0 += pb) {
+              const Box3 box = tile_of(x0, y0, z0);
+              const sz::PlaneFit fit = sz::fit_plane(in, dims, box);
+              double err_reg = 0, err_lor = 0;
+              for (std::size_t z = box.z0; z < box.z1; ++z)
+                for (std::size_t y = box.y0; y < box.y1; ++y)
+                  for (std::size_t x = box.x0; x < box.x1; ++x) {
+                    const double v = sz::finite_or_zero(
+                        static_cast<double>(in[dims.index(x, y, z)]));
+                    err_reg += std::fabs(v - sz::plane_predict(fit, box, x, y, z));
+                    err_lor += std::fabs(v - sz::lorenzo_predict(input, x, y, z));
+                  }
+              if (err_reg < err_lor) {
+                fits[{x0, y0, z0}] = fit;
+                ++n_regression;
+              } else {
+                ++n_lorenzo;
+              }
+            }
+        return [=](const sz::ReconView<T>& view, std::size_t x, std::size_t y,
+                   std::size_t z) {
+          const Box3 box = tile_of(x, y, z);
+          const auto fit = fits.find({box.x0, box.y0, box.z0});
+          return fit == fits.end() ? sz::lorenzo_predict(view, x, y, z)
+                                   : sz::plane_predict(fit->second, box, x, y, z);
+        };
+      });
 }
 
 /// A smooth field with the cells the kernel must treat specially: NaN,
@@ -249,6 +329,70 @@ void check_lorenzo_against_raster_reference() {
 TEST(HotpathEquivalence, LorenzoMatchesRasterReference) {
   check_lorenzo_against_raster_reference<float>();
   check_lorenzo_against_raster_reference<double>();
+}
+
+/// Noisy planes in some tiles (regression wins) and a smooth walk in the
+/// others (Lorenzo wins), with the special cells of lorenzo_field.
+template <class T>
+std::vector<T> hybrid_field(Dims3 dims, std::size_t nblocks,
+                            std::uint32_t seed) {
+  auto v = lorenzo_field<T>(dims.volume() * nblocks, seed);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> noise(-1.0, 1.0);
+  for (std::size_t b = 0; b < nblocks; ++b)
+    for (std::size_t z = 0; z < dims.nz; ++z)
+      for (std::size_t y = 0; y < dims.ny; ++y)
+        for (std::size_t x = 0; x < dims.nx; ++x) {
+          if ((x / 3 + y / 2 + z) % 2 != 0) continue;
+          const std::size_t i = b * dims.volume() + dims.index(x, y, z);
+          if (!std::isfinite(static_cast<double>(v[i]))) continue;
+          v[i] = static_cast<T>(3.0 * static_cast<double>(x) -
+                                2.0 * static_cast<double>(y) +
+                                0.5 * static_cast<double>(z) +
+                                0.3 * noise(rng));
+        }
+  return v;
+}
+
+template <class T>
+void check_hybrid_against_raster_reference() {
+  std::uint32_t seed = 100;
+  std::size_t n_regression = 0, n_lorenzo = 0;
+  for (const std::size_t pb : {std::size_t{2}, std::size_t{3}, std::size_t{6}})
+    // Extents pb does not divide, and one a single tile covers.
+    for (const Dims3 dims : {Dims3{7, 5, 4}, Dims3{13, 7, 5}, Dims3{1, 9, 3},
+                             Dims3{8, 8, 8}, Dims3{2, 2, 2}})
+      for (const std::size_t nblocks : {std::size_t{1}, std::size_t{3}})
+        for (const double eb : {1e-2, 1e-6}) {
+          const auto data = hybrid_field<T>(dims, nblocks, ++seed);
+          const sz::SzConfig cfg{.mode = sz::ErrorBoundMode::kAbsolute,
+                                 .error_bound = eb,
+                                 .predictor = sz::Predictor::kHybrid,
+                                 .pred_block = pb};
+          std::size_t want_outliers = 0;
+          const auto want = raster_hybrid_reference(
+              data, dims, nblocks, pb, eb, cfg.quant_radius, want_outliers,
+              n_regression, n_lorenzo);
+          const auto stream = sz::compress<T>(data, dims, cfg, nblocks);
+          const auto where = ::testing::Message()
+                             << dims << " x" << nblocks << " pb=" << pb
+                             << " eb=" << eb;
+          EXPECT_EQ(sz::peek(stream).n_outliers, want_outliers) << where;
+          const auto got = sz::decompress<T>(stream, want.size());
+          ASSERT_EQ(got.size(), want.size()) << where;
+          EXPECT_EQ(
+              std::memcmp(got.data(), want.data(), want.size() * sizeof(T)),
+              0)
+              << where;
+        }
+  // The sweep reaches both kinds of tile.
+  EXPECT_GT(n_regression, 0u);
+  EXPECT_GT(n_lorenzo, 0u);
+}
+
+TEST(HotpathEquivalence, HybridMatchesRasterReference) {
+  check_hybrid_against_raster_reference<float>();
+  check_hybrid_against_raster_reference<double>();
 }
 
 TEST(HotpathEquivalence, HuffmanTableDecodeMatchesReference) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -187,6 +188,26 @@ TEST(Hybrid, RejectsTinyPredBlock) {
                .predictor = Predictor::kHybrid,
                .pred_block = 1};
   EXPECT_THROW((void)compress<double>(v, d, cfg), std::invalid_argument);
+}
+
+TEST(Hybrid, PredBlockPastEveryExtentIsOneTile) {
+  // The tile count of a side that no extent reaches is one, also at
+  // SIZE_MAX, where a rounding-up division would wrap to zero tiles.
+  const Dims3 d{8, 8, 8};
+  const auto v = piecewise_planar(d, 4);
+  SzConfig cfg{.mode = ErrorBoundMode::kAbsolute,
+               .error_bound = 1e-2,
+               .predictor = Predictor::kHybrid,
+               .pred_block = 8};
+  const auto one_tile = decompress<double>(compress<double>(v, d, cfg),
+                                           v.size());
+  for (const std::size_t pb : {std::size_t{1} << 40, SIZE_MAX}) {
+    cfg.pred_block = pb;
+    const auto back =
+        decompress<double>(compress<double>(v, d, cfg), v.size());
+    expect_bounded<double>(v, back, 1e-2);
+    EXPECT_EQ(back, one_tile) << "pred_block " << pb;
+  }
 }
 
 TEST(Hybrid, PwRelComposesWithHybrid) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <random>
 #include <string>
 
@@ -489,6 +491,49 @@ TEST(HostileSz, PwRelInnerStreamMustHoldTheOuterCount) {
     EXPECT_THROW((void)sz::decompress<double>(stream, 64), sz::CountError);
   });
   EXPECT_LT(allocated, std::size_t{1} << 20);
+}
+
+TEST(HostileSz, HybridTileSideAndPredictorByteAreChecked) {
+  // The header's predictor byte and hybrid tile side (pred_block) sit
+  // next to each other; the first byte where streams of tile side 6 and
+  // 7 differ is the tile side.
+  const Dims3 d{8, 8, 8};
+  std::vector<double> v(d.volume());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = std::sin(0.1 * static_cast<double>(i));
+  sz::SzConfig cfg{.error_bound = 1e-3,
+                   .predictor = sz::Predictor::kHybrid,
+                   .pred_block = 6};
+  const auto stream = sz::compress<double>(v, d, cfg);
+  cfg.pred_block = 7;
+  const auto other = sz::compress<double>(v, d, cfg);
+  const std::size_t pb_at = static_cast<std::size_t>(
+      std::mismatch(stream.begin(), stream.end(), other.begin()).first -
+      stream.begin());
+  ASSERT_EQ(stream[pb_at], 6);
+  ASSERT_EQ(stream[pb_at - 1],
+            static_cast<std::uint8_t>(sz::Predictor::kHybrid));
+  ASSERT_NO_THROW((void)sz::decompress<double>(stream, v.size()));
+
+  const auto expect_rejected = [&](std::size_t at, std::uint8_t byte,
+                                   const char* message) {
+    auto bad = stream;
+    bad[at] = byte;
+    const std::size_t allocated = bytes_allocated_by([&] {
+      try {
+        (void)sz::decompress<double>(bad, v.size());
+        ADD_FAILURE() << "byte " << at << " = " << int{byte} << " decoded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+      }
+    });
+    EXPECT_LT(allocated, std::size_t{1} << 20);
+  };
+  expect_rejected(pb_at, 0, "pred_block");  // divides by the tile side
+  expect_rejected(pb_at, 1, "pred_block");
+  expect_rejected(pb_at - 1, 2, "predictor");
+  expect_rejected(pb_at - 1, 255, "predictor");
 }
 
 /// One level of 16^3 cells with a 4^3 valid corner, as the container
