@@ -207,26 +207,49 @@ std::vector<BlockGroup> gather_groups(const amr::AmrLevel& level,
     groups[it->second].members.push_back(sb);
   }
 
-  for (BlockGroup& g : groups) {
+  // One loop over the members of every group: each member copies its
+  // rows that lie inside the level with one memcpy apiece and zeroes only
+  // the cells past the level edge, so no buffer is cleared up front.
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;  // (group, member)
+  std::size_t cells_total = 0;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    BlockGroup& g = groups[gi];
     const std::size_t vol = g.block_cell_dims.volume();
-    g.buffer = scratch.alloc_zero<double>(vol * g.members.size());
-    parallel_for(0, g.members.size(), [&](std::size_t mi) {
-      const SubBlock& sb = g.members[mi];
-      double* dst = g.buffer.data() + mi * vol;
-      const Dims3 bd = g.block_cell_dims;
-      const std::size_t cx = sb.bx * B, cy = sb.by * B, cz = sb.bz * B;
-      for (std::size_t z = 0; z < bd.nz; ++z) {
-        if (cz + z >= cells.nz) continue;  // clipped edge: stays 0
-        for (std::size_t y = 0; y < bd.ny; ++y) {
-          if (cy + y >= cells.ny) continue;
-          for (std::size_t x = 0; x < bd.nx; ++x) {
-            if (cx + x >= cells.nx) continue;
-            dst[bd.index(x, y, z)] = level.data(cx + x, cy + y, cz + z);
-          }
-        }
-      }
-    }, grain_for(vol));
+    g.buffer = scratch.alloc<double>(vol * g.members.size());
+    cells_total += g.buffer.size();
+    for (std::size_t mi = 0; mi < g.members.size(); ++mi)
+      jobs.emplace_back(gi, mi);
   }
+  if (jobs.empty()) return groups;
+  const double* src = level.data.data();
+  parallel_for(
+      0, jobs.size(),
+      [&](std::size_t k) {
+        const auto [gi, mi] = jobs[k];
+        const BlockGroup& g = groups[gi];
+        const SubBlock& sb = g.members[mi];
+        const Dims3 bd = g.block_cell_dims;
+        double* dst = g.buffer.data() + mi * bd.volume();
+        const std::size_t cx = sb.bx * B, cy = sb.by * B, cz = sb.bz * B;
+        const auto inside = [](std::size_t c, std::size_t n, std::size_t e) {
+          return c < e ? std::min(n, e - c) : std::size_t{0};
+        };
+        const std::size_t nx = inside(cx, bd.nx, cells.nx);
+        const std::size_t ny = inside(cy, bd.ny, cells.ny);
+        const std::size_t nz = inside(cz, bd.nz, cells.nz);
+        for (std::size_t z = 0; z < bd.nz; ++z)
+          for (std::size_t y = 0; y < bd.ny; ++y) {
+            double* row = dst + bd.index(0, y, z);
+            std::size_t copied = 0;
+            if (y < ny && z < nz && nx > 0) {
+              std::memcpy(row, src + cells.index(cx, cy + y, cz + z),
+                          nx * sizeof(double));
+              copied = nx;
+            }
+            std::fill(row + copied, row + bd.nx, 0.0);  // clipped edge
+          }
+      },
+      grain_for(cells_total / jobs.size()));
   return groups;
 }
 

@@ -2,15 +2,17 @@
 /// \brief The SIMD/scalar contract: every dispatched hot path must produce
 /// byte-identical results at every size, including the awkward ones
 /// (empty, sub-vector-width, vector width +/- 1, page-ish). Also pins the
-/// Lorenzo and hybrid prediction walks against raster-order references,
-/// the CRC32 known-answer vector, the Huffman up-front truncation check,
-/// and the arena's steady-state no-new-blocks guarantee.
+/// Lorenzo and hybrid prediction walks and the AVX2 lane walk against
+/// raster-order references, the CRC32 known-answer vector, the Huffman
+/// up-front truncation check, and the arena's alignment and steady-state
+/// no-new-blocks guarantees.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -21,6 +23,7 @@
 #include "common/arena.hpp"
 #include "common/crc32.hpp"
 #include "common/simd.hpp"
+#include "common/telemetry.hpp"
 #include "lossless/huffman.hpp"
 #include "sz/predictor.hpp"
 #include "sz/quantizer.hpp"
@@ -263,14 +266,16 @@ std::vector<T> raster_hybrid_reference(const std::vector<T>& data, Dims3 dims,
       });
 }
 
-/// A smooth field with the cells the kernel must treat specially: NaN,
-/// +/-Inf, -0.0, and spikes far outside the quantization range.
+/// A smooth field around `base` with the cells the kernel must treat
+/// specially: NaN, +/-Inf, -0.0, and spikes far outside the quantization
+/// range.
 template <class T>
-std::vector<T> lorenzo_field(std::size_t n, std::uint32_t seed) {
+std::vector<T> lorenzo_field(std::size_t n, std::uint32_t seed,
+                             double base = 100.0) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
   std::vector<T> v(n);
-  double acc = 100.0;
+  double acc = base;
   for (auto& x : v) x = static_cast<T>(acc += 0.01 * u(rng));
   for (std::size_t i = 3; i < n; i += 37)
     v[i] = std::numeric_limits<T>::quiet_NaN();
@@ -329,6 +334,86 @@ void check_lorenzo_against_raster_reference() {
 TEST(HotpathEquivalence, LorenzoMatchesRasterReference) {
   check_lorenzo_against_raster_reference<float>();
   check_lorenzo_against_raster_reference<double>();
+}
+
+/// The value of counter `name` (0 if it was never registered).
+std::uint64_t counter_value(const char* name) {
+  for (const auto& c : telemetry::collect_counters())
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+/// The AVX2 lane walk (four blocks per vector, wide steps of several
+/// vectors, then steps of one, then the last nblocks mod 4 blocks on the
+/// block walk) against the forced-scalar block walk and the raster
+/// reference, over block counts around both step widths, extents from
+/// 16^3 down to one cell, the code range's extremes, and data with NaN,
+/// +/-Inf, -0.0, spikes, and pairs of neighbours whose sum overflows.
+/// Around 2^40 a double's spacing (2^-12) is close to the bin width, so a
+/// prediction one rounding off changes codes there; with eb = 2^-11 a
+/// residual can sit exactly on the bound and exactly between two bins.
+TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
+  ScalarGuard guard;
+  const telemetry::Mode was = telemetry::set_mode(telemetry::Mode::kCounters);
+  simd::force_scalar(false);
+  const bool avx2 = simd::active_level() == simd::Level::kAVX2;
+  struct FieldBound {
+    double base, eb;
+  };
+  std::uint32_t seed = 500;
+  std::uint64_t lane_blocks = 0;
+  for (const std::size_t nblocks :
+       {1u, 2u, 3u, 4u, 5u, 15u, 16u, 17u, 33u})
+    for (const Dims3 dims : {Dims3{8, 8, 8}, Dims3{16, 16, 16},
+                             Dims3{7, 5, 4}, Dims3{1, 9, 3}, Dims3{2, 2, 2},
+                             Dims3{1, 1, 1}})
+      for (const std::uint32_t radius : {2u, 32768u, 1u << 30})
+        for (const auto [base, eb] :
+             {FieldBound{100.0, 1e-2}, FieldBound{100.0, 1e-6},
+              FieldBound{0x1p40, 1e-2}, FieldBound{0x1p40, 0x1p-11}}) {
+          auto data =
+              lorenzo_field<double>(dims.volume() * nblocks, ++seed, base);
+          for (std::size_t i = 13; i < data.size(); i += 89)
+            data[i] = i % 2 == 0 ? 1.5e308 : -1.5e308;
+          const sz::SzConfig cfg{.mode = sz::ErrorBoundMode::kAbsolute,
+                                 .error_bound = eb,
+                                 .quant_radius = radius};
+          const auto where = ::testing::Message()
+                             << dims << " x" << nblocks << " radius="
+                             << radius << " eb=" << eb;
+
+          simd::force_scalar(false);
+          telemetry::reset_counters();
+          const auto lanes = sz::compress<double>(data, dims, cfg, nblocks);
+          const std::uint64_t ran = counter_value("sz.lane_blocks");
+          lane_blocks += ran;
+          const bool constant = dims.volume() * nblocks < 2;
+          EXPECT_EQ(ran, avx2 && !constant ? nblocks / 4 * 4 : 0) << where;
+
+          simd::force_scalar(true);
+          telemetry::reset_counters();
+          const auto blocks = sz::compress<double>(data, dims, cfg, nblocks);
+          EXPECT_EQ(counter_value("sz.lane_blocks"), 0u) << where;
+          EXPECT_EQ(lanes, blocks) << where;
+
+          std::size_t want_outliers = 0;
+          const auto want = raster_lorenzo_reference(
+              data, dims, nblocks, eb, radius, want_outliers);
+          // A one-cell stream is constant: no outliers, decoded exactly.
+          EXPECT_EQ(sz::peek(lanes).n_outliers, constant ? 0 : want_outliers)
+              << where;
+          const auto got = sz::decompress<double>(lanes, want.size());
+          ASSERT_EQ(got.size(), want.size()) << where;
+          EXPECT_EQ(std::memcmp(got.data(), (constant ? data : want).data(),
+                                want.size() * sizeof(double)),
+                    0)
+              << where;
+        }
+  telemetry::set_mode(was);
+  // The sweep reached the lane walk wherever the host has AVX2.
+  if (avx2) {
+    EXPECT_GT(lane_blocks, 0u);
+  }
 }
 
 /// Noisy planes in some tiles (regression wins) and a smooth walk in the
@@ -476,6 +561,32 @@ TEST(HotpathEquivalence, ArenaSteadyStateAllocatesNoNewBlocks) {
   EXPECT_GT(after.allocs, warm.allocs);  // the arena was actually used
   EXPECT_EQ(after.block_allocs, warm.block_allocs);
   EXPECT_EQ(after.large_allocs, warm.large_allocs);
+}
+
+/// Every pointer the arena hands out is 64-byte aligned: from the bump
+/// region, from a block it grows, and from a dedicated large block.
+TEST(HotpathEquivalence, ArenaAllocationsAre64ByteAligned) {
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+  };
+  auto& arena = ScratchArena::local();
+  ArenaScope scope;
+  const auto before = arena.stats();
+  for (const std::size_t n : {1u, 3u, 8u, 17u, 63u, 64u, 65u, 1000u})
+    EXPECT_TRUE(aligned(scope.alloc<std::uint8_t>(n).data())) << "bump " << n;
+  EXPECT_TRUE(aligned(scope.alloc<double>(3).data()));
+  // Requests just under the large cutoff outgrow any retained region
+  // (32 MiB at most) within a few calls.
+  const std::size_t big = ScratchArena::kLargeCutoff - 100;
+  for (int i = 0; i < 16 && arena.stats().block_allocs == before.block_allocs;
+       ++i)
+    EXPECT_TRUE(aligned(scope.alloc<std::uint8_t>(big).data())) << "grow";
+  EXPECT_GT(arena.stats().block_allocs, before.block_allocs);
+  EXPECT_TRUE(aligned(scope.alloc<std::uint8_t>(5).data())) << "grown block";
+  EXPECT_TRUE(
+      aligned(scope.alloc<std::uint8_t>(ScratchArena::kLargeCutoff + 1).data()))
+      << "large";
+  EXPECT_GT(arena.stats().large_allocs, before.large_allocs);
 }
 
 }  // namespace
