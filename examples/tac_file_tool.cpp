@@ -32,8 +32,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -54,12 +52,6 @@ constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 constexpr int kExitCorrupt = 4;
-
-/// File-level failures (open/read/write) — mapped to kExitIo, distinct
-/// from corrupt-container errors raised by the decoders.
-struct IoError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// Undecodable input bytes — mapped to kExitCorrupt.
 struct CorruptError : std::runtime_error {
@@ -82,45 +74,12 @@ auto decode_step(F&& f) -> decltype(f()) {
   }
 }
 
-/// Streamed in fixed chunks instead of one slurp: bounded syscall sizes,
-/// and short reads/writes surface as IoError instead of silently handing
-/// a half-filled buffer to the decoders.
-constexpr std::size_t kIoChunk = std::size_t{1} << 20;  // 1 MiB
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
+/// amr::read_file under the `cli.load` span. Its IoError maps to kExitIo.
+std::vector<std::uint8_t> read_input(const std::string& path) {
   TAC_SPAN_NAMED(span, "cli.load");
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw IoError("cannot open " + path);
-  // Sized once from the file: one allocation and no regrowth per chunk.
-  // file_size also refuses a directory, which opens as a stream.
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) throw IoError("cannot size " + path + ": " + ec.message());
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
-    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
-    f.read(reinterpret_cast<char*>(bytes.data() + pos),
-           static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(f.gcount()) != n)
-      throw IoError("read failed: " + path);
-  }
+  auto bytes = amr::read_file(path);
   span.set_bytes(bytes.size());
   return bytes;
-}
-
-void write_file(const std::string& path,
-                const std::vector<std::uint8_t>& bytes) {
-  TAC_SPAN_BYTES("cli.write", bytes.size());
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw IoError("cannot open " + path);
-  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
-    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
-    f.write(reinterpret_cast<const char*>(bytes.data() + pos),
-            static_cast<std::streamsize>(n));
-    if (!f) throw IoError("write failed: " + path);
-  }
-  f.flush();
-  if (!f) throw IoError("write failed: " + path);
 }
 
 int cmd_gen(const std::string& out, std::size_t n) {
@@ -167,7 +126,10 @@ int cmd_compress(const std::string& in, const std::string& out,
     std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
     return kExitUsage;
   }
-  write_file(out, compressed.bytes);
+  {
+    TAC_SPAN_BYTES("cli.write", compressed.bytes.size());
+    amr::write_file(out, compressed.bytes);
+  }
   std::printf("%s -> %s: %s, CR %.1f\n", in.c_str(), out.c_str(),
               core::to_string(compressed.report.method),
               analysis::compression_ratio(compressed.report.original_bytes,
@@ -190,7 +152,7 @@ int cmd_compress(const std::string& in, const std::string& out,
 }
 
 int cmd_decompress(const std::string& in, const std::string& out) {
-  const auto bytes = read_file(in);
+  const auto bytes = read_input(in);
   const auto ds = decode_step([&] { return core::decompress_any(bytes); });
   {
     TAC_SPAN("cli.write");
@@ -203,7 +165,7 @@ int cmd_decompress(const std::string& in, const std::string& out) {
 
 int cmd_extract(const std::string& in, const std::string& out, long level,
                 const std::string& field) {
-  const auto bytes = read_file(in);
+  const auto bytes = read_input(in);
 
   std::span<const std::uint8_t> container(bytes);
   if (!field.empty()) {
@@ -398,7 +360,7 @@ int print_snapshot_info(const std::string& path,
 }
 
 int cmd_info(const std::string& path, bool timing) {
-  const auto bytes = read_file(path);
+  const auto bytes = read_input(path);
   if (core::is_compressed_snapshot(bytes)) {
     if (timing)
       std::fprintf(stderr,
@@ -431,7 +393,7 @@ int cmd_info(const std::string& path, bool timing) {
 /// Chrome-trace exporter emits, rendered for a terminal. Accepts a
 /// compressed container or a compressed snapshot.
 int cmd_stats(const std::string& path) {
-  const auto bytes = read_file(path);
+  const auto bytes = read_input(path);
   if (!core::is_container(bytes) && !core::is_compressed_snapshot(bytes)) {
     std::fprintf(stderr,
                  "%s is not a compressed container or snapshot "
@@ -629,7 +591,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
     }
     return rc;
-  } catch (const IoError& e) {
+  } catch (const tac::amr::IoError& e) {
     std::fprintf(stderr, "I/O error: %s\n", e.what());
     return kExitIo;
   } catch (const tac::core::ChecksumError& e) {

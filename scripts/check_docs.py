@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency gate.
 
-Three checks, each of which has actually drifted (or would silently
+Five checks, each of which has actually drifted (or would silently
 drift) in real projects:
 
 1. The constants table in docs/FORMAT.md matches the authoritative
@@ -18,6 +18,10 @@ drift) in real projects:
    instrumentation macros actually present in src/ and examples/: every
    name used in code is documented, and every documented name exists in
    code (so the catalogue can neither lag nor accumulate ghosts).
+5. Every backticked repo path (`src/...`, `tests/...`, `scripts/...`,
+   `bench/...`, `examples/...`, `docs/...`, `tacbench/...`) in README.md,
+   ROADMAP.md and docs/*.md exists. Plain backticks are not links, so
+   check 3 would not notice a file they name being deleted.
 
 Exit 0 when everything holds, 1 with a per-failure report otherwise.
 Stdlib only; run from anywhere (paths resolve relative to the repo
@@ -239,6 +243,39 @@ def check_telemetry_catalogue() -> None:
              "instrumentation macro in src/ or examples/ uses it")
 
 
+# ------------------------------------------------------------------ check 5
+REPO_PATH_RE = re.compile(
+    r"`((?:src|tests|scripts|bench|examples|docs|tacbench)/[^`\s]*)`")
+
+
+def path_exists(path: str) -> bool:
+    """A documented path resolves when every `{a,b}` alternative exists as
+    a file or directory, matches as a glob, or names a module or bench
+    binary by its stem (`src/analysis/metrics`, `bench/tab02_throughput`).
+    A trailing `:line` or `:first-last` reference is ignored."""
+    path = re.sub(r":\d+(?:-\d+)?$", "", path)
+    m = re.search(r"\{([^}]*)\}", path)
+    if m:
+        return all(path_exists(path[:m.start()] + alt + path[m.end():])
+                   for alt in m.group(1).split(","))
+    if any(c in path for c in "*?["):
+        return any(ROOT.glob(path))
+    return any((ROOT / (path + suffix)).exists()
+               for suffix in ("", ".cpp", ".hpp"))
+
+
+def check_repo_paths() -> None:
+    docs = ["README.md", "ROADMAP.md"]
+    docs += sorted(str(p.relative_to(ROOT))
+                   for p in (ROOT / "docs").glob("*.md"))
+    for rel in docs:
+        text = (ROOT / rel).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for path in REPO_PATH_RE.findall(line):
+                if not path_exists(path):
+                    fail(f"{rel}:{lineno}: `{path}` names no file in the repo")
+
+
 def main() -> int:
     for path in (CONTAINER_HPP, FORMAT_MD, BACKENDS_MD, TELEMETRY_MD,
                  EXAMPLE_CPP):
@@ -249,12 +286,14 @@ def main() -> int:
         check_snippet()
         check_links()
         check_telemetry_catalogue()
+        check_repo_paths()
     if errors:
         print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
         for e in errors:
             print(f"  - {e}", file=sys.stderr)
         return 1
-    print("check_docs: constants, guide snippet and doc links all consistent")
+    print("check_docs: constants, guide snippet, doc links, telemetry "
+          "catalogue and repo paths all consistent")
     return 0
 
 

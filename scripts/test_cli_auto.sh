@@ -4,7 +4,10 @@
 # tac_file_tool, and a damaged selector byte must exit with code 4, as
 # must a selector byte that names another method in a fixed-method
 # container and a 1D payload whose sz stream declares far more values
-# than its level holds.
+# than its level holds. File failures (a missing or directory input, an
+# output in a missing directory) must exit with code 3, and an .amr file
+# whose refinement ratio contradicts its level extents with code 4 on the
+# zMesh and 3D paths.
 #
 # Usage: test_cli_auto.sh <path-to-tac_file_tool>
 set -eu
@@ -110,5 +113,44 @@ set -e
 [ "$rc" -eq 4 ] || fail "2^38-element sz stream: expected exit 4, got $rc"
 grep -q "declares 274877906944 elements" err.log ||
   fail "2^38-element sz stream: not refused by its count: $(cat err.log)"
+
+# expect_exit <code> <what> <command...>: run a tool command that must fail
+# with exit code <code>.
+expect_exit() {
+  want=$1
+  what=$2
+  shift 2
+  set +e
+  "$@" >/dev/null 2>err.log
+  rc=$?
+  set -e
+  [ "$rc" -eq "$want" ] ||
+    fail "$what: expected exit $want, got $rc: $(cat err.log)"
+}
+
+mkdir adir
+expect_exit 3 "missing .amr input" "$TOOL" compress missing.amr x.tac
+expect_exit 3 "directory input" "$TOOL" compress adir x.tac
+expect_exit 3 "unwritable gen output" "$TOOL" gen nodir/x.amr 16
+"$TOOL" compress in.amr good.tac >/dev/null || fail "compress (tac)"
+expect_exit 3 "unwritable decompress output" \
+  "$TOOL" decompress good.tac nodir/x.amr
+
+# The .amr header (magic u32, version u8, field name, ratio varint) is not
+# checksummed: a ratio of 4 over extents that halve per level must be
+# refused before the zMesh or 3D path indexes the finest grid by it.
+python3 -c "
+d = bytearray(open('in.amr', 'rb').read())
+at = 6 + d[5]  # the one-byte name length, the name, then the ratio
+assert d[at] == 2, f'expected ratio 2, got {d[at]}'
+d[at] = 4
+open('ratio.amr', 'wb').write(bytes(d))
+"
+for m in 3d zmesh; do
+  expect_exit 4 "ratio 4 .amr, --method=$m" \
+    "$TOOL" compress ratio.amr x.tac 1e-4 --method=$m
+  grep -q "refinement ratio" err.log ||
+    fail "ratio 4 .amr, --method=$m: untyped error: $(cat err.log)"
+done
 
 echo "cli auto round-trip OK ($n payloads)"

@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -41,6 +43,23 @@ void spread_bits(std::span<const std::uint8_t> packed,
   }
   for (; i < count; ++i) out[i] = (packed[i / 8] >> (i % 8)) & 1u;
 }
+
+/// unpack_mask into caller storage holding at least ceil(out.size()/8)
+/// packed bytes. `out` must arrive zeroed: set bits become 1, and runs of
+/// 64 clear bits are skipped without a write, so the untouched pages of a
+/// sparse mask never become resident.
+void unpack_mask_into(std::span<const std::uint8_t> packed,
+                      std::span<std::uint8_t> out) {
+  const std::size_t count = out.size();
+  std::size_t i = 0;
+  for (; i + 64 <= count; i += 64) {
+    std::uint64_t word;
+    std::memcpy(&word, packed.data() + i / 8, sizeof(word));
+    if (word != 0) spread_bits(packed.subspan(i / 8, 8), out.subspan(i, 64));
+  }
+  spread_bits(packed.subspan(i / 8), out.subspan(i));
+}
+
 }  // namespace
 
 LevelRecord read_level_record(ByteReader& r, std::size_t level,
@@ -94,23 +113,6 @@ std::vector<std::uint8_t> unpack_mask(std::span<const std::uint8_t> packed,
   std::vector<std::uint8_t> out(count);
   unpack_mask_into(packed, out);
   return out;
-}
-
-void unpack_mask_into(std::span<const std::uint8_t> packed,
-                      std::span<std::uint8_t> out) {
-  const std::size_t count = out.size();
-  if (packed.size() < (count + 7) / 8)
-    throw std::runtime_error("unpack_mask: truncated mask");
-  // `out` is zeroed: 64 empty cells (one all-zero packed word) cost no
-  // write, so the mask pages of a sparse level's empty regions are never
-  // touched.
-  std::size_t i = 0;
-  for (; i + 64 <= count; i += 64) {
-    std::uint64_t word;
-    std::memcpy(&word, packed.data() + i / 8, sizeof(word));
-    if (word != 0) spread_bits(packed.subspan(i / 8, 8), out.subspan(i, 64));
-  }
-  spread_bits(packed.subspan(i / 8), out.subspan(i));
 }
 
 std::vector<std::size_t> dense_page_runs(std::span<const std::uint8_t> packed,
@@ -226,14 +228,18 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
   if (r.get<std::uint8_t>() != kVersion)
     throw std::runtime_error("amr_io: unsupported version");
   const std::string name = r.get_string();
-  const int ratio = static_cast<int>(r.get_varint());
+  // .amr files carry no checksum: the ratio is checked against each
+  // level's extents before the level is built.
+  const int ratio = checked_ratio(r.get_varint(), "amr_io");
   const std::size_t nlevels =
       r.get_count("amr_io: level count", kMinLevelBytes);
   std::vector<AmrLevel> levels;
   levels.reserve(nlevels);
   for (std::size_t l = 0; l < nlevels; ++l) {
-    AmrLevel lv = level_from_record(read_level_record(r, l, "amr_io"), l,
-                                    "amr_io");
+    const LevelRecord rec = read_level_record(r, l, "amr_io");
+    if (l > 0)
+      check_level_extents(levels.back().dims(), rec.dims, ratio, l, "amr_io");
+    AmrLevel lv = level_from_record(rec, l, "amr_io");
     const auto value_bytes = r.get_blob();
     if (value_bytes.size() % sizeof(double) != 0)
       throw std::runtime_error("amr_io: bad value payload");
@@ -246,25 +252,48 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
   return AmrDataset(name, std::move(levels), ratio);
 }
 
-void save_dataset(const std::string& path, const AmrDataset& ds) {
-  const auto bytes = dataset_to_bytes(ds);
+namespace {
+/// Largest read or write issued at once: bounded syscall sizes.
+constexpr std::size_t kIoChunk = std::size_t{1} << 20;  // 1 MiB
+}  // namespace
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw IoError("cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) throw IoError("cannot size " + path + ": " + ec.message());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
+    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
+    f.read(reinterpret_cast<char*>(bytes.data() + pos),
+           static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(f.gcount()) != n)
+      throw IoError("read failed: " + path);
+  }
+  return bytes;
+}
+
+void write_file(const std::string& path,
+                std::span<const std::uint8_t> bytes) {
   std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_dataset: cannot open " + path);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("save_dataset: write failed " + path);
+  if (!f) throw IoError("cannot open " + path);
+  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
+    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
+    f.write(reinterpret_cast<const char*>(bytes.data() + pos),
+            static_cast<std::streamsize>(n));
+    if (!f) throw IoError("write failed: " + path);
+  }
+  f.flush();
+  if (!f) throw IoError("write failed: " + path);
+}
+
+void save_dataset(const std::string& path, const AmrDataset& ds) {
+  write_file(path, dataset_to_bytes(ds));
 }
 
 AmrDataset load_dataset(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw std::runtime_error("load_dataset: cannot open " + path);
-  const auto size = static_cast<std::size_t>(f.tellg());
-  f.seekg(0);
-  std::vector<std::uint8_t> bytes(size);
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(size));
-  if (!f) throw std::runtime_error("load_dataset: read failed " + path);
-  return dataset_from_bytes(bytes);
+  return dataset_from_bytes(read_file(path));
 }
 
 }  // namespace tac::amr

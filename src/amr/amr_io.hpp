@@ -2,7 +2,8 @@
 #define TAC_AMR_AMR_IO_HPP
 
 /// \file amr_io.hpp
-/// \brief Binary snapshot serialization for AMR datasets.
+/// \brief Binary snapshot serialization for AMR datasets, and the one file
+/// reader and writer of the library and its tools.
 ///
 /// The structure (masks) is stored losslessly — as AMR snapshot formats do
 /// — with bit-packing plus the generic lossless codec; values are stored as
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,10 +20,29 @@
 
 namespace tac::amr {
 
+/// A file that cannot be opened, sized, read or written in full — told
+/// apart from bytes that do not decode, which raise other errors.
+struct IoError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The bytes of the file at `path`, read in bounded chunks into one buffer
+/// sized once from the file's size. Throws IoError when the file cannot be
+/// opened or sized (a directory cannot) or ends before that size.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
+
+/// Writes `bytes` to `path`, replacing any file there, in bounded chunks.
+/// Throws IoError when the file cannot be opened or a write fails.
+void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
+
 [[nodiscard]] std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds);
+/// Parses an .amr file's bytes. Throws std::runtime_error (StructureError
+/// for a refinement ratio its level extents contradict) on bytes that do
+/// not hold a dataset.
 [[nodiscard]] AmrDataset dataset_from_bytes(
     std::span<const std::uint8_t> bytes);
 
+/// write_file of dataset_to_bytes, and dataset_from_bytes of read_file.
 void save_dataset(const std::string& path, const AmrDataset& ds);
 [[nodiscard]] AmrDataset load_dataset(const std::string& path);
 
@@ -30,14 +51,6 @@ void save_dataset(const std::string& path, const AmrDataset& ds);
     std::span<const std::uint8_t> mask);
 [[nodiscard]] std::vector<std::uint8_t> unpack_mask(
     std::span<const std::uint8_t> packed, std::size_t count);
-
-/// unpack_mask straight into caller storage (e.g. a fresh AmrLevel's
-/// mask). `out` must arrive zeroed: set bits become 1, and runs of 64
-/// clear bits are skipped without a write, so the untouched pages of a
-/// sparse mask never become resident. Throws if `packed` holds fewer than
-/// ceil(out.size()/8) bytes.
-void unpack_mask_into(std::span<const std::uint8_t> packed,
-                      std::span<std::uint8_t> out);
 
 /// The byte offsets, from an array's first byte, of the huge-page runs
 /// worth hinting in an array that is written only at the valid cells of

@@ -1,6 +1,7 @@
 #include "amr/dataset.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -64,23 +65,41 @@ std::pair<double, double> AmrLevel::valid_range() const {
   return {lo, hi};
 }
 
+int checked_ratio(std::uint64_t ratio, const char* context) {
+  if (ratio < 2 || ratio > static_cast<std::uint64_t>(INT_MAX))
+    throw StructureError(std::string(context) + ": refinement ratio " +
+                         std::to_string(ratio) +
+                         " is not an int of at least 2");
+  return static_cast<int>(ratio);
+}
+
+void check_level_extents(Dims3 finer, Dims3 dims, int ratio,
+                         std::size_t level, const char* context) {
+  const auto r = static_cast<std::size_t>(ratio);
+  const Dims3 expect{finer.nx / r, finer.ny / r, finer.nz / r};
+  if (dims == expect) return;
+  std::ostringstream os;
+  os << context << ": level " << level << " dims " << dims
+     << " are not level " << level - 1 << "'s " << finer << " divided by "
+     << "the refinement ratio " << ratio << " (expected " << expect << ")";
+  throw StructureError(os.str());
+}
+
+void AmrDataset::check_structure(const char* context) const {
+  (void)checked_ratio(static_cast<std::uint64_t>(ratio_), context);
+  for (std::size_t l = 1; l < levels_.size(); ++l)
+    check_level_extents(levels_[l - 1].dims(), levels_[l].dims(), ratio_, l,
+                        context);
+}
+
 std::string AmrDataset::validate() const {
   if (levels_.empty()) return "dataset has no levels";
-  if (ratio_ < 2) return "refinement ratio must be >= 2";
-  const Dims3 fine = finest_dims();
-  const auto r = static_cast<std::size_t>(ratio_);
-
-  for (std::size_t l = 1; l < levels_.size(); ++l) {
-    const Dims3 expect{levels_[l - 1].dims().nx / r,
-                       levels_[l - 1].dims().ny / r,
-                       levels_[l - 1].dims().nz / r};
-    if (!(levels_[l].dims() == expect)) {
-      std::ostringstream os;
-      os << "level " << l << " dims " << levels_[l].dims() << " != expected "
-         << expect;
-      return os.str();
-    }
+  try {
+    check_structure("dataset");
+  } catch (const StructureError& e) {
+    return e.what();
   }
+  const Dims3 fine = finest_dims();
 
   // Coverage counting on the finest grid: each cell exactly once.
   Array3D<std::uint8_t> cover(fine, 0);

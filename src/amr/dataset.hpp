@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,24 @@ struct AmrLevel {
   [[nodiscard]] std::pair<double, double> valid_range() const;
 };
 
+/// A refinement ratio or level extents that no AMR hierarchy can have.
+struct StructureError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Returns `ratio` as an int when it is a refinement ratio: at least 2 and
+/// within int. Throws StructureError prefixed with `context` otherwise.
+[[nodiscard]] int checked_ratio(std::uint64_t ratio, const char* context);
+
+/// Throws StructureError prefixed with `context` unless level `level`'s
+/// extents `dims` equal its finer neighbour's extents `finer` divided by
+/// `ratio`, rounded down. With a checked_ratio this keeps x * s + d, for
+/// every cell coordinate x of level l and every d < s =
+/// scale_to_finest(l), inside the finest grid, which the zMesh and 3D
+/// paths index.
+void check_level_extents(Dims3 finer, Dims3 dims, int ratio,
+                         std::size_t level, const char* context);
+
 /// A multi-level dataset for one simulation field.
 class AmrDataset {
  public:
@@ -215,9 +234,14 @@ class AmrDataset {
     return total_valid() * sizeof(double);
   }
 
-  /// Verifies the tree-structure invariant: level extents shrink by
-  /// `ratio` per level and every finest-grid cell is covered by exactly
-  /// one level's valid region. Returns an explanation on failure.
+  /// checked_ratio and check_level_extents over this dataset: throws
+  /// StructureError prefixed with `context` unless every cell of every
+  /// level maps inside the finest grid. Costs O(levels), no cell is read.
+  void check_structure(const char* context) const;
+
+  /// Verifies the tree-structure invariant: check_structure holds and
+  /// every finest-grid cell is covered by exactly one level's valid
+  /// region. Returns an explanation on failure.
   [[nodiscard]] std::string validate() const;
 
  private:

@@ -1,28 +1,8 @@
 #include "amr/snapshot.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
-
-#include "amr/amr_io.hpp"
-#include "common/bytes.hpp"
 
 namespace tac::amr {
-namespace {
-constexpr std::uint32_t kMagic = 0x50534154;  // "TASP"
-constexpr std::uint8_t kVersion = 1;
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(f.tellg()));
-  f.seekg(0);
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(bytes.size()));
-  return bytes;
-}
-
-}  // namespace
 
 std::string Snapshot::validate_shared_structure() const {
   if (fields.empty()) return "snapshot has no fields";
@@ -47,42 +27,6 @@ std::string Snapshot::validate_shared_structure() const {
     }
   }
   return {};
-}
-
-std::vector<std::uint8_t> snapshot_to_bytes(const Snapshot& s) {
-  ByteWriter w;
-  w.put<std::uint32_t>(kMagic);
-  w.put<std::uint8_t>(kVersion);
-  w.put_varint(s.fields.size());
-  for (const auto& ds : s.fields) w.put_blob(dataset_to_bytes(ds));
-  return w.take();
-}
-
-Snapshot snapshot_from_bytes(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  if (r.get<std::uint32_t>() != kMagic)
-    throw std::runtime_error("snapshot: bad magic");
-  if (r.get<std::uint8_t>() != kVersion)
-    throw std::runtime_error("snapshot: unsupported version");
-  Snapshot s;
-  const std::size_t n = static_cast<std::size_t>(r.get_varint());
-  s.fields.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    s.fields.push_back(dataset_from_bytes(r.get_blob()));
-  return s;
-}
-
-void save_snapshot(const std::string& path, const Snapshot& s) {
-  const auto bytes = snapshot_to_bytes(s);
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_snapshot: cannot open " + path);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("save_snapshot: write failed " + path);
-}
-
-Snapshot load_snapshot(const std::string& path) {
-  return snapshot_from_bytes(slurp(path));
 }
 
 }  // namespace tac::amr

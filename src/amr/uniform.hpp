@@ -17,7 +17,8 @@ namespace tac::amr {
 
 /// Up-samples all levels of `ds` to the finest resolution and merges them
 /// into one grid. Every finest cell gets the value of the unique level that
-/// stores its region.
+/// stores its region. Throws StructureError when `ds` fails
+/// AmrDataset::check_structure.
 [[nodiscard]] Array3D<double> compose_uniform(const AmrDataset& ds);
 
 /// Inverse of compose_uniform given the dataset *structure*: fills each
@@ -26,12 +27,8 @@ namespace tac::amr {
 /// (zero in a freshly materialized skeleton). For data produced by
 /// compose_uniform + error-bounded compression this preserves the bound
 /// (every replicated fine cell is within eb of the original coarse value).
+/// Throws StructureError when `ds` fails AmrDataset::check_structure.
 void distribute_uniform(const Array3D<double>& uniform, AmrDataset& ds);
-
-/// Up-samples a single level to `target` extents by nearest-neighbour
-/// replication, ignoring the mask (used for tests and visualization).
-[[nodiscard]] Array3D<double> upsample(const Array3D<double>& coarse,
-                                       Dims3 target);
 
 }  // namespace tac::amr
 

@@ -13,7 +13,7 @@ Method adaptive_select(const amr::AmrDataset& ds, const TacConfig& cfg) {
   const amr::AmrLevel& finest = ds.level(0);
   const BlockGrid grid(finest.dims(), cfg.block_size);
   const double density = occupancy_density(block_occupancy(finest, grid));
-  return density >= cfg.t2 ? Method::kUpsample3D : Method::kTac;
+  return density >= kDensityT2 ? Method::kUpsample3D : Method::kTac;
 }
 
 CompressedAmr adaptive_compress(const amr::AmrDataset& ds,

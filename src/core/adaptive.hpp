@@ -18,7 +18,7 @@
 namespace tac::core {
 
 /// Chooses kUpsample3D when the finest level's unit-block density is at
-/// least cfg.t2, kTac otherwise.
+/// least kDensityT2, kTac otherwise.
 [[nodiscard]] Method adaptive_select(const amr::AmrDataset& ds,
                                      const TacConfig& cfg);
 

@@ -35,7 +35,7 @@ namespace tac::core {
 
 /// One payload of a container: a level encoded standalone by a backend —
 /// the unit the auto-selector stitches mixed-method containers out of
-/// (see core/selector.hpp) — or the one payload zMesh/3D interleave every
+/// (see core/selector.cpp) — or the one payload zMesh/3D interleave every
 /// level into. `report.method` becomes the payload's selector byte.
 struct LevelPayload {
   std::vector<std::uint8_t> bytes;

@@ -69,6 +69,7 @@ void visit_zmesh(const amr::AmrDataset& ds, std::size_t level, std::size_t x,
 
 void zmesh_traverse(const amr::AmrDataset& ds, auto&& emit) {
   if (ds.num_levels() == 0) return;
+  ds.check_structure("zmesh");
   const std::size_t coarsest = ds.num_levels() - 1;
   const Dims3 cd = ds.level(coarsest).dims();
   for (std::size_t z = 0; z < cd.nz; ++z)

@@ -37,7 +37,8 @@ namespace tac::core {
                                                 const sz::SzConfig& cfg);
 
 /// The zMesh traversal order as gather/scatter (exposed for tests and the
-/// ordering-smoothness experiment of Figure 16).
+/// ordering-smoothness experiment of Figure 16). Both throw
+/// amr::StructureError when `ds` fails AmrDataset::check_structure.
 [[nodiscard]] std::vector<double> zmesh_gather(const amr::AmrDataset& ds);
 void zmesh_scatter(amr::AmrDataset& ds, std::span<const double> values);
 

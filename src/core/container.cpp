@@ -144,11 +144,16 @@ CommonHeader read_common_header(ByteReader& r) {
   h.method = prefix.method;
   h.version = prefix.version;
   h.field_name = r.get_string();
-  h.refinement_ratio = static_cast<int>(r.get_varint());
+  // The header is not checksummed, so the ratio is checked against the
+  // level extents before anything indexes a level by it.
+  h.refinement_ratio = amr::checked_ratio(r.get_varint(), "container");
   h.levels.resize(
       r.get_count("container: level count", amr::kMinLevelRecordBytes));
   for (std::size_t l = 0; l < h.levels.size(); ++l) {
     const amr::LevelRecord rec = amr::read_level_record(r, l, "container");
+    if (l > 0)
+      amr::check_level_extents(h.levels[l - 1].dims, rec.dims,
+                               h.refinement_ratio, l, "container");
     h.levels[l].dims = rec.dims;
     h.levels[l].mask_blob.assign(rec.mask_blob.begin(), rec.mask_blob.end());
   }

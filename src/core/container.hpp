@@ -30,7 +30,7 @@
 ///
 /// Format v4 widens each index entry by a selector byte: the Method tag
 /// of the backend that produced that payload. Fixed backends stamp their
-/// own tag; the `auto` pseudo-backend (core/selector.hpp) records the
+/// own tag; the `auto` pseudo-backend (core/selector.cpp) records the
 /// per-level winner its trial selection picked, and its decoder
 /// dispatches each payload to the recorded backend. v1-v3 containers
 /// carry no selector and decode leniently as "fixed method" (the header
@@ -56,7 +56,7 @@ enum class Method : std::uint8_t {
   kZMesh = 2,       ///< zMesh reordering baseline: interleaved 1D stream
   kUpsample3D = 3,  ///< 3D baseline: up-sample to uniform, one 3D stream
   kAuto = 4,        ///< adaptive selector: per-level winner among the
-                    ///< level-capable backends (core/selector.hpp); each
+                    ///< level-capable backends (core/selector.cpp); each
                     ///< payload's backend is recorded in the v4 index
 };
 

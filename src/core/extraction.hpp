@@ -76,12 +76,6 @@ void scatter_block(amr::AmrLevel& level, const BlockGrid& grid,
 void scatter_groups(amr::AmrLevel& level, const BlockGrid& grid,
                     const std::vector<BlockGroup>& groups);
 
-/// Validation helper shared by tests: true iff `sub_blocks` are pairwise
-/// disjoint, in range, and cover each non-empty unit block exactly once
-/// while touching no empty block.
-[[nodiscard]] bool covers_exactly(const Array3D<std::uint8_t>& occupancy,
-                                  const std::vector<SubBlock>& sub_blocks);
-
 }  // namespace tac::core
 
 #endif  // TAC_CORE_EXTRACTION_HPP

@@ -1,15 +1,45 @@
-#include "core/selector.hpp"
+/// \file selector.cpp
+/// \brief Per-level adaptive backend selection — the `auto` pseudo-backend.
+///
+/// BENCH_tab02.json shows no single method wins every (dataset, error
+/// bound) cell: TAC's density-adaptive 3D encode wins dense fields while
+/// the 1D baseline wins sparse, near-constant ones. The selector exploits
+/// that per level: it trial-compresses a small deterministic sample of
+/// each level's occupied unit blocks with every level-capable registered
+/// backend (CompressorBackend::supports_level_payloads), and encodes the
+/// level with the backend whose trial came out smallest. The chosen
+/// method is recorded in the v4 payload index's selector byte, so
+/// decoding needs no side channel: each payload dispatches to the backend
+/// its entry names.
+///
+/// Determinism: block sampling is a pure function of (occupancy, level),
+/// and the verdict compares trial byte counts — which are byte-stable
+/// across thread counts and SIMD tiers — with ties going to the lowest
+/// method tag, so the same input and config produce the same per-level
+/// choices and a byte-identical container anywhere.
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
+#include <limits>
+#include <vector>
 
 #include "common/telemetry.hpp"
+#include "core/backend.hpp"
 #include "core/block_grid.hpp"
 
 namespace tac::core {
 namespace {
+
+/// Fraction of a level's occupied unit blocks trial-compressed per
+/// candidate: it keeps total selection overhead under ~10% of compression
+/// time with the two built-in level-capable candidates.
+constexpr double kSampleFraction = 0.025;
+/// Trial at least this many blocks (clamped to the occupied count) so
+/// tiny levels still get a meaningful sample.
+constexpr std::size_t kMinSampleBlocks = 4;
+/// Seed of the block-sampling sequence; the sampled blocks, and with them
+/// the per-level winners and the container bytes, depend on it.
+constexpr std::uint64_t kSamplingSeed = 0;
 
 /// Coordinates of one occupied unit block.
 struct BlockCoord {
@@ -81,49 +111,35 @@ amr::AmrLevel build_sample_level(const amr::AmrLevel& lv,
   return sample;
 }
 
-}  // namespace
-
-std::vector<Method> selector_candidates(const SelectorConfig& cfg) {
-  std::vector<Method> pool =
-      cfg.candidates.empty() ? registered_methods() : cfg.candidates;
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+/// The candidate set: every registered backend that supports per-level
+/// payloads, ascending by tag. TAC and 1D always qualify; a custom backend
+/// that opts in joins them.
+std::vector<Method> selector_candidates() {
   std::vector<Method> out;
-  for (Method m : pool) {
-    const CompressorBackend* b = find_backend(m);
-    if (b != nullptr && b->supports_level_payloads()) out.push_back(m);
-  }
-  if (out.empty())
-    throw std::invalid_argument(
-        "selector: no candidate backend supports per-level payloads");
+  for (Method m : registered_methods())
+    if (backend_for(m).supports_level_payloads()) out.push_back(m);
   return out;
 }
 
-SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
-                                   const TacConfig& cfg) {
+/// Picks the backend for `lv` (level index `level` of its dataset) by
+/// trial-compressing a sampled stand-in level with each candidate under
+/// `cfg`'s error bound; the smallest trial wins. Empty levels skip the
+/// trials and deterministically pick the lowest-tag candidate.
+Method select_for_level(const amr::AmrLevel& lv, std::size_t level,
+                        const TacConfig& cfg) {
   TAC_SPAN("selector.select_level");
-  const std::vector<Method> candidates = selector_candidates(cfg.selector);
+  const std::vector<Method> candidates = selector_candidates();
 
-  SelectionDecision d;
   const BlockGrid grid(lv.dims(), cfg.block_size);
   const auto occ = block_occupancy(lv, grid);
   const auto occupied = occupied_blocks(occ, grid.block_dims());
-  d.occupied_blocks = occupied.size();
+  // Empty level: nothing to probe, lowest tag wins.
+  if (occupied.empty()) return candidates.front();
 
-  if (occupied.empty()) {  // empty level: nothing to probe, lowest tag wins
-    d.winner = candidates.front();
-    return d;
-  }
-
-  const double frac = std::clamp(cfg.selector.sample_fraction, 0.0, 1.0);
   std::size_t want = static_cast<std::size_t>(
-      std::llround(frac * static_cast<double>(occupied.size())));
-  want = std::max(want, std::max<std::size_t>(cfg.selector.min_sample_blocks,
-                                              1));
-  want = std::min(want, occupied.size());
-  const auto sampled =
-      sample_blocks(occupied, want, level, cfg.selector.seed);
-  d.sampled_blocks = sampled.size();
+      std::llround(kSampleFraction * static_cast<double>(occupied.size())));
+  want = std::min(std::max(want, kMinSampleBlocks), occupied.size());
+  const auto sampled = sample_blocks(occupied, want, level, kSamplingSeed);
   const amr::AmrLevel sample = build_sample_level(lv, grid, sampled);
 
   // The stacked sample is artificially dense (every block it contains is
@@ -132,35 +148,28 @@ SelectionDecision select_for_level(const amr::AmrLevel& lv, std::size_t level,
   // measures what the final encode would actually do.
   TacConfig trial_cfg = cfg;
   if (!trial_cfg.force_strategy)
-    trial_cfg.force_strategy =
-        select_strategy(occupancy_density(occ), cfg.t1, cfg.t2);
+    trial_cfg.force_strategy = select_strategy(occupancy_density(occ));
 
-  d.trials.reserve(candidates.size());
   TAC_COUNTER_ADD("selector.sampled_blocks", sampled.size());
+  // The smallest trial wins. Strict less-than over tag-ascending trials:
+  // ties deterministically go to the lowest method tag.
+  Method winner = candidates.front();
+  std::size_t best_bytes = std::numeric_limits<std::size_t>::max();
   for (Method m : candidates) {
-    CandidateTrial t;
-    t.method = m;
     TAC_SPAN_NAMED(trial_span, "selector.trial");
     const LevelPayload p =
         backend_for(m).compress_level_payload(sample, level, trial_cfg);
-    t.trial_bytes = p.bytes.size();
     trial_span.set_bytes(p.bytes.size());
-    d.trials.push_back(t);
+    if (p.bytes.size() < best_bytes) {
+      best_bytes = p.bytes.size();
+      winner = m;
+    }
   }
-  TAC_COUNTER_ADD("selector.trials", d.trials.size());
-
-  // The smallest trial wins. Strict less-than over tag-ascending trials:
-  // ties deterministically go to the lowest method tag.
-  const CandidateTrial* best = &d.trials.front();
-  for (const auto& t : d.trials)
-    if (t.trial_bytes < best->trial_bytes) best = &t;
-  d.winner = best->method;
+  TAC_COUNTER_ADD("selector.trials", candidates.size());
   TAC_COUNTER_ADD("selector.trials_won", 1);
-  TAC_COUNTER_ADD("selector.trials_lost", d.trials.size() - 1);
-  return d;
+  TAC_COUNTER_ADD("selector.trials_lost", candidates.size() - 1);
+  return winner;
 }
-
-namespace {
 
 /// The `auto` pseudo-backend: per level, run the selection trial, encode
 /// with the winner, and stamp the winner's tag into the v4 selector byte.
@@ -176,13 +185,12 @@ class AutoBackend final : public CompressorBackend {
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig& cfg) const override {
     detail::check_level_config("auto", ds, cfg);
-    (void)selector_candidates(cfg.selector);  // validate before any work
 
     TAC_SPAN("auto.compress");
     // The winners compare byte counts, so they (and therefore the
     // container bytes) are identical at any thread count.
     return compress_per_level(Method::kAuto, ds, [&](std::size_t l) {
-      const Method winner = select_for_level(ds.level(l), l, cfg).winner;
+      const Method winner = select_for_level(ds.level(l), l, cfg);
       LevelPayload payload =
           backend_for(winner).compress_level_payload(ds.level(l), l, cfg);
       payload.report.method = winner;

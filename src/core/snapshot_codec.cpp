@@ -24,7 +24,7 @@ constexpr std::uint8_t kMinVersion = 1;
 ///   nfields x raw per-field container bytes (not length-prefixed — the
 ///             index is authoritative)
 /// The index makes one field addressable without touching the others:
-/// `decompress_field` seeks straight to its slice and checksums only it.
+/// `snapshot_fields` hands out each field's slice straight from it.
 /// v1 snapshots (length-prefixed blobs, no index) are still decoded.
 ///
 /// Codec profiles are per-field, not per-snapshot: each field blob is a
@@ -171,45 +171,6 @@ amr::Snapshot decompress_snapshot(std::span<const std::uint8_t> bytes) {
       },
       /*grain=*/1);
   return s;
-}
-
-std::vector<std::string> snapshot_field_names(
-    std::span<const std::uint8_t> bytes) {
-  const ParsedSnapshot parsed = parse_snapshot(bytes);
-  if (parsed.version >= 2) return parsed.names;
-  // v1 stores no name index: the names live in each field's container
-  // header.
-  std::vector<std::string> names;
-  names.reserve(parsed.blobs.size());
-  for (const auto blob : parsed.blobs) {
-    ByteReader r(blob);
-    names.push_back(read_common_header(r).field_name);
-  }
-  return names;
-}
-
-std::span<const std::uint8_t> snapshot_field_bytes(
-    std::span<const std::uint8_t> bytes, const std::string& name) {
-  const ParsedSnapshot parsed = parse_snapshot(bytes);
-  if (parsed.version >= 2) {
-    for (std::size_t i = 0; i < parsed.names.size(); ++i) {
-      if (parsed.names[i] != name) continue;
-      verify_field(parsed, i);
-      return parsed.blobs[i];
-    }
-  } else {
-    for (const auto blob : parsed.blobs) {
-      ByteReader r(blob);
-      if (read_common_header(r).field_name == name) return blob;
-    }
-  }
-  throw std::runtime_error("snapshot container: no field named \"" + name +
-                           "\"");
-}
-
-amr::AmrDataset decompress_field(std::span<const std::uint8_t> bytes,
-                                 const std::string& name) {
-  return decompress_any(snapshot_field_bytes(bytes, name));
 }
 
 bool is_compressed_snapshot(std::span<const std::uint8_t> bytes) {

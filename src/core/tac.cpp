@@ -213,8 +213,8 @@ LevelPayload compress_level(const amr::AmrLevel& lv, std::size_t level,
     return block_occupancy(lv, grid, &lr.valid_cells);
   }();
   lr.block_density = occupancy_density(occ);
-  lr.strategy = cfg.force_strategy.value_or(
-      select_strategy(lr.block_density, cfg.t1, cfg.t2));
+  lr.strategy =
+      cfg.force_strategy.value_or(select_strategy(lr.block_density));
 
   const sz::SzConfig level_cfg = resolve_level_config(cfg, level, lv);
 
@@ -322,9 +322,9 @@ std::unique_ptr<CompressorBackend> make_tac_backend() {
 }
 }  // namespace detail
 
-Strategy select_strategy(double block_density, double t1, double t2) {
-  if (block_density < t1) return Strategy::kOpST;
-  if (block_density < t2) return Strategy::kAKDTree;
+Strategy select_strategy(double block_density) {
+  if (block_density < kDensityT1) return Strategy::kOpST;
+  if (block_density < kDensityT2) return Strategy::kAKDTree;
   return Strategy::kGSP;
 }
 

@@ -21,25 +21,6 @@
 
 namespace tac::core {
 
-/// Knobs of the per-level adaptive backend selector (core/selector.hpp),
-/// consumed by the `auto` pseudo-backend.
-struct SelectorConfig {
-  /// Fraction of a level's occupied unit blocks trial-compressed per
-  /// candidate. The default keeps total selection overhead under ~10% of
-  /// compression time with the two built-in level-capable candidates.
-  double sample_fraction = 0.025;
-  /// Trial at least this many blocks (clamped to the occupied count) so
-  /// tiny levels still get a meaningful sample.
-  std::size_t min_sample_blocks = 4;
-  /// Seed of the deterministic block-sampling sequence. Same input +
-  /// same seed -> same samples -> same per-level choices.
-  std::uint64_t seed = 0;
-  /// Restrict the candidate set (empty = every registered backend that
-  /// supports per-level payloads). Methods without level support are
-  /// ignored; an empty effective set is an error.
-  std::vector<Method> candidates;
-};
-
 struct TacConfig {
   /// Error bound applied to every level unless level_error_bounds is set.
   /// Relative bounds resolve against each level's valid-value range.
@@ -49,14 +30,8 @@ struct TacConfig {
   std::vector<double> level_error_bounds;
   /// Unit block side in cells.
   std::size_t block_size = 8;
-  /// Density thresholds of the hybrid filter (fractions of non-empty unit
-  /// blocks). Paper values: T1 = 50%, T2 = 60%.
-  double t1 = 0.50;
-  double t2 = 0.60;
   /// Overrides the density filter for every level (strategy experiments).
   std::optional<Strategy> force_strategy;
-  /// Auto-selector knobs; only read when compressing with Method::kAuto.
-  SelectorConfig selector;
 };
 
 /// Per-level compression diagnostics. Time is not reported here: the
@@ -88,9 +63,13 @@ struct CompressedAmr {
   CompressReport report;
 };
 
+/// Density thresholds of the hybrid filter, as fractions of non-empty unit
+/// blocks: the paper's T1 = 50% and T2 = 60% (§3.4).
+inline constexpr double kDensityT1 = 0.50;
+inline constexpr double kDensityT2 = 0.60;
+
 /// Picks the strategy for one level density per the hybrid filter.
-[[nodiscard]] Strategy select_strategy(double block_density, double t1,
-                                       double t2);
+[[nodiscard]] Strategy select_strategy(double block_density);
 
 /// Compresses a dataset with TAC (wrapper over the registered TAC
 /// backend; see core/backend.hpp). Independent levels and per-group

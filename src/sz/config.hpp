@@ -44,12 +44,6 @@ struct SzConfig {
   Predictor predictor = Predictor::kLorenzo;
   /// Side of the prediction tiles in kHybrid mode (SZ2 uses 6).
   std::size_t pred_block = 6;
-
-  [[nodiscard]] SzConfig with_error_bound(double eb) const {
-    SzConfig c = *this;
-    c.error_bound = eb;
-    return c;
-  }
 };
 
 }  // namespace tac::sz

@@ -471,22 +471,6 @@ TEST(Uniform, DistributeInvertsCompose) {
     EXPECT_EQ(copy.level(l).data, ds.level(l).data) << "level " << l;
 }
 
-TEST(Uniform, UpsampleFactors) {
-  Array3D<double> coarse({2, 2, 2});
-  for (std::size_t i = 0; i < coarse.size(); ++i)
-    coarse[i] = static_cast<double>(i);
-  const auto fine = upsample(coarse, {4, 4, 4});
-  for (std::size_t z = 0; z < 4; ++z)
-    for (std::size_t y = 0; y < 4; ++y)
-      for (std::size_t x = 0; x < 4; ++x)
-        EXPECT_DOUBLE_EQ(fine(x, y, z), coarse(x / 2, y / 2, z / 2));
-}
-
-TEST(Uniform, UpsampleRejectsNonMultiple) {
-  Array3D<double> coarse({3, 3, 3});
-  EXPECT_THROW((void)upsample(coarse, {7, 6, 6}), std::invalid_argument);
-}
-
 TEST(AmrIo, BytesRoundTrip) {
   const auto ds = make_two_level({16, 16, 16}, Box3{2, 2, 2, 6, 6, 6});
   const auto bytes = dataset_to_bytes(ds);

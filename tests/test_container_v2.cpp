@@ -388,7 +388,7 @@ TEST(ContainerAllocation, CounterSeesMappedLevelArrays) {
   EXPECT_GE(allocated, d.volume() * (sizeof(double) + 1));
 }
 
-TEST(ContainerAllocation, V1SnapshotFieldNamesBuildNoLevels) {
+TEST(ContainerAllocation, V1SnapshotFieldsBuildNoLevels) {
   if (!TAC_TEST_COUNTS_ALLOCS)
     GTEST_SKIP() << "the sanitizer owns the allocator";
   const auto base = small_dataset(32, {0.1, 0.3, 0.6});
@@ -403,11 +403,11 @@ TEST(ContainerAllocation, V1SnapshotFieldNamesBuildNoLevels) {
     w.put_blob(compress_with(Method::kTac, field));
   }
   const auto v1 = w.take();
-  std::vector<std::string> names;
+  std::vector<SnapshotFieldInfo> fields;
   const std::size_t allocated =
-      bytes_allocated_by([&] { names = snapshot_field_names(v1); });
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[1], "temperature");
+      bytes_allocated_by([&] { fields = snapshot_fields(v1); });
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[1].name, "temperature");
   EXPECT_LE(allocated, header_slack(v1));
 }
 
@@ -429,23 +429,35 @@ amr::Snapshot make_snapshot() {
   return s;
 }
 
+/// The field named `name` among `fields`; fails the test when absent.
+const SnapshotFieldInfo& field_named(const std::vector<SnapshotFieldInfo>& fields,
+                                     const std::string& name) {
+  const auto it = std::find_if(fields.begin(), fields.end(),
+                               [&](const auto& f) { return f.name == name; });
+  EXPECT_NE(it, fields.end()) << "no field " << name;
+  return it == fields.end() ? fields.front() : *it;
+}
+
 TEST(SnapshotV2, FieldIndexListsNamesInOrder) {
   const auto s = make_snapshot();
   const auto bytes = compress_snapshot(s, test_config());
-  const auto names = snapshot_field_names(bytes);
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "baryon_density");
-  EXPECT_EQ(names[1], "temperature");
-  EXPECT_EQ(names[2], "velocity_x");
+  const auto fields = snapshot_fields(bytes);
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[0].name, "baryon_density");
+  EXPECT_EQ(fields[1].name, "temperature");
+  EXPECT_EQ(fields[2].name, "velocity_x");
+  for (const auto& f : fields) EXPECT_TRUE(f.checksum_ok) << f.name;
 }
 
-TEST(SnapshotV2, DecompressFieldMatchesFullDecode) {
+TEST(SnapshotV2, FieldSliceDecodeMatchesFullDecode) {
   const auto s = make_snapshot();
   const auto bytes = compress_snapshot(s, test_config());
   const auto full = decompress_snapshot(bytes);
+  const auto fields = snapshot_fields(bytes);
+  ASSERT_EQ(fields.size(), s.fields.size());
   for (std::size_t f = 0; f < s.fields.size(); ++f) {
     const auto one =
-        decompress_field(bytes, s.fields[f].field_name());
+        decompress_any(field_named(fields, s.fields[f].field_name()).bytes);
     ASSERT_EQ(one.num_levels(), full.fields[f].num_levels());
     for (std::size_t l = 0; l < one.num_levels(); ++l)
       EXPECT_TRUE(std::memcmp(one.level(l).data.span().data(),
@@ -454,24 +466,26 @@ TEST(SnapshotV2, DecompressFieldMatchesFullDecode) {
                   0)
           << "field " << f << " level " << l;
   }
-  EXPECT_THROW((void)decompress_field(bytes, "no_such_field"),
-               std::runtime_error);
 }
 
-TEST(SnapshotV2, FieldCorruptionIsChecksumErrorOnlyForThatField) {
+TEST(SnapshotV2, FieldCorruptionIsFlaggedOnlyForThatField) {
   const auto s = make_snapshot();
   auto bytes = compress_snapshot(s, test_config());
   // Corrupt a byte in the middle of field 1's container slice.
-  const auto clean = bytes;
-  const auto span = snapshot_field_bytes(clean, "temperature");
+  const auto clean = snapshot_fields(bytes);
+  const auto span = field_named(clean, "temperature").bytes;
   const std::size_t field_mid =
-      static_cast<std::size_t>(span.data() - clean.data()) + span.size() / 2;
+      static_cast<std::size_t>(span.data() - bytes.data()) + span.size() / 2;
   bytes[field_mid] ^= 0x10;
-  EXPECT_THROW((void)decompress_field(bytes, "temperature"), ChecksumError);
   EXPECT_THROW((void)decompress_snapshot(bytes), ChecksumError);
+  const auto fields = snapshot_fields(bytes);
+  EXPECT_FALSE(field_named(fields, "temperature").checksum_ok);
   // Sibling fields stay independently readable.
-  EXPECT_NO_THROW((void)decompress_field(bytes, "baryon_density"));
-  EXPECT_NO_THROW((void)decompress_field(bytes, "velocity_x"));
+  for (const char* sibling : {"baryon_density", "velocity_x"}) {
+    const auto& f = field_named(fields, sibling);
+    EXPECT_TRUE(f.checksum_ok) << sibling;
+    EXPECT_NO_THROW((void)decompress_any(f.bytes)) << sibling;
+  }
 }
 
 TEST(SnapshotV2, V1SnapshotsStillDecode) {
@@ -490,11 +504,11 @@ TEST(SnapshotV2, V1SnapshotsStillDecode) {
 
   const auto back = decompress_snapshot(v1);
   ASSERT_EQ(back.fields.size(), s.fields.size());
-  const auto names = snapshot_field_names(v1);
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[1], "temperature");
-  // Field lookup works on v1 via the header-scan path.
-  const auto one = decompress_field(v1, "velocity_x");
+  // v1 keeps no name index: the names come from each field's header.
+  const auto fields = snapshot_fields(v1);
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[1].name, "temperature");
+  const auto one = decompress_any(field_named(fields, "velocity_x").bytes);
   EXPECT_EQ(one.field_name(), "velocity_x");
   EXPECT_EQ(one.num_levels(), s.fields[2].num_levels());
 }

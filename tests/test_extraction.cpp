@@ -18,6 +18,28 @@ Array3D<std::uint8_t> random_occupancy(Dims3 d, double density,
   return occ;
 }
 
+/// True iff `sub_blocks` are pairwise disjoint, in range, and cover each
+/// non-empty unit block exactly once while touching no empty block.
+bool covers_exactly(const Array3D<std::uint8_t>& occupancy,
+                    const std::vector<SubBlock>& sub_blocks) {
+  const Dims3 d = occupancy.dims();
+  Array3D<std::uint8_t> painted(d, 0);
+  for (const SubBlock& sb : sub_blocks) {
+    if (sb.bx + sb.sx > d.nx || sb.by + sb.sy > d.ny || sb.bz + sb.sz > d.nz)
+      return false;  // out of range
+    for (std::size_t z = sb.bz; z < sb.bz + sb.sz; ++z)
+      for (std::size_t y = sb.by; y < sb.by + sb.sy; ++y)
+        for (std::size_t x = sb.bx; x < sb.bx + sb.sx; ++x) {
+          if (painted(x, y, z)) return false;  // overlap
+          if (!occupancy(x, y, z)) return false;  // covers an empty block
+          painted(x, y, z) = 1;
+        }
+  }
+  for (std::size_t i = 0; i < d.volume(); ++i)
+    if (occupancy[i] && !painted[i]) return false;  // missed a block
+  return true;
+}
+
 /// Brute-force reference for the OpST DP: largest full cube with far
 /// corner at (x, y, z).
 std::size_t brute_force_max_cube(const Array3D<std::uint8_t>& occ,

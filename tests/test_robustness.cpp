@@ -8,7 +8,9 @@
 
 #include "alloc_counter.hpp"
 #include "amr/amr_io.hpp"
+#include "amr/uniform.hpp"
 #include "core/backend.hpp"
+#include "core/baselines.hpp"
 #include "core/container.hpp"
 #include "lossless/codec.hpp"
 #include "lossless/huffman.hpp"
@@ -90,6 +92,43 @@ TEST_P(TruncationTest, BitFlipsThrowOrStayStructurallySane) {
     } catch (const std::exception&) {
       // Expected for most corruption sites.
     }
+  }
+}
+
+/// `bytes` with the refinement ratio varint at `at` (one byte, holding 2)
+/// replaced by `ratio`'s bytes.
+std::vector<std::uint8_t> with_ratio(std::vector<std::uint8_t> bytes,
+                                     std::size_t at,
+                                     const std::vector<std::uint8_t>& ratio) {
+  EXPECT_EQ(bytes[at], 2u);
+  bytes.erase(bytes.begin() + static_cast<long>(at));
+  bytes.insert(bytes.begin() + static_cast<long>(at), ratio.begin(),
+               ratio.end());
+  return bytes;
+}
+
+/// Ratios the 32^3 two-level test datasets contradict: below 2, two that
+/// do not divide 32 into the coarse level's 16, and 2^32 + 2 as a
+/// multi-byte varint, which a narrowing cast would read as 2.
+const std::vector<std::vector<std::uint8_t>> kHostileRatios = {
+    {1}, {3}, {4}, {0x82, 0x80, 0x80, 0x80, 0x10}};
+
+TEST_P(TruncationTest, RatioContradictingTheExtentsThrows) {
+  // The header is not checksummed, and the zMesh and 3D decoders index the
+  // finest grid by the ratio: a ratio the extents contradict must be
+  // refused at the header, before any level exists.
+  const auto ds = small_dataset();
+  const auto bytes = compress_with(GetParam(), ds);
+  ByteWriter name;
+  name.put_string(ds.field_name());
+  const std::size_t ratio_at = 6 + name.size();  // magic, version, method
+  for (const auto& ratio : kHostileRatios) {
+    const auto hostile = with_ratio(bytes, ratio_at, ratio);
+    EXPECT_THROW((void)core::decompress_any(hostile), amr::StructureError)
+        << "ratio byte " << int{ratio[0]};
+    EXPECT_THROW((void)core::decompress_level(hostile, 0),
+                 amr::StructureError)
+        << "ratio byte " << int{ratio[0]};
   }
 }
 
@@ -322,6 +361,39 @@ TEST(HostileAmrFile, WrappingDimsThrow) {
       EXPECT_THROW((void)amr::dataset_from_bytes(bytes), std::runtime_error);
     });
     EXPECT_LT(allocated, std::size_t{1} << 20);
+  }
+}
+
+TEST(HostileAmrFile, RatioContradictingTheExtentsThrows) {
+  // .amr files carry no checksum; compose_uniform (the 3D path) writes
+  // the finest grid at x * ratio^l, so the reader checks the ratio
+  // against each level's extents before building the level.
+  const auto ds = small_dataset();
+  const auto bytes = amr::dataset_to_bytes(ds);
+  ByteWriter name;
+  name.put_string(ds.field_name());
+  const std::size_t ratio_at = 5 + name.size();  // magic, version
+  ASSERT_EQ(amr::dataset_from_bytes(bytes).refinement_ratio(), 2);
+  for (const auto& ratio : kHostileRatios)
+    EXPECT_THROW((void)amr::dataset_from_bytes(
+                     with_ratio(bytes, ratio_at, ratio)),
+                 amr::StructureError)
+        << "ratio byte " << int{ratio[0]};
+}
+
+TEST(HostileRatio, InMemoryDatasetThrowsBeforeIndexing) {
+  // The same contradiction built in memory never went through a reader:
+  // the zMesh and 3D paths check it before they index a cell.
+  for (const int ratio : {1, 3, 4}) {
+    const auto good = small_dataset();
+    amr::AmrDataset ds(good.field_name(), good.levels(), ratio);
+    EXPECT_THROW((void)amr::compose_uniform(ds), amr::StructureError);
+    EXPECT_THROW((void)core::zmesh_gather(ds), amr::StructureError);
+    Array3D<double> uniform(ds.finest_dims());
+    EXPECT_THROW(amr::distribute_uniform(uniform, ds), amr::StructureError);
+    for (const auto m : {core::Method::kZMesh, core::Method::kUpsample3D})
+      EXPECT_THROW((void)compress_with(m, ds), amr::StructureError)
+          << core::to_string(m) << ", ratio " << ratio;
   }
 }
 

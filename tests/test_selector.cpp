@@ -12,13 +12,13 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "container_downgrade.hpp"
-#include "core/selector.hpp"
+#include "core/backend.hpp"
 #include "lossless/codec.hpp"
 #include "simnyx/generator.hpp"
 
-/// The per-level adaptive backend selector (core/selector.hpp) and the
-/// `auto` pseudo-backend: candidate filtering, deterministic sampling and
-/// selection, mixed-method v4 containers, and the typed errors on
+/// The per-level adaptive backend selector (core/selector.cpp) and the
+/// `auto` pseudo-backend: the level-capable candidate set, deterministic
+/// sampling and selection, mixed-method v4 containers, and the typed errors on
 /// selector bytes that name no backend, contradict a fixed container's
 /// method or leave a payload without a decoder.
 
@@ -81,19 +81,6 @@ TEST(Selector, AutoIsRegisteredButNotALevelCandidate) {
   EXPECT_FALSE(backend_for(Method::kUpsample3D).supports_level_payloads());
 }
 
-TEST(Selector, CandidateFilterKeepsOnlyLevelCapableBackends) {
-  SelectorConfig cfg;  // empty candidate list = every registered backend
-  const auto defaults = selector_candidates(cfg);
-  EXPECT_EQ(defaults, (std::vector<Method>{Method::kTac, Method::kOneD}));
-
-  cfg.candidates = {Method::kOneD, Method::kZMesh, Method::kOneD,
-                    Method::kUpsample3D};
-  EXPECT_EQ(selector_candidates(cfg), (std::vector<Method>{Method::kOneD}));
-
-  cfg.candidates = {Method::kZMesh, Method::kUpsample3D};
-  EXPECT_THROW((void)selector_candidates(cfg), std::invalid_argument);
-}
-
 TEST(Selector, RecordsPerLevelWinnersInTheV4Index) {
   const auto ds = mixed_winner_dataset();
   const TacConfig cfg = auto_config();
@@ -118,10 +105,10 @@ TEST(Selector, RecordsPerLevelWinnersInTheV4Index) {
   }
   // The preset is chosen so the levels genuinely disagree: a container
   // whose every payload uses one method would not exercise the mixed
-  // decode path at all.
-  EXPECT_GE(winners.size(), 2u) << "expected a mixed-method container";
-  EXPECT_TRUE(winners.count(Method::kTac));
-  EXPECT_TRUE(winners.count(Method::kOneD));
+  // decode path at all. The winners also show the candidate set: the
+  // level-capable built-ins, TAC and 1D, and nothing else.
+  EXPECT_EQ(winners, (std::set<Method>{Method::kTac, Method::kOneD}))
+      << "expected a mixed-method container";
 }
 
 TEST(Selector, MixedContainerRoundTripsWithinBound) {
@@ -156,7 +143,7 @@ TEST(Selector, MixedContainerRoundTripsWithinBound) {
   }
 }
 
-// Same input + seed -> same winners and a byte-identical container at any
+// Same input -> same winners and a byte-identical container at any
 // thread count, SIMD or scalar (the selector compares trial byte counts,
 // which are deterministic by construction).
 TEST(Selector, AutoContainerStableAcrossThreadsAndSimd) {
@@ -181,21 +168,6 @@ TEST(Selector, AutoContainerStableAcrossThreadsAndSimd) {
     simd::force_scalar(false);
     EXPECT_EQ(scalar_bytes, reference);
   }
-}
-
-TEST(Selector, SamplingSeedIsPartOfTheContract) {
-  const auto ds = mixed_winner_dataset();
-  TacConfig cfg = auto_config();
-  const auto a = backend_for(Method::kAuto).compress(ds, cfg).bytes;
-  const auto a2 = backend_for(Method::kAuto).compress(ds, cfg).bytes;
-  EXPECT_EQ(a, a2);  // same seed -> same bytes
-
-  // A different seed may sample different blocks; whatever it picks must
-  // still decode correctly.
-  cfg.selector.seed = 12345;
-  const auto b = backend_for(Method::kAuto).compress(ds, cfg).bytes;
-  const auto back = decompress_any(b);
-  EXPECT_EQ(back.num_levels(), ds.num_levels());
 }
 
 TEST(Selector, UnknownSelectorByteIsATypedError) {
@@ -307,12 +279,13 @@ TEST(Selector, SnapshotCompressesPerFieldWithAuto) {
 
   const TacConfig cfg = auto_config();
   const auto bytes = compress_snapshot(s, cfg, Method::kAuto);
-  for (const auto& name : snapshot_field_names(bytes)) {
-    const auto field_bytes = snapshot_field_bytes(bytes, name);
-    EXPECT_EQ(peek_method(field_bytes), Method::kAuto) << name;
-    const CommonHeader h = header_of(field_bytes);
+  for (const auto& field : snapshot_fields(bytes)) {
+    EXPECT_TRUE(field.checksum_ok) << field.name;
+    EXPECT_EQ(peek_method(field.bytes), Method::kAuto) << field.name;
+    const CommonHeader h = header_of(field.bytes);
     for (std::size_t l = 0; l < h.index.entries.size(); ++l)
-      EXPECT_TRUE(payload_method(h, l).has_value()) << name << " level " << l;
+      EXPECT_TRUE(payload_method(h, l).has_value())
+          << field.name << " level " << l;
   }
   const amr::Snapshot back = decompress_snapshot(bytes);
   ASSERT_EQ(back.fields.size(), 2u);

@@ -40,27 +40,6 @@ TEST(Snapshot, EmptySnapshotRejected) {
   EXPECT_NE(s.validate_shared_structure(), "");
 }
 
-TEST(Snapshot, BytesRoundTrip) {
-  const auto s = make_snapshot();
-  const auto bytes = amr::snapshot_to_bytes(s);
-  const auto back = amr::snapshot_from_bytes(bytes);
-  ASSERT_EQ(back.fields.size(), s.fields.size());
-  for (std::size_t f = 0; f < s.fields.size(); ++f) {
-    EXPECT_EQ(back.fields[f].field_name(), s.fields[f].field_name());
-    for (std::size_t l = 0; l < s.fields[f].num_levels(); ++l)
-      EXPECT_EQ(back.fields[f].level(l).data, s.fields[f].level(l).data);
-  }
-}
-
-TEST(Snapshot, FileRoundTrip) {
-  const auto s = make_snapshot();
-  const std::string path = ::testing::TempDir() + "/tac_snapshot_test.bin";
-  amr::save_snapshot(path, s);
-  const auto back = amr::load_snapshot(path);
-  EXPECT_EQ(back.fields.size(), s.fields.size());
-  std::remove(path.c_str());
-}
-
 TEST(Snapshot, CompressedRoundTripWithinBound) {
   const auto s = make_snapshot();
   core::TacConfig cfg;

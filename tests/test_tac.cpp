@@ -41,12 +41,12 @@ void expect_amr_bounded(const amr::AmrDataset& orig,
 }
 
 TEST(StrategySelect, PaperThresholds) {
-  EXPECT_EQ(select_strategy(0.10, 0.5, 0.6), Strategy::kOpST);
-  EXPECT_EQ(select_strategy(0.49, 0.5, 0.6), Strategy::kOpST);
-  EXPECT_EQ(select_strategy(0.50, 0.5, 0.6), Strategy::kAKDTree);
-  EXPECT_EQ(select_strategy(0.59, 0.5, 0.6), Strategy::kAKDTree);
-  EXPECT_EQ(select_strategy(0.60, 0.5, 0.6), Strategy::kGSP);
-  EXPECT_EQ(select_strategy(1.00, 0.5, 0.6), Strategy::kGSP);
+  EXPECT_EQ(select_strategy(0.10), Strategy::kOpST);
+  EXPECT_EQ(select_strategy(0.49), Strategy::kOpST);
+  EXPECT_EQ(select_strategy(0.50), Strategy::kAKDTree);
+  EXPECT_EQ(select_strategy(0.59), Strategy::kAKDTree);
+  EXPECT_EQ(select_strategy(0.60), Strategy::kGSP);
+  EXPECT_EQ(select_strategy(1.00), Strategy::kGSP);
 }
 
 TEST(Tac, RoundTripWithinBound) {
