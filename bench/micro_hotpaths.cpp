@@ -18,16 +18,18 @@
 ///     instrumented huffman_decompress wrapper, in the median of the
 ///     per-round ratios.
 /// Every other row is report-only, the SIMD-against-scalar rows
-/// (sz_roundtrip, sz_lanes, scan_range, pack_sign_bits) included: the
-/// equivalence tests check that both paths give equal results, and no
-/// floor is set on their speed ratio (sz_roundtrip's SIMD share, the range
-/// scan and sign packing, is too small for one: it read 0.95x-1.00x).
-/// Among them: sz_lanes (the quantizer's AVX2 lane walk against its block
-/// walk on a 3,391 x 8^3 stream), the valid_scan rows (AmrLevel mask scans
-/// against raster byte loops, on a sparse and a dense level), the
-/// sz_hybrid_roundtrip row (the hybrid predictor on the sz_roundtrip
-/// field), and the huffman_build and huffman_encode rows (the encode-side
-/// entropy stage, timed alone over the huffman_decode symbols).
+/// (sz_roundtrip, sz_lanes, sz_lanes_single, scan_range, pack_sign_bits)
+/// included: the equivalence tests check that both paths give equal
+/// results, and no floor is set on their speed ratio (sz_roundtrip's SIMD
+/// share, the range scan and sign packing, is too small for one: it read
+/// 0.95x-1.00x). Among them: sz_lanes (the quantizer's AVX2 lane walk
+/// against its block walk on a 3,391 x 8^3 stream), sz_lanes_single (its
+/// row lane walk against the block walk's wavefront on one 128^3 block),
+/// the valid_scan rows (AmrLevel mask scans against raster byte loops, on
+/// a sparse and a dense level), the sz_hybrid_roundtrip row (the hybrid
+/// predictor on the sz_roundtrip field), and the huffman_build and
+/// huffman_encode rows (the encode-side entropy stage, timed alone over
+/// the huffman_decode symbols).
 
 #include <algorithm>
 #include <cstdio>
@@ -187,6 +189,27 @@ KernelResult bench_sz_lanes() {
       [&] {
         simd::force_scalar(true);
         (void)sz::compress<double>(data, dims, cfg, kBlocks);
+      });
+}
+
+/// sz::compress of one 128^3 block, a GSP/ZF level's padded grid: the
+/// quantizer's AVX2 row lane walk (eight rows per step) against the
+/// scalar W-row wavefront of its block walk. One thread, as sz_lanes.
+KernelResult bench_sz_lanes_single() {
+  const Dims3 dims{128, 128, 128};
+  const auto data = smooth_field(dims.volume());
+  const sz::SzConfig cfg{.mode = sz::ErrorBoundMode::kAbsolute,
+                         .error_bound = 1e-3};
+  const ParallelismGuard one_thread(1);
+  return ab(
+      "sz_lanes_single", data.size() * sizeof(double),
+      [&] {
+        simd::force_scalar(false);
+        (void)sz::compress<double>(data, dims, cfg);
+      },
+      [&] {
+        simd::force_scalar(true);
+        (void)sz::compress<double>(data, dims, cfg);
       });
 }
 
@@ -549,6 +572,7 @@ int main() {
   results.push_back(bench_sz_roundtrip());
   results.push_back(bench_sz_hybrid_roundtrip());
   results.push_back(bench_sz_lanes());
+  results.push_back(bench_sz_lanes_single());
   results.push_back(bench_scan_range());
   results.push_back(bench_pack_sign_bits());
   results.push_back(bench_huffman_build());

@@ -6,7 +6,7 @@
 /// The backend is a lossless "passthrough" — each level's valid cells
 /// stored as raw doubles — chosen so the example stays about the
 /// CompressorBackend contract (per-level payloads handed to
-/// write_container), not about coding theory. The class between the
+/// compress_per_level), not about coding theory. The class between the
 /// snippet markers below is embedded verbatim in docs/BACKENDS.md;
 /// scripts/check_docs.py fails CI when the two copies drift apart.
 
@@ -29,8 +29,8 @@ using namespace tac;
 // [backends-guide:passthrough]
 /// A lossless do-nothing backend: every level's valid cells stored as raw
 /// little-endian doubles, one payload per level. Real backends replace the
-/// payload body; handing one payload per level to write_container is the
-/// part they share.
+/// payload body; handing one payload per level to compress_per_level is
+/// the part they share.
 class PassthroughBackend final : public core::CompressorBackend {
  public:
   /// Any tag without a registered backend works (5..254; 0..4 are the
@@ -45,12 +45,12 @@ class PassthroughBackend final : public core::CompressorBackend {
       const amr::AmrDataset& ds, const core::TacConfig& cfg) const override {
     // One payload per level, so index entry i maps to level i: with the
     // per-level hooks below, decompress_level reads only that payload.
-    std::vector<core::LevelPayload> payloads;
-    for (std::size_t l = 0; l < ds.num_levels(); ++l)
-      payloads.push_back(compress_level_payload(ds.level(l), l, cfg));
-    // Lays out header, masks and index: {offset, length, crc32, profile,
-    // selector = report.method} per payload.
-    return core::write_container(method(), ds, std::move(payloads));
+    // compress_per_level encodes the levels and packs their masks
+    // concurrently, then lays out header, masks and index: {offset,
+    // length, crc32, profile, selector = report.method} per payload.
+    return core::compress_per_level(method(), ds, [&](std::size_t l) {
+      return compress_level_payload(ds.level(l), l, cfg);
+    });
   }
 
   // decompress is inherited: decompress_per_level hands each payload to

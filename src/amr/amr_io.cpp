@@ -80,29 +80,36 @@ LevelRecord read_level_record(ByteReader& r, std::size_t level,
   return {dims, r.get_blob()};
 }
 
+std::vector<std::uint8_t> mask_blob(const AmrLevel& lv) {
+  return lossless::compress(pack_mask(lv.mask.span()));
+}
+
+void write_level_record(ByteWriter& w, const LevelRecord& rec) {
+  w.put_varint(rec.dims.nx);
+  w.put_varint(rec.dims.ny);
+  w.put_varint(rec.dims.nz);
+  w.put_blob(rec.mask_blob);
+}
+
 void write_level_record(ByteWriter& w, const AmrLevel& lv) {
-  w.put_varint(lv.dims().nx);
-  w.put_varint(lv.dims().ny);
-  w.put_varint(lv.dims().nz);
-  w.put_blob(lossless::compress(pack_mask(lv.mask.span())));
+  write_level_record(w, LevelRecord{lv.dims(), mask_blob(lv)});
 }
 
 std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
-  std::vector<std::uint8_t> out((mask.size() + 7) / 8, 0);
-  // Bits LSB-first; `out` starts zeroed, so only runs cost writes.
-  for_each_valid_run(mask, [&](std::size_t lo, std::size_t hi) {
-    const std::size_t first = lo / 8;
-    const std::size_t last = hi / 8;
-    const auto head = static_cast<std::uint8_t>(0xFFu << (lo % 8));
-    const auto tail = static_cast<std::uint8_t>((1u << (hi % 8)) - 1);
-    if (first == last) {
-      out[first] |= head & tail;
-      return;
+  // Bits LSB-first: each group of 64 mask bytes is the bitmap the run
+  // walk builds, stored as it is (little-endian) or byte by byte.
+  std::vector<std::uint8_t> out((mask.size() + 7) / 8);
+  for (std::size_t base = 0; base < mask.size(); base += 64) {
+    const std::size_t len = std::min<std::size_t>(mask.size() - base, 64);
+    std::uint64_t bits = detail::nonzero_bits(mask.data() + base, len);
+    std::uint8_t* dst = out.data() + base / 8;
+    if (std::endian::native == std::endian::little && len == 64) {
+      std::memcpy(dst, &bits, sizeof(bits));
+      continue;
     }
-    out[first] |= head;
-    std::memset(out.data() + first + 1, 0xFF, last - first - 1);
-    if (tail != 0) out[last] |= tail;
-  });
+    for (std::size_t k = 0; k < (len + 7) / 8; ++k, bits >>= 8)
+      dst[k] = static_cast<std::uint8_t>(bits);
+  }
   return out;
 }
 

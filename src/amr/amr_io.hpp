@@ -87,7 +87,14 @@ struct LevelRecord {
 /// blob's length.
 inline constexpr std::size_t kMinLevelRecordBytes = 4;
 
-/// Appends `lv`'s level record to `w`.
+/// `lv`'s mask as its level record stores it:
+/// lossless::compress(pack_mask(mask)).
+[[nodiscard]] std::vector<std::uint8_t> mask_blob(const AmrLevel& lv);
+
+/// Appends the level record `rec` to `w`.
+void write_level_record(ByteWriter& w, const LevelRecord& rec);
+
+/// Appends `lv`'s level record to `w`, its mask blob made by mask_blob.
 void write_level_record(ByteWriter& w, const AmrLevel& lv);
 
 /// Reads the level record of level `level` and throws std::runtime_error,

@@ -89,10 +89,11 @@ inline std::uint64_t nonzero_bits(const std::uint8_t* p, std::size_t len) {
 
 /// Calls `fn(lo, hi)` for each maximal run [lo, hi) of nonzero bytes of
 /// `mask`, in raster order. Every bulk read of a level mask goes through
-/// here. Each group of 64 mask bytes (the last one shorter) becomes a
-/// bitmap whose run edges are found with bit scans, so an empty or a
-/// full group costs one compare and a run two bit scans however long it
-/// is.
+/// here, except pack_mask, which stores the group bitmaps this walk
+/// builds (detail::nonzero_bits). Each group of 64 mask bytes (the last
+/// one shorter) becomes a bitmap whose run edges are found with bit
+/// scans, so an empty or a full group costs one compare and a run two bit
+/// scans however long it is.
 template <class Fn>
 void for_each_valid_run(std::span<const std::uint8_t> mask, Fn&& fn) {
   constexpr std::uint64_t kAll = ~std::uint64_t{0};

@@ -4,9 +4,10 @@
 /// \file bitio.hpp
 /// \brief MSB-first bit-level writer/reader over byte buffers.
 ///
-/// Used by the Huffman coder (variable-length codes up to 64 bits) and the
-/// LZSS token stream. Codes are written most-significant-bit first so that
-/// canonical Huffman decoding can peek a fixed-width window.
+/// The reader serves the Huffman decoders. The writer is the reference the
+/// Huffman encoder's word writer is tested against (it writes the same
+/// bytes, a word at a time). Codes are written most-significant-bit first
+/// so that canonical Huffman decoding can peek a fixed-width window.
 ///
 /// Both sides batch through 64-bit accumulators: the writer flushes whole
 /// bytes from a pending word instead of assembling them bit by bit, and

@@ -12,7 +12,8 @@
 /// touches existing call sites.
 ///
 /// Contract: `compress` hands its payloads, which only this backend can
-/// read, to `write_container` (core/container.hpp) under its own tag;
+/// read, to `compress_payloads` (or `compress_per_level`) under its own
+/// tag, which writes them with `write_container` (core/container.hpp);
 /// `decompress` receives the reader positioned at the first payload plus
 /// the structural skeleton decoded from the header, and must fill every
 /// level's valid cells. Levels arrive zero-filled, so
@@ -78,7 +79,7 @@ class CompressorBackend {
   [[nodiscard]] virtual bool supports_level_payloads() const { return false; }
 
   /// Encodes one level as a standalone payload: exactly the payload this
-  /// backend's compress() hands write_container for `lv` when it is level
+  /// backend's compress() writes for `lv` when it is level
   /// `level` of a dataset compressed under `cfg`, so a container stitched
   /// from such payloads (selector byte = this backend's tag) decodes
   /// through decompress_level_payload(). The report's
@@ -98,10 +99,18 @@ class CompressorBackend {
       std::optional<lossless::CodecProfile> profile) const;
 };
 
-/// The writer of every built-in per-level backend (TAC, 1D, auto):
-/// encodes the levels concurrently through `encode(l)`, then hands them to
-/// write_container in level order. The container is byte-identical at any
-/// thread count.
+/// The writer of every backend: encodes payloads [0, npayloads) through
+/// `encode(i)` concurrently, with each level's mask blob (amr::mask_blob)
+/// packed beside them when the dataset is at least 1/64 valid and after
+/// them on the calling thread otherwise, then hands both to
+/// write_container, the payloads in order. The container is
+/// byte-identical at any thread count.
+[[nodiscard]] CompressedAmr compress_payloads(
+    Method method, const amr::AmrDataset& ds, std::size_t npayloads,
+    const std::function<LevelPayload(std::size_t i)>& encode);
+
+/// compress_payloads with one payload per level, payload l from
+/// `encode(l)`: the writer of every per-level backend (TAC, 1D, auto).
 [[nodiscard]] CompressedAmr compress_per_level(
     Method method, const amr::AmrDataset& ds,
     const std::function<LevelPayload(std::size_t level)>& encode);

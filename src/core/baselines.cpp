@@ -145,12 +145,12 @@ class ZMeshBackend final : public CompressorBackend {
     // One interleaved stream spanning every level: a single payload (and
     // a single level report), so decompress_level takes the full-decode
     // fallback for this backend.
-    const auto values = zmesh_gather(ds);
-    const auto [lo, hi] = dataset_valid_range(ds);
-    std::vector<LevelPayload> payload;
-    payload.push_back(stream_payload(Method::kZMesh, values,
-                                     sz::resolve_range_bound(cfg.sz, lo, hi)));
-    return write_container(Method::kZMesh, ds, std::move(payload));
+    return compress_payloads(Method::kZMesh, ds, 1, [&](std::size_t) {
+      const auto values = zmesh_gather(ds);
+      const auto [lo, hi] = dataset_valid_range(ds);
+      return stream_payload(Method::kZMesh, values,
+                            sz::resolve_range_bound(cfg.sz, lo, hi));
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(
@@ -178,20 +178,21 @@ class Upsample3DBackend final : public CompressorBackend {
     TAC_SPAN("upsample3d.compress");
     // Levels merge into one up-sampled uniform grid: a single payload, so
     // decompress_level takes the full-decode fallback here too.
-    const Array3D<double> uniform = amr::compose_uniform(ds);
-    const auto [lo, hi] = dataset_valid_range(ds);
-    const auto stream = sz::compress<double>(
-        uniform.span(), uniform.dims(),
-        sz::resolve_range_bound(cfg.sz, lo, hi));
-    std::vector<LevelPayload> payload(1);
-    LevelReport& lr = payload.front().report;
-    lr.method = Method::kUpsample3D;
-    lr.valid_cells = ds.total_valid();
-    lr.abs_error_bound = sz::peek(stream).abs_error_bound;
-    ByteWriter w;
-    w.put_blob(stream);
-    payload.front().bytes = w.take();
-    return write_container(Method::kUpsample3D, ds, std::move(payload));
+    return compress_payloads(Method::kUpsample3D, ds, 1, [&](std::size_t) {
+      const Array3D<double> uniform = amr::compose_uniform(ds);
+      const auto [lo, hi] = dataset_valid_range(ds);
+      const auto stream = sz::compress<double>(
+          uniform.span(), uniform.dims(),
+          sz::resolve_range_bound(cfg.sz, lo, hi));
+      LevelPayload payload;
+      payload.report.method = Method::kUpsample3D;
+      payload.report.valid_cells = ds.total_valid();
+      payload.report.abs_error_bound = sz::peek(stream).abs_error_bound;
+      ByteWriter w;
+      w.put_blob(stream);
+      payload.bytes = w.take();
+      return payload;
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

@@ -94,8 +94,14 @@ const char* to_string(Strategy s) {
   return "?";
 }
 
-CompressedAmr write_container(Method method, const amr::AmrDataset& ds,
-                              std::vector<LevelPayload> payloads) {
+CompressedAmr write_container(
+    Method method, const amr::AmrDataset& ds,
+    std::vector<LevelPayload> payloads,
+    const std::vector<std::vector<std::uint8_t>>& mask_blobs) {
+  if (mask_blobs.size() != ds.num_levels())
+    throw std::invalid_argument(
+        "write_container: " + std::to_string(mask_blobs.size()) +
+        " mask blobs for " + std::to_string(ds.num_levels()) + " levels");
   ByteWriter w;
   {
     TAC_SPAN("container.header_write");
@@ -106,7 +112,7 @@ CompressedAmr write_container(Method method, const amr::AmrDataset& ds,
     w.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
     w.put_varint(ds.num_levels());
     for (std::size_t l = 0; l < ds.num_levels(); ++l)
-      amr::write_level_record(w, ds.level(l));
+      amr::write_level_record(w, {ds.level(l).dims(), mask_blobs[l]});
   }
   // The index: every payload's length is known, so each entry is written
   // whole, its offset counted from the index end.

@@ -149,8 +149,12 @@ struct CompressedAmr;  // core/tac.hpp
 struct LevelPayload;   // core/backend.hpp
 
 /// The one container writer: lays out the v4 header (method, field,
-/// ratio, one amr level record per level), a payload index with one entry
-/// per element of `payloads`, then the payloads in order. Entry i records
+/// ratio, one amr level record per level, whose mask blob is
+/// `mask_blobs[l]`, amr::mask_blob of level l), a payload index with one
+/// entry per element of `payloads`, then the payloads in order. Throws
+/// std::invalid_argument unless there is one mask blob per level.
+/// Backends get both from compress_payloads (core/backend.hpp), which
+/// makes the mask blobs beside the payloads. Entry i records
 /// payload i's absolute offset, length and CRC32, the kFast codec profile
 /// (lossless::default_profile(), the encoder family of every stream a
 /// writer emits, the header's mask blobs included) and
@@ -162,7 +166,8 @@ struct LevelPayload;   // core/backend.hpp
 /// interleaves every level.
 [[nodiscard]] CompressedAmr write_container(
     Method method, const amr::AmrDataset& ds,
-    std::vector<LevelPayload> payloads);
+    std::vector<LevelPayload> payloads,
+    const std::vector<std::vector<std::uint8_t>>& mask_blobs);
 
 /// One level's structure as the header stores it: the grid extents and
 /// the still-compressed bit-packed mask (a few KB even for a 256^3

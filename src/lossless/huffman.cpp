@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
@@ -29,13 +31,97 @@ struct SymbolRange {
   }
 };
 
-SymbolRange scan_symbol_range(std::span<const std::uint32_t> symbols) {
-  SymbolRange r{symbols[0], symbols[0]};
-  for (const std::uint32_t s : symbols) {
-    if (s < r.min) r.min = s;
-    if (s > r.max) r.max = s;
+/// Sub-counters per symbol in count_dense: symbol i of the stream
+/// increments sub-counter i mod 4 of its slot, so a run of equal symbols
+/// (most quantization codes are the zero-residual code) spreads its
+/// increments over four counters instead of waiting on its own last store.
+constexpr std::size_t kSubCounters = 4;
+
+/// Symbols whose range sizes count_dense's first table.
+constexpr std::size_t kCountHead = 4096;
+
+/// count_dense's table: kSubCounters counters for each symbol of
+/// [lo, lo + width).
+struct DenseCounts {
+  std::span<std::uint32_t> slots;
+  std::uint32_t lo = 0;
+  std::uint64_t width = 0;
+
+  /// Widens the table to cover `s` as well, by up to its old width more
+  /// on the side that grew, so a range that keeps drifting is copied a
+  /// logarithmic number of times. False when that needs more than
+  /// kDenseRange symbols.
+  [[gnu::noinline]] bool widen(std::uint32_t s, ArenaScope& scratch) {
+    std::uint64_t new_lo = std::min<std::uint64_t>(lo, s);
+    std::uint64_t new_hi = std::max<std::uint64_t>(lo + width - 1, s);
+    if (new_hi - new_lo >= kDenseRange) return false;
+    const std::uint64_t slack =
+        std::min<std::uint64_t>(width, kDenseRange - 1 - (new_hi - new_lo));
+    if (s < lo)
+      new_lo -= std::min(new_lo, slack);
+    else
+      new_hi = std::min<std::uint64_t>(
+          new_hi + slack, std::numeric_limits<std::uint32_t>::max());
+    const auto grown = scratch.alloc_zero<std::uint32_t>(
+        static_cast<std::size_t>(new_hi - new_lo + 1) * kSubCounters);
+    std::memcpy(grown.data() + (lo - new_lo) * kSubCounters, slots.data(),
+                slots.size_bytes());
+    slots = grown;
+    lo = static_cast<std::uint32_t>(new_lo);
+    width = new_hi - new_lo + 1;
+    return true;
   }
-  return r;
+};
+
+/// Frequency of every symbol of `symbols`, as (count, symbol) pairs in
+/// ascending symbol order, from one pass over the stream: the table
+/// covers the range of the first kCountHead symbols, and a symbol outside
+/// it widens it. Returns false, leaving `freq_sym` empty, when the symbols
+/// span more than kDenseRange values (or the stream is too long for
+/// 32-bit sub-counters).
+bool count_dense(std::span<const std::uint32_t> symbols,
+                 std::vector<std::pair<std::uint64_t, std::uint32_t>>& freq_sym) {
+  const std::size_t n = symbols.size();
+  if (n / kSubCounters >= std::numeric_limits<std::uint32_t>::max())
+    return false;
+  const auto [head_lo, head_hi] = std::minmax_element(
+      symbols.begin(), symbols.begin() + std::min(n, kCountHead));
+  if (std::uint64_t{*head_hi} - *head_lo >= kDenseRange) return false;
+  ArenaScope scratch;
+  DenseCounts t;
+  t.lo = *head_lo;
+  t.width = std::uint64_t{*head_hi} - *head_lo + 1;
+  t.slots = scratch.alloc_zero<std::uint32_t>(
+      static_cast<std::size_t>(t.width) * kSubCounters);
+  // The table's fields in locals, which the counter stores cannot alias.
+  std::uint32_t* slot = t.slots.data();
+  std::uint32_t lo = t.lo;
+  std::uint64_t width = t.width;
+  const auto count = [&](std::uint32_t s, std::size_t k)
+      __attribute__((always_inline)) {
+        // Below lo the difference wraps past every width.
+        if (s - lo >= width) {
+          if (!t.widen(s, scratch)) return false;
+          slot = t.slots.data();
+          lo = t.lo;
+          width = t.width;
+        }
+        ++slot[(s - lo) * kSubCounters + k];
+        return true;
+      };
+  std::size_t i = 0;
+  for (; i + kSubCounters <= n; i += kSubCounters)
+    for (std::size_t k = 0; k < kSubCounters; ++k)
+      if (!count(symbols[i + k], k)) return false;
+  for (std::size_t k = 0; i < n; ++i, ++k)
+    if (!count(symbols[i], k)) return false;
+  for (std::size_t v = 0; v < t.width; ++v) {
+    std::uint64_t f = 0;
+    for (std::size_t k = 0; k < kSubCounters; ++k)
+      f += t.slots[v * kSubCounters + k];
+    if (f != 0) freq_sym.emplace_back(f, t.lo + static_cast<std::uint32_t>(v));
+  }
+  return true;
 }
 
 /// Computes optimal code lengths for the given (symbol, freq) pairs using
@@ -149,29 +235,31 @@ CanonicalCodes canonicalize(const HuffmanTable& table) {
 
 }  // namespace
 
-HuffmanTable huffman_build(std::span<const std::uint32_t> symbols) {
-  HuffmanTable table;
-  if (symbols.empty()) return table;
+namespace {
 
-  // Frequency count: dense array over the value range when it is compact
-  // (always true for quantization codes), hash map otherwise.
+/// A table and the exact length of the stream it encodes, in bits.
+struct Built {
+  HuffmanTable table;
+  std::uint64_t bits = 0;
+};
+
+Built build(std::span<const std::uint32_t> symbols) {
+  Built out;
+  if (symbols.empty()) return out;
+
+  // Frequency count: dense counters over the value range when it is
+  // compact (always true for quantization codes), hash map otherwise.
+  // Either way the pairs end up in ascending symbol order, the table's.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> freq_sym;
-  const SymbolRange range = scan_symbol_range(symbols);
-  if (range.width() <= kDenseRange) {
-    ArenaScope scratch;
-    const auto counts = scratch.alloc_zero<std::uint64_t>(
-        static_cast<std::size_t>(range.width()));
-    for (const std::uint32_t s : symbols) ++counts[s - range.min];
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      if (counts[i] != 0)
-        freq_sym.emplace_back(counts[i],
-                              range.min + static_cast<std::uint32_t>(i));
-  } else {
+  if (!count_dense(symbols, freq_sym)) {
     std::unordered_map<std::uint32_t, std::uint64_t> freq;
     for (const std::uint32_t s : symbols) ++freq[s];
     freq_sym.reserve(freq.size());
     for (const auto& [sym, f] : freq) freq_sym.emplace_back(f, sym);
+    std::sort(freq_sym.begin(), freq_sym.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
   }
+  const auto counted = freq_sym;
 
   // Length-limit by halving frequencies until the deepest code fits the
   // writer; depth > 57 needs pathological Fibonacci-like counts, so this
@@ -194,22 +282,56 @@ HuffmanTable huffman_build(std::span<const std::uint32_t> symbols) {
     sym_len[i] = {freq_sym[i].second, lengths[i]};
   std::sort(sym_len.begin(), sym_len.end());
 
+  HuffmanTable& table = out.table;
   table.symbols.reserve(sym_len.size());
   table.lengths.reserve(sym_len.size());
   for (const auto& [sym, len] : sym_len) {
     table.symbols.push_back(sym);
     table.lengths.push_back(len);
   }
-  return table;
+  for (std::size_t i = 0; i < counted.size(); ++i)
+    out.bits += counted[i].first * table.lengths[i];
+  return out;
 }
 
-std::vector<std::uint8_t> huffman_encode(
-    const HuffmanTable& table, std::span<const std::uint32_t> symbols) {
+/// huffman_encode into a buffer of `bytes`, the output's size when the
+/// caller knows it (it grows past that if needed).
+std::vector<std::uint8_t> encode(const HuffmanTable& table,
+                                 std::span<const std::uint32_t> symbols,
+                                 std::size_t bytes) {
   if (symbols.empty()) return {};
   const CanonicalCodes cc = canonicalize(table);
   const std::size_t n = table.symbols.size();
 
-  BitWriter bw;
+  // MSB-first bit packing by whole big-endian 64-bit words: the bytes
+  // BitWriter writes, without a store per byte or a branch per word. Each
+  // put stores the word that starts at the first unfinished byte, so the
+  // pending bits are always in memory, and moves on by the bytes it
+  // finished. The state lives in locals, not in an object the stores
+  // could alias, so it stays in registers.
+  std::vector<std::uint8_t> out(bytes + 8);
+  std::uint8_t* dst = out.data();
+  std::size_t end = out.size() - 8;  // the last byte a word may start at
+  std::size_t pos = 0;               // the first byte not yet finished
+  std::uint64_t acc = 0;             // its pending bits are the low fill
+  unsigned fill = 0;
+  // Appends the low `len` bits of `code`, 1 <= len <= 57, whose other
+  // bits are zero.
+  const auto put = [&](std::uint64_t code, unsigned len)
+      __attribute__((always_inline)) {
+        acc = acc << len | code;
+        fill += len;  // <= 7 + 57
+        if (pos > end) {
+          out.resize(out.size() * 2);
+          dst = out.data();
+          end = out.size() - 8;
+        }
+        const std::uint64_t be = __builtin_bswap64(acc << (64 - fill));
+        std::memcpy(dst + pos, &be, sizeof(be));
+        pos += fill / 8;
+        fill %= 8;
+      };
+
   const SymbolRange range{table.symbols.front(), table.symbols.back()};
   if (range.width() <= kDenseRange) {
     // Dense encode table indexed by (symbol - min): code<<6 | length.
@@ -220,33 +342,49 @@ std::vector<std::uint8_t> huffman_encode(
     for (std::size_t i = 0; i < n; ++i)
       enc[table.symbols[i] - range.min] =
           (cc.codes[i] << 6) | table.lengths[i];
-    // Two symbols per accumulator push: MSB-first writes concatenate, so
-    // write(a,la); write(b,lb) == write(a<<lb | b, la+lb) — identical
-    // stream, half the accumulator updates. Skewed quantization codes are
-    // 1-2 bits, so the combined length virtually always fits.
     const auto lookup = [&](std::uint32_t s) {
+      // Below min the difference wraps past the width.
       const std::uint64_t e =
-          (s >= range.min && s <= range.max) ? enc[s - range.min] : 0;
+          s - range.min < range.width() ? enc[s - range.min] : 0;
       if (e == 0)
         throw std::invalid_argument("huffman_encode: symbol not in table");
       return e;
     };
+    // Two table entries as one: code << 6 | length.
+    const auto join = [](std::uint64_t e1, std::uint64_t e2) {
+      const std::uint64_t len2 = e2 & 63u;
+      return ((e1 >> 6 << len2 | e2 >> 6) << 6) | ((e1 & 63u) + len2);
+    };
+    const auto put_pair = [&](std::uint64_t e1, std::uint64_t e2) {
+      if ((e1 & 63u) + (e2 & 63u) <= HuffmanTable::kMaxLen) {
+        const std::uint64_t e = join(e1, e2);
+        put(e >> 6, static_cast<unsigned>(e & 63u));
+      } else {
+        put(e1 >> 6, static_cast<unsigned>(e1 & 63u));
+        put(e2 >> 6, static_cast<unsigned>(e2 & 63u));
+      }
+    };
+    // Up to four symbols per put: MSB-first writes concatenate, so
+    // put(a, la); put(b, lb) == put(a << lb | b, la + lb). Skewed
+    // quantization codes are 1-2 bits, so four virtually always fit.
     std::size_t j = 0;
-    for (; j + 1 < symbols.size(); j += 2) {
+    for (; j + 4 <= symbols.size(); j += 4) {
       const std::uint64_t e1 = lookup(symbols[j]);
       const std::uint64_t e2 = lookup(symbols[j + 1]);
-      const unsigned len1 = static_cast<unsigned>(e1 & 63u);
-      const unsigned len2 = static_cast<unsigned>(e2 & 63u);
-      if (len1 + len2 <= 56) {
-        bw.write(((e1 >> 6) << len2) | (e2 >> 6), len1 + len2);
+      const std::uint64_t e3 = lookup(symbols[j + 2]);
+      const std::uint64_t e4 = lookup(symbols[j + 3]);
+      if ((e1 & 63u) + (e2 & 63u) + (e3 & 63u) + (e4 & 63u) <=
+          HuffmanTable::kMaxLen) {
+        const std::uint64_t e = join(join(e1, e2), join(e3, e4));
+        put(e >> 6, static_cast<unsigned>(e & 63u));
       } else {
-        bw.write(e1 >> 6, len1);
-        bw.write(e2 >> 6, len2);
+        put_pair(e1, e2);
+        put_pair(e3, e4);
       }
     }
-    if (j < symbols.size()) {
+    for (; j < symbols.size(); ++j) {
       const std::uint64_t e = lookup(symbols[j]);
-      bw.write(e >> 6, static_cast<unsigned>(e & 63u));
+      put(e >> 6, static_cast<unsigned>(e & 63u));
     }
   } else {
     std::unordered_map<std::uint32_t, std::pair<std::uint64_t, std::uint8_t>>
@@ -258,10 +396,23 @@ std::vector<std::uint8_t> huffman_encode(
       const auto it = enc.find(s);
       if (it == enc.end())
         throw std::invalid_argument("huffman_encode: symbol not in table");
-      bw.write(it->second.first, it->second.second);
+      put(it->second.first, it->second.second);
     }
   }
-  return bw.finish();
+  out.resize(pos + (fill + 7) / 8);
+  return out;
+}
+
+}  // namespace
+
+HuffmanTable huffman_build(std::span<const std::uint32_t> symbols) {
+  return build(symbols).table;
+}
+
+std::vector<std::uint8_t> huffman_encode(
+    const HuffmanTable& table, std::span<const std::uint32_t> symbols) {
+  // Every symbol takes at least one bit.
+  return encode(table, symbols, (symbols.size() + 7) / 8);
 }
 
 std::vector<std::uint32_t> huffman_decode_reference(
@@ -496,15 +647,16 @@ std::vector<std::uint8_t> huffman_compress(
   TAC_COUNTER_ADD("huffman.encode_symbols", symbols.size());
   ByteWriter w;
   w.put_varint(symbols.size());
-  HuffmanTable table;
+  Built built;
   {
     TAC_SPAN("huffman.build");
-    table = huffman_build(symbols);
+    built = build(symbols);
   }
-  w.put_blob(huffman_table_serialize(table));
+  w.put_blob(huffman_table_serialize(built.table));
   {
     TAC_SPAN_BYTES("huffman.encode", symbols.size_bytes());
-    w.put_blob(huffman_encode(table, symbols));
+    w.put_blob(encode(built.table, symbols,
+                      static_cast<std::size_t>((built.bits + 7) / 8)));
   }
   auto out = w.take();
   span.set_bytes(out.size());

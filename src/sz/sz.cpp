@@ -593,25 +593,67 @@ template <std::size_t G, class Cell>
   }
 }
 
-/// quantize() on four lanes, for the lane walk. `data` and `codes` point
-/// at cell 0 of the step's first block; lane k of vector g is block
-/// 4g + k. Counts each lane's quantized (non-outlier) cells.
+/// quantize() on four lanes, for the lane walks. `data` and `codes` point
+/// at the step's cell in lane 0; lane k of vector g reads and writes
+/// 4g + k lane strides further on. In the block lane walk the stride is
+/// one block volume, so lane 4g + k is block 4g + k; in the row lane walk
+/// it is the distance between two rows' cells of one step. Counts each
+/// lane's quantized (non-outlier) cells.
 template <std::size_t G>
 struct QuantizeLanes {
   const double* data;
   std::uint32_t* codes;
-  std::size_t vol;
+  std::size_t vol;  ///< the lane stride
   __m256d eb, two_eb, radius;
   __m256i quantized[G];
 
   [[gnu::always_inline]] __attribute__((target("avx2"))) __m256d operator()(
       std::size_t g, std::size_t i, __m256d pred) {
+    const double* v = data + 4 * g * vol + i;
+    const __m256d value = _mm256_set_pd(v[3 * vol], v[2 * vol], v[vol], v[0]);
+    const Lanes q = quantize(value, pred);
+    std::uint32_t* out = codes + 4 * g * vol + i;
+    out[0] = static_cast<std::uint32_t>(_mm_cvtsi128_si32(q.code));
+    out[vol] = static_cast<std::uint32_t>(_mm_extract_epi32(q.code, 1));
+    out[2 * vol] = static_cast<std::uint32_t>(_mm_extract_epi32(q.code, 2));
+    out[3 * vol] = static_cast<std::uint32_t>(_mm_extract_epi32(q.code, 3));
+    quantized[g] = _mm256_sub_epi64(quantized[g], _mm256_castpd_si256(q.ok));
+    return q.recon;
+  }
+
+  /// operator() on the lanes set in `active` only: the others read and
+  /// write no memory, count nothing and return +0.0.
+  [[gnu::always_inline]] __attribute__((target("avx2"))) __m256d masked(
+      std::size_t g, std::size_t i, __m256d pred, __m256d active) {
+    const auto s = static_cast<std::int64_t>(vol);
+    const __m256d value = _mm256_mask_i64gather_pd(
+        _mm256_setzero_pd(), data + 4 * g * vol + i,
+        _mm256_set_epi64x(3 * s, 2 * s, s, 0), active, 8);
+    const Lanes q = quantize(value, pred);
+    alignas(16) std::uint32_t code[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(code), q.code);
+    std::uint32_t* out = codes + 4 * g * vol + i;
+    const int on = _mm256_movemask_pd(active);
+    for (std::size_t k = 0; k < 4; ++k)
+      if ((on >> k & 1) != 0) out[k * vol] = code[k];
+    quantized[g] = _mm256_sub_epi64(
+        quantized[g], _mm256_castpd_si256(_mm256_and_pd(q.ok, active)));
+    return _mm256_and_pd(q.recon, active);
+  }
+
+ private:
+  struct Lanes {
+    __m128i code;  ///< q + radius, or 0 for an outlier
+    __m256d ok;    ///< the lanes that quantized
+    __m256d recon;  ///< the filtered reconstruction
+  };
+
+  [[gnu::always_inline]] __attribute__((target("avx2"))) Lanes quantize(
+      __m256d value, __m256d pred) const {
     const __m256d inf =
         _mm256_set1_pd(std::numeric_limits<double>::infinity());
     const __m256d abs_mask =
         _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-    const double* v = data + 4 * g * vol + i;
-    const __m256d value = _mm256_set_pd(v[3 * vol], v[2 * vol], v[vol], v[0]);
     const __m256d finite_value =
         _mm256_cmp_pd(_mm256_and_pd(value, abs_mask), inf, _CMP_LT_OQ);
     const __m256d q = _mm256_round_pd(
@@ -627,16 +669,10 @@ struct QuantizeLanes {
     const __m256d bounded = _mm256_cmp_pd(
         _mm256_and_pd(_mm256_sub_pd(recon, value), abs_mask), eb, _CMP_LE_OQ);
     const __m256d ok = _mm256_and_pd(in_range, bounded);
-    const __m128i code =
-        _mm256_cvtpd_epi32(_mm256_and_pd(_mm256_add_pd(q, radius), ok));
-    std::uint32_t* out = codes + 4 * g * vol + i;
-    out[0] = static_cast<std::uint32_t>(_mm_cvtsi128_si32(code));
-    out[vol] = static_cast<std::uint32_t>(_mm_extract_epi32(code, 1));
-    out[2 * vol] = static_cast<std::uint32_t>(_mm_extract_epi32(code, 2));
-    out[3 * vol] = static_cast<std::uint32_t>(_mm_extract_epi32(code, 3));
-    quantized[g] = _mm256_sub_epi64(quantized[g], _mm256_castpd_si256(ok));
     // An outlier keeps its exact value, read as 0 when it is not finite.
-    return _mm256_blendv_pd(_mm256_and_pd(value, finite_value), recon, ok);
+    return {_mm256_cvtpd_epi32(_mm256_and_pd(_mm256_add_pd(q, radius), ok)),
+            ok,
+            _mm256_blendv_pd(_mm256_and_pd(value, finite_value), recon, ok)};
   }
 };
 
@@ -669,6 +705,159 @@ __attribute__((target("avx2"))) void quantize_lanes(
   }
 }
 
+// ---------------------------------------------------------------------------
+// Row lane walk: the Lorenzo quantizer over eight rows of one block.
+//
+// A block that the block lane walk leaves (a stream's only block, or one
+// of its last nblocks mod 4) is one prediction chain in raster order, but
+// its rows need not wait for each other: row y + 1 reads row y's cells at
+// x - 1 and x only, so it can run kRowLag cells behind row y, as the rows
+// of a wave_rows front do. Lane k of a step's two vectors carries row
+// y0 + k of a front of eight rows at cell x = t - k * kRowLag. Lanes whose
+// cell lies outside the block (while a front ramps up and drains, and the
+// missing rows of a last front of fewer than eight) are masked off: they
+// touch no memory and hold +0.0, the west neighbour of the cell they
+// start at.
+// ---------------------------------------------------------------------------
+
+/// Rows per row-walk front: the lanes of two vectors.
+constexpr std::size_t kLaneRows = 8;
+
+/// Quantizes one block of a double Lorenzo stream with the row lane walk:
+/// fills its codes and returns its outlier count. `eb` must be > 0 and
+/// dims.nx > kRowLag.
+///
+/// The filtered reconstruction is kept per front, one step's eight lanes
+/// (a "diagonal" of the front) per 64 bytes, in two planes that alternate
+/// as z's and z - 1's; at z = 0 the other plane, not yet written, is the
+/// zero plane below the block. So the plane-below neighbours of a step
+/// are one aligned load, and its lanes store in one aligned store. The
+/// neighbours within the plane come from registers: lane k's cell on the
+/// row before is lane k - 1's of kRowLag steps ago, and lane 0's is lane
+/// 7's of the front before, or +0.0 in the first front.
+__attribute__((target("avx2"))) std::size_t quantize_rows(
+    const double* data, Dims3 dims, double eb, std::uint32_t radius,
+    std::uint32_t* codes) {
+  static_assert(kRowLag == 2, "the step keeps two steps of history");
+  const std::size_t nx = dims.nx;
+  const std::size_t ny = dims.ny;
+  constexpr std::size_t kRamp = (kLaneRows - 1) * kRowLag;
+  const std::size_t diagonals = nx + kRamp;
+  const std::size_t front_size = diagonals * kLaneRows;
+  const std::size_t plane = ceil_div(ny, kLaneRows) * front_size;
+  ArenaScope scratch;
+  // The arena's 64-byte alignment makes every diagonal aligned.
+  const auto ring = scratch.alloc_zero<double>(2 * plane);
+  // A step's cells lie one row on and kRowLag cells back from lane to lane.
+  QuantizeLanes<2> cell{data,
+                        codes,
+                        nx - kRowLag,
+                        _mm256_set1_pd(eb),
+                        _mm256_set1_pd(2.0 * eb),
+                        _mm256_set1_pd(static_cast<double>(radius)),
+                        {}};
+  const auto lag = static_cast<std::int64_t>(kRowLag);
+  const __m256i lane_lag[2] = {
+      _mm256_set_epi64x(3 * lag, 2 * lag, lag, 0),
+      _mm256_set_epi64x(7 * lag, 6 * lag, 5 * lag, 4 * lag)};
+  const __m256i lane_row[2] = {_mm256_set_epi64x(3, 2, 1, 0),
+                               _mm256_set_epi64x(7, 6, 5, 4)};
+  const __m256i width = _mm256_set1_epi64x(static_cast<std::int64_t>(nx));
+  const __m256i before = _mm256_set1_epi64x(-1);
+
+  for (std::size_t z = 0; z < dims.nz; ++z) {
+    double* cur = ring.data() + z % 2 * plane;
+    const double* below = ring.data() + (1 - z % 2) * plane;
+    for (std::size_t y0 = 0, f = 0; y0 < ny; y0 += kLaneRows, ++f) {
+      const std::size_t rows = std::min(kLaneRows, ny - y0);
+      const __m256i rows_v =
+          _mm256_set1_epi64x(static_cast<std::int64_t>(rows));
+      double* out = cur + f * front_size;
+      const double* in = below + f * front_size;
+      // Lane 7 of the front before: the row above lane 0, kRamp
+      // diagonals on.
+      const double* up = f == 0 ? nullptr : out - front_size + kRamp * kLaneRows + 7;
+      const double* up_below =
+          f == 0 ? nullptr : in - front_size + kRamp * kLaneRows + 7;
+      // Lane 0's cell at t = 0 in the block.
+      const std::size_t at = (z * ny + y0) * nx;
+      // Per vector: the reconstruction of the last two steps, and the
+      // neighbours the last step read, which are this step's west ones.
+      __m256d r1[2], r2[2], n1[2], b1[2], b2[2], nb1[2];
+      for (std::size_t g = 0; g < 2; ++g)
+        r1[g] = r2[g] = n1[g] = b1[g] = b2[g] = nb1[g] = _mm256_setzero_pd();
+      const auto step = [&]<bool kMasked>(std::size_t t)
+          __attribute__((always_inline, target("avx2"))) {
+            // The row above lane 0 at x = t, in this plane and below.
+            const bool top = up != nullptr && t < nx;
+            const __m256d fill_n =
+                _mm256_set1_pd(top ? up[t * kLaneRows] : 0.0);
+            const __m256d fill_nb =
+                _mm256_set1_pd(top ? up_below[t * kLaneRows] : 0.0);
+            // Lanes 0-3 of the second vector take lane 3 of the first.
+            const __m256d carry_n = _mm256_permute4x64_pd(r2[0], 0xFF);
+            const __m256d carry_nb = _mm256_permute4x64_pd(b2[0], 0xFF);
+            for (std::size_t g = 0; g < 2; ++g) {
+              __m256d active = _mm256_setzero_pd();
+              if constexpr (kMasked) {
+                const __m256i x = _mm256_sub_epi64(
+                    _mm256_set1_epi64x(static_cast<std::int64_t>(t)),
+                    lane_lag[g]);
+                active = _mm256_castsi256_pd(_mm256_and_si256(
+                    _mm256_and_si256(_mm256_cmpgt_epi64(x, before),
+                                     _mm256_cmpgt_epi64(width, x)),
+                    _mm256_cmpgt_epi64(rows_v, lane_row[g])));
+              }
+              // Lane k's north neighbour is lane k - 1's cell of kRowLag
+              // steps ago: rotate the lanes up by one and fill lane 0.
+              const __m256d n = _mm256_blend_pd(
+                  _mm256_permute4x64_pd(r2[g], 0x93), g == 0 ? fill_n : carry_n,
+                  1);
+              const __m256d nb = _mm256_blend_pd(
+                  _mm256_permute4x64_pd(b2[g], 0x93),
+                  g == 0 ? fill_nb : carry_nb, 1);
+              const __m256d b = _mm256_load_pd(in + t * kLaneRows + 4 * g);
+              // lorenzo_predict's order: W + N + B - NW - WB - NB + NWB.
+              __m256d p = _mm256_add_pd(r1[g], n);
+              p = _mm256_add_pd(p, b);
+              p = _mm256_sub_pd(p, n1[g]);
+              p = _mm256_sub_pd(p, b1[g]);
+              p = _mm256_sub_pd(p, nb);
+              p = _mm256_add_pd(p, nb1[g]);
+              __m256d r;
+              if constexpr (kMasked)
+                r = cell.masked(g, at + t, p, active);
+              else
+                r = cell(g, at + t, p);
+              _mm256_store_pd(out + t * kLaneRows + 4 * g, r);
+              r2[g] = r1[g];
+              r1[g] = r;
+              n1[g] = n;
+              b2[g] = b1[g];
+              b1[g] = b;
+              nb1[g] = nb;
+            }
+          };
+      // Row k runs cells t - k * kRowLag: the front ramps up until its
+      // last row starts, and drains once its first row is done.
+      const std::size_t steps = nx + (rows - 1) * kRowLag;
+      const bool full = rows == kLaneRows && nx > kRamp;
+      std::size_t t = 0;
+      for (; t < (full ? kRamp : steps); ++t) step.template operator()<true>(t);
+      if (full)
+        for (; t < nx; ++t) step.template operator()<false>(t);
+      for (; t < steps; ++t) step.template operator()<true>(t);
+    }
+  }
+  alignas(32) std::uint64_t quantized[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(quantized), cell.quantized[0]);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(quantized + 4),
+                     cell.quantized[1]);
+  std::size_t n = 0;
+  for (const std::uint64_t q : quantized) n += q;
+  return dims.volume() - n;
+}
+
 #endif  // TAC_SIMD_X86 && __GNUC__
 
 /// Vectors per wide lane-walk step (four blocks each). More vectors cover
@@ -678,19 +867,35 @@ __attribute__((target("avx2"))) void quantize_lanes(
 /// but took 6.3-6.8 ns/cell on 16^3 and 32^3.
 constexpr std::size_t kWideLanes = 2;
 
-/// How many leading blocks of a stream the lane walk quantizes: all but
-/// the last nblocks mod 4 of a double Lorenzo stream with a positive
-/// bound on an AVX2 host, else none.
+/// The smallest block extents the row lane walk takes. A narrower block
+/// spends most of each front ramping up and draining, and one of fewer
+/// rows leaves most lanes idle. Quantize alone, one block, one thread,
+/// 4-vCPU Xeon VM, row walk against block walk (ns/cell): 7x7x7 9.2 vs
+/// 11.8, 8x3x8 11.9 vs 12.6, 8^3 8.1 vs 11.6, 128^3 3.5 vs 9.7; but
+/// 6x4x4 12.3 vs 12.1, 5x8x8 11.2 vs 11.6, 4x8x8 13.7 vs 11.6 and
+/// 8x2x8 14.9 vs 13.9.
+constexpr std::size_t kRowWalkMinX = 7;
+constexpr std::size_t kRowWalkMinY = 3;
+static_assert(kRowWalkMinX > kRowLag, "quantize_rows needs nx > kRowLag");
+
+/// Which blocks of a stream the lane walks quantize. Both take double
+/// Lorenzo streams with a positive bound on an AVX2 host only.
+struct LaneWalks {
+  std::size_t blocks = 0;  ///< leading blocks on the block lane walk
+  bool rows = false;       ///< the rest on the row lane walk
+};
+
 template <class T>
-std::size_t lane_block_count([[maybe_unused]] std::size_t nblocks,
-                             [[maybe_unused]] double eb,
-                             [[maybe_unused]] bool hybrid) {
+LaneWalks lane_walks([[maybe_unused]] std::size_t nblocks,
+                     [[maybe_unused]] Dims3 dims, [[maybe_unused]] double eb,
+                     [[maybe_unused]] bool hybrid) {
 #if TAC_SIMD_X86 && defined(__GNUC__)
   if (std::is_same_v<T, double> && !hybrid && eb > 0 &&
       simd::active_level() == simd::Level::kAVX2)
-    return nblocks / 4 * 4;
+    return {nblocks / 4 * 4,
+            dims.nx >= kRowWalkMinX && dims.ny >= kRowWalkMinY};
 #endif
-  return 0;
+  return {};
 }
 
 /// Writes the stream header that every stream kind starts with, up to
@@ -829,15 +1034,27 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
   // pipeline this function runs thousands of times per container, and the
   // steady-state path performs no heap allocation at all.
   ArenaScope scratch;
-  const std::size_t lane_blocks = lane_block_count<T>(nblocks, abs_eb, hybrid);
+  const LaneWalks walks = lane_walks<T>(nblocks, dims, abs_eb, hybrid);
+  const std::size_t lane_blocks = walks.blocks;
   const auto codes = scratch.alloc<std::uint32_t>(data.size());
-  // The block walk's reconstruction, for the blocks the lane walk leaves.
-  const auto recon = scratch.alloc<T>((nblocks - lane_blocks) * vol);
+  // The block walk's reconstruction, for the blocks the lane walks leave.
+  const auto recon =
+      scratch.alloc<T>(walks.rows ? 0 : (nblocks - lane_blocks) * vol);
   const auto offsets = scratch.alloc<std::size_t>(nblocks + 1);
   std::vector<TilePlan> plans(hybrid ? nblocks : 0);
   {
     TAC_SPAN_BYTES("sz.quantize", data.size_bytes());
     const auto quantize_one = [&](std::size_t b) {
+#if TAC_SIMD_X86 && defined(__GNUC__)
+      if constexpr (std::is_same_v<T, double>) {
+        if (walks.rows) {
+          offsets[b + 1] =
+              quantize_rows(data.data() + b * vol, dims, abs_eb,
+                            cfg.quant_radius, codes.data() + b * vol);
+          return;
+        }
+      }
+#endif
       const TilePlan* plan = nullptr;
       if (hybrid) {
         plans[b] = plan_tiles(data.data() + b * vol, dims, cfg.pred_block);
@@ -848,6 +1065,9 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims3 dims,
           codes.data() + b * vol, recon.data() + (b - lane_blocks) * vol, plan);
     };
     TAC_COUNTER_ADD("sz.lane_blocks", lane_blocks);
+    TAC_COUNTER_ADD("sz.lane_rows", walks.rows ? (nblocks - lane_blocks) *
+                                                     dims.ny * dims.nz
+                                               : 0);
     if (lane_blocks == 0) {
       parallel_for(0, nblocks, quantize_one, grain_for(vol));
     } else {

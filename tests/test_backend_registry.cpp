@@ -234,16 +234,16 @@ class RawBackend final : public CompressorBackend {
 
   [[nodiscard]] CompressedAmr compress(const amr::AmrDataset& ds,
                                        const TacConfig&) const override {
-    std::vector<LevelPayload> payloads(ds.num_levels());
-    for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    return compress_per_level(kTag, ds, [&](std::size_t l) {
       const auto& data = ds.level(l).data;
       ByteWriter w;
       w.put_blob({reinterpret_cast<const std::uint8_t*>(data.span().data()),
                   data.size() * sizeof(double)});
-      payloads[l].bytes = w.take();
-      payloads[l].report.method = kTag;
-    }
-    return write_container(kTag, ds, std::move(payloads));
+      LevelPayload payload;
+      payload.bytes = w.take();
+      payload.report.method = kTag;
+      return payload;
+    });
   }
 
   [[nodiscard]] amr::AmrDataset decompress(

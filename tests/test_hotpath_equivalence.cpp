@@ -2,7 +2,7 @@
 /// \brief The SIMD/scalar contract: every dispatched hot path must produce
 /// byte-identical results at every size, including the awkward ones
 /// (empty, sub-vector-width, vector width +/- 1, page-ish). Also pins the
-/// Lorenzo and hybrid prediction walks and the AVX2 lane walk against
+/// Lorenzo and hybrid prediction walks and the AVX2 lane walks against
 /// raster-order references, the CRC32 known-answer vector, the Huffman
 /// up-front truncation check, and the arena's alignment and steady-state
 /// no-new-blocks guarantees.
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -343,16 +344,26 @@ std::uint64_t counter_value(const char* name) {
   return 0;
 }
 
-/// The AVX2 lane walk (four blocks per vector, wide steps of several
-/// vectors, then steps of one, then the last nblocks mod 4 blocks on the
-/// block walk) against the forced-scalar block walk and the raster
-/// reference, over block counts around both step widths, extents from
-/// 16^3 down to one cell, the code range's extremes, and data with NaN,
-/// +/-Inf, -0.0, spikes, and pairs of neighbours whose sum overflows.
-/// Around 2^40 a double's spacing (2^-12) is close to the bin width, so a
-/// prediction one rounding off changes codes there; with eb = 2^-11 a
-/// residual can sit exactly on the bound and exactly between two bins.
-TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
+/// How many blocks and block rows the AVX2 lane walks took in a sweep.
+struct LaneWalkRuns {
+  std::uint64_t blocks = 0;  ///< sz.lane_blocks: the block lane walk
+  std::uint64_t rows = 0;    ///< sz.lane_rows: the row lane walk
+};
+
+/// The AVX2 lane walks against the forced-scalar block walk and the
+/// raster reference, over every stream of `nblocks` blocks of `extents`,
+/// the code range's extremes, and data with NaN, +/-Inf, -0.0, spikes,
+/// and pairs of neighbours whose sum overflows. Around 2^40 a double's
+/// spacing (2^-12) is close to the bin width, so a prediction one
+/// rounding off changes codes there; with eb = 2^-11 a residual can sit
+/// exactly on the bound and exactly between two bins. Checks that each
+/// walk took the blocks it should: the block lane walk all but the last
+/// nblocks mod 4, the row lane walk those when they are at least 7 cells
+/// wide and 3 rows deep (kRowWalkMinX/Y in sz.cpp). Adds the blocks and
+/// rows each walk took to `runs`.
+void lane_walk_sweep(std::initializer_list<std::size_t> block_counts,
+                     std::initializer_list<Dims3> extents, std::uint32_t seed,
+                     LaneWalkRuns& runs) {
   ScalarGuard guard;
   const telemetry::Mode was = telemetry::set_mode(telemetry::Mode::kCounters);
   simd::force_scalar(false);
@@ -360,13 +371,8 @@ TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
   struct FieldBound {
     double base, eb;
   };
-  std::uint32_t seed = 500;
-  std::uint64_t lane_blocks = 0;
-  for (const std::size_t nblocks :
-       {1u, 2u, 3u, 4u, 5u, 15u, 16u, 17u, 33u})
-    for (const Dims3 dims : {Dims3{8, 8, 8}, Dims3{16, 16, 16},
-                             Dims3{7, 5, 4}, Dims3{1, 9, 3}, Dims3{2, 2, 2},
-                             Dims3{1, 1, 1}})
+  for (const std::size_t nblocks : block_counts)
+    for (const Dims3 dims : extents)
       for (const std::uint32_t radius : {2u, 32768u, 1u << 30})
         for (const auto [base, eb] :
              {FieldBound{100.0, 1e-2}, FieldBound{100.0, 1e-6},
@@ -385,16 +391,23 @@ TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
           simd::force_scalar(false);
           telemetry::reset_counters();
           const auto lanes = sz::compress<double>(data, dims, cfg, nblocks);
-          const std::uint64_t ran = counter_value("sz.lane_blocks");
-          lane_blocks += ran;
+          const std::uint64_t blocks = counter_value("sz.lane_blocks");
+          const std::uint64_t rows = counter_value("sz.lane_rows");
+          runs.blocks += blocks;
+          runs.rows += rows;
           const bool constant = dims.volume() * nblocks < 2;
-          EXPECT_EQ(ran, avx2 && !constant ? nblocks / 4 * 4 : 0) << where;
+          const bool lanes_run = avx2 && !constant;
+          EXPECT_EQ(blocks, lanes_run ? nblocks / 4 * 4 : 0) << where;
+          const bool rows_run = lanes_run && dims.nx >= 7 && dims.ny >= 3;
+          EXPECT_EQ(rows, rows_run ? nblocks % 4 * dims.ny * dims.nz : 0)
+              << where;
 
           simd::force_scalar(true);
           telemetry::reset_counters();
-          const auto blocks = sz::compress<double>(data, dims, cfg, nblocks);
+          const auto scalar = sz::compress<double>(data, dims, cfg, nblocks);
           EXPECT_EQ(counter_value("sz.lane_blocks"), 0u) << where;
-          EXPECT_EQ(lanes, blocks) << where;
+          EXPECT_EQ(counter_value("sz.lane_rows"), 0u) << where;
+          EXPECT_EQ(lanes, scalar) << where;
 
           std::size_t want_outliers = 0;
           const auto want = raster_lorenzo_reference(
@@ -410,9 +423,37 @@ TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
               << where;
         }
   telemetry::set_mode(was);
+}
+
+/// The block lane walk (four blocks per vector, wide steps of several
+/// vectors, then steps of one, then the last nblocks mod 4 blocks) over
+/// block counts around both step widths and extents from 16^3 down to
+/// one cell.
+TEST(HotpathEquivalence, LaneWalkMatchesBlockWalk) {
+  LaneWalkRuns runs;
+  lane_walk_sweep({1, 2, 3, 4, 5, 15, 16, 17, 33},
+                  {Dims3{8, 8, 8}, Dims3{16, 16, 16}, Dims3{7, 5, 4},
+                   Dims3{1, 9, 3}, Dims3{2, 2, 2}, Dims3{1, 1, 1}},
+                  500, runs);
   // The sweep reached the lane walk wherever the host has AVX2.
-  if (avx2) {
-    EXPECT_GT(lane_blocks, 0u);
+  if (simd::active_level() == simd::Level::kAVX2) {
+    EXPECT_GT(runs.blocks, 0u);
+  }
+}
+
+/// The row lane walk (eight rows of one block per step) over 1-, 2- and
+/// 3-block streams and the 1- and 3-block tails of 5- and 17-block ones:
+/// extents it leaves to the block walk (1x1x1, 2x9x3), its smallest
+/// (7x5x4, a front of five rows), several fronts with a partial last one
+/// (17x33x9) and rows much longer than a front's ramp (128x16x4).
+TEST(HotpathEquivalence, RowLaneWalkMatchesBlockWalk) {
+  LaneWalkRuns runs;
+  lane_walk_sweep({1, 2, 3, 5, 17},
+                  {Dims3{1, 1, 1}, Dims3{2, 9, 3}, Dims3{7, 5, 4},
+                   Dims3{17, 33, 9}, Dims3{128, 16, 4}},
+                  900, runs);
+  if (simd::active_level() == simd::Level::kAVX2) {
+    EXPECT_GT(runs.rows, 0u);
   }
 }
 

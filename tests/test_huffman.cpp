@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/bitio.hpp"
+#include "common/bytes.hpp"
 #include "lossless/huffman.hpp"
 
 namespace tac::lossless {
@@ -127,6 +132,158 @@ TEST_P(HuffmanParamTest, RoundTripSizeAlphabetSweep) {
   std::vector<std::uint32_t> syms(count);
   for (auto& s : syms) s = rng() % alphabet;
   EXPECT_EQ(roundtrip(syms), syms);
+}
+
+/// The payload huffman_encode must write, one BitWriter::write per
+/// symbol: canonical codes assigned in (length, symbol) order.
+std::vector<std::uint8_t> bitwriter_reference(
+    const HuffmanTable& table, const std::vector<std::uint32_t>& syms) {
+  std::vector<std::size_t> order(table.symbols.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return table.lengths[a] < table.lengths[b];
+  });
+  std::vector<std::pair<std::uint64_t, unsigned>> code(order.size());
+  std::uint64_t next = 0;
+  unsigned len = table.lengths[order.front()];
+  for (const std::size_t i : order) {
+    next <<= table.lengths[i] - len;
+    len = table.lengths[i];
+    code[i] = {next++, len};
+  }
+  BitWriter bw;
+  for (const std::uint32_t s : syms) {
+    const auto it =
+        std::lower_bound(table.symbols.begin(), table.symbols.end(), s);
+    const auto& [c, l] = code[static_cast<std::size_t>(it - table.symbols.begin())];
+    bw.write(c, l);
+  }
+  return bw.finish();
+}
+
+/// huffman_encode (a buffer that grows) and huffman_compress (a buffer
+/// presized from the histogram) against the BitWriter reference.
+void expect_writer_matches_reference(const HuffmanTable& table,
+                                     const std::vector<std::uint32_t>& syms,
+                                     bool table_from_syms) {
+  const auto want = bitwriter_reference(table, syms);
+  EXPECT_EQ(huffman_encode(table, syms), want) << syms.size() << " symbols";
+  if (!table_from_syms) return;
+  ByteWriter w;
+  w.put_varint(syms.size());
+  w.put_blob(huffman_table_serialize(table));
+  w.put_blob(want);
+  EXPECT_EQ(huffman_compress(syms), w.buffer()) << syms.size() << " symbols";
+}
+
+TEST(HuffmanWordWriter, SkewedAlphabetsMatchBitWriter) {
+  std::mt19937 rng(11);
+  for (const double p : {0.9, 0.6, 0.3, 0.05})
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                std::size_t{5}, std::size_t{63},
+                                std::size_t{1000}, std::size_t{100003}}) {
+      // Quantization-code-like: a peak at the radius, geometric tails on
+      // both sides, and rare zeros (outliers).
+      std::geometric_distribution<int> tail(p);
+      std::vector<std::uint32_t> syms(n);
+      for (auto& s : syms) {
+        const int k = tail(rng);
+        s = rng() % 500 == 0 ? 0u
+                             : static_cast<std::uint32_t>(
+                                   32768 + (rng() % 2 == 0 ? k : -k));
+      }
+      expect_writer_matches_reference(huffman_build(syms), syms, true);
+    }
+}
+
+TEST(HuffmanWordWriter, OneSymbolTable) {
+  // One symbol codes as one bit: 64 symbols end exactly on a word
+  // boundary, 65 one bit past it.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{8},
+                              std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, std::size_t{128},
+                              std::size_t{129}}) {
+    const std::vector<std::uint32_t> syms(n, 7);
+    const HuffmanTable table = huffman_build(syms);
+    ASSERT_EQ(table.symbols.size(), 1u);
+    expect_writer_matches_reference(table, syms, true);
+    EXPECT_EQ(huffman_encode(table, syms).size(), (n + 7) / 8);
+  }
+}
+
+TEST(HuffmanWordWriter, StreamsEndingOnAndPastAWordBoundary) {
+  // Symbol 10 codes in one bit, 20 and 30 in two.
+  const HuffmanTable table{{10, 20, 30}, {1, 2, 2}};
+  for (const std::size_t bits : {std::size_t{64}, std::size_t{65},
+                                 std::size_t{127}, std::size_t{128},
+                                 std::size_t{129}}) {
+    // bits - 2 one-bit symbols and one two-bit symbol.
+    std::vector<std::uint32_t> syms(bits - 2, 10);
+    syms.insert(syms.begin() + static_cast<std::ptrdiff_t>(syms.size() / 2),
+                30);
+    expect_writer_matches_reference(table, syms, false);
+    EXPECT_EQ(huffman_encode(table, syms).size(), (bits + 7) / 8);
+  }
+}
+
+TEST(HuffmanWordWriter, MaximumLengthCodes) {
+  // Lengths 1, 2, ..., 56, 57, 57: a complete code whose two longest
+  // codes take kMaxLen bits, written alone, in pairs and in fours.
+  HuffmanTable table;
+  for (unsigned len = 1; len <= HuffmanTable::kMaxLen; ++len) {
+    table.symbols.push_back(len);
+    table.lengths.push_back(static_cast<std::uint8_t>(len));
+  }
+  table.symbols.push_back(HuffmanTable::kMaxLen + 1);
+  table.lengths.push_back(HuffmanTable::kMaxLen);
+  std::mt19937 rng(12);
+  std::vector<std::uint32_t> syms;
+  for (int i = 0; i < 2000; ++i)
+    syms.push_back(rng() % 4 == 0 ? table.symbols[rng() % table.symbols.size()]
+                                  : (rng() % 2 == 0 ? 57u : 58u));
+  for (std::size_t k = 0; k < 9; ++k) syms.push_back(1);
+  expect_writer_matches_reference(table, syms, false);
+}
+
+TEST(HuffmanWordWriter, AbsentSymbolThrows) {
+  const std::vector<std::uint32_t> syms = {5, 5, 6, 9};
+  const HuffmanTable table = huffman_build(syms);
+  // Inside the table's range, below it, above it, and past a word.
+  for (const std::uint32_t bad : {7u, 4u, 10u, 0xFFFFFFFFu}) {
+    std::vector<std::uint32_t> in(70, 5);
+    in[67] = bad;
+    EXPECT_THROW((void)huffman_encode(table, in), std::invalid_argument)
+        << bad;
+  }
+  // The hash-map path, for an alphabet too wide for the dense table.
+  const HuffmanTable wide{{1, 1u << 20}, {1, 1}};
+  EXPECT_THROW((void)huffman_encode(wide, std::vector<std::uint32_t>{1, 2}),
+               std::invalid_argument);
+}
+
+TEST(HuffmanWordWriter, TableDependsOnlyOnFrequencies) {
+  // The counter table starts from the first 4096 symbols' range and
+  // widens; an order that widens it often, one that never does, and
+  // alphabets too wide for it (one fails at the start, one mid-stream)
+  // must all build the table of the same frequencies.
+  std::mt19937 rng(13);
+  for (const std::uint32_t spread : {100u, 30000u, 300000u}) {
+    std::vector<std::uint32_t> syms(50000);
+    for (auto& s : syms) s = 1000000 + rng() % 7;
+    for (std::size_t i = 4096; i < syms.size(); i += 97)
+      syms[i] = 1000000 - spread / 2 + rng() % spread;
+    auto sorted = syms;
+    std::sort(sorted.begin(), sorted.end());
+    auto reversed = sorted;
+    std::reverse(reversed.begin(), reversed.end());
+    const HuffmanTable table = huffman_build(syms);
+    for (const auto* other : {&sorted, &reversed}) {
+      const HuffmanTable t = huffman_build(*other);
+      EXPECT_EQ(t.symbols, table.symbols) << spread;
+      EXPECT_EQ(t.lengths, table.lengths) << spread;
+    }
+    expect_writer_matches_reference(table, syms, true);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
