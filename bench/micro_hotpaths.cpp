@@ -26,7 +26,9 @@
 /// against its block walk on a 3,391 x 8^3 stream), sz_lanes_single (its
 /// row lane walk against the block walk's wavefront on one 128^3 block),
 /// the valid_scan rows (AmrLevel mask scans against raster byte loops, on
-/// a sparse and a dense level), the sz_hybrid_roundtrip row (the hybrid
+/// a sparse and a dense level), the amr_io row (an .amr file of a 128^3
+/// two-level dataset written and read back in memory, timed alone), the
+/// sz_hybrid_roundtrip row (the hybrid
 /// predictor on the sz_roundtrip field), and the huffman_build and
 /// huffman_encode rows (the encode-side entropy stage, timed alone over
 /// the huffman_decode symbols).
@@ -49,6 +51,7 @@
 #include "amr/dataset.hpp"
 #include "lossless/huffman.hpp"
 #include "lossless/lzss.hpp"
+#include "simnyx/generator.hpp"
 #include "sz/sz.hpp"
 
 namespace {
@@ -399,6 +402,25 @@ KernelResult bench_valid_scan(const std::string& name,
   return r;
 }
 
+/// .amr save and load on the file `tac_file_tool gen <f> 128` writes: a
+/// 128^3 level about a quarter valid over a 64^3 level holding the rest.
+/// One round runs dataset_to_bytes then dataset_from_bytes; throughput is
+/// over the file's bytes. Report only: the row has no second path to
+/// race.
+KernelResult bench_amr_io() {
+  simnyx::GeneratorConfig gen;
+  gen.finest_dims = {128, 128, 128};
+  gen.level_densities = {0.23, 0.77};
+  gen.region_size = 8;
+  const amr::AmrDataset ds = simnyx::generate_baryon_density(gen);
+  const std::size_t bytes = amr::dataset_to_bytes(ds).size();
+  return timed("amr_io", bytes, [&] {
+    const auto file = amr::dataset_to_bytes(ds);
+    const amr::AmrDataset back = amr::dataset_from_bytes(file);
+    g_sink = g_sink + back.num_levels();
+  });
+}
+
 /// The byte mix the lossless stage actually sees: a Huffman-coded payload
 /// (mid entropy — exercises the incompressible-skip heuristic), packed
 /// sign/mode bits (long constant runs — exercises match emission), and a
@@ -585,6 +607,7 @@ int main() {
   results.push_back(bench_valid_scan("valid_scan", sparse_scan_level()));
   results.push_back(
       bench_valid_scan("valid_scan_dense", dense_scan_level()));
+  results.push_back(bench_amr_io());
   results.push_back(bench_arena_vs_heap());
   results.push_back(bench_telemetry_off_overhead());
 

@@ -7,7 +7,7 @@
 # than its level holds. File failures (a missing or directory input, an
 # output in a missing directory) must exit with code 3, and an .amr file
 # whose refinement ratio contradicts its level extents with code 4 on the
-# zMesh and 3D paths.
+# zMesh and 3D paths, as must an .amr file with too few values.
 #
 # Usage: test_cli_auto.sh <path-to-tac_file_tool>
 set -eu
@@ -152,5 +152,51 @@ for m in 3d zmesh; do
   grep -q "refinement ratio" err.log ||
     fail "ratio 4 .amr, --method=$m: untyped error: $(cat err.log)"
 done
+
+# An .amr file whose last value blob holds one value fewer than its mask's
+# valid cells is a corrupt file (exit 4), not a bad command line (exit 2).
+python3 - in.amr short.amr <<'PY'
+import sys
+d = open(sys.argv[1], "rb").read()
+pos = 5  # magic u32, version u8
+def varint():
+    global pos
+    v = shift = 0
+    while True:
+        b = d[pos]
+        pos += 1
+        v |= (b & 0x7F) << shift
+        shift += 7
+        if not b & 0x80:
+            return v
+def enc(v):
+    out = bytearray()
+    while True:
+        b, v = v & 0x7F, v >> 7
+        out.append(b | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+def skip_blob():
+    global pos
+    n = varint()
+    pos += n
+skip_blob()  # field name
+varint()  # refinement ratio
+for level in range(varint()):
+    for axis in range(3):
+        varint()
+    skip_blob()  # mask blob
+    at = pos
+    n = varint()
+    assert n >= 8 and n % 8 == 0, f"level {level}: value blob of {n} bytes"
+    pos += n
+assert pos == len(d), "trailing bytes after the last level"
+out = d[:at] + enc(n - 8) + d[pos - n:pos - 8]
+open(sys.argv[2], "wb").write(out)
+PY
+expect_exit 4 "short value blob .amr" "$TOOL" compress short.amr x.tac
+grep -q "values" err.log ||
+  fail "short value blob .amr: untyped error: $(cat err.log)"
+expect_exit 4 "short value blob .amr, info" "$TOOL" info short.amr
 
 echo "cli auto round-trip OK ($n payloads)"

@@ -7,10 +7,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/parallel.hpp"
 #include "lossless/codec.hpp"
 
 namespace tac::amr {
@@ -89,10 +91,6 @@ void write_level_record(ByteWriter& w, const LevelRecord& rec) {
   w.put_varint(rec.dims.ny);
   w.put_varint(rec.dims.nz);
   w.put_blob(rec.mask_blob);
-}
-
-void write_level_record(ByteWriter& w, const AmrLevel& lv) {
-  write_level_record(w, LevelRecord{lv.dims(), mask_blob(lv)});
 }
 
 std::vector<std::uint8_t> pack_mask(std::span<const std::uint8_t> mask) {
@@ -190,42 +188,167 @@ void advise_dense_runs(Array3D<T>& a, std::span<const std::uint8_t> packed) {
                       reinterpret_cast<std::uintptr_t>(a.data()), page, run),
       run);
 }
-}  // namespace
 
-AmrLevel level_from_record(const LevelRecord& rec, std::size_t level,
-                           const char* context) {
+/// The packed mask of `rec`: its decompressed blob, checked to hold
+/// ceil(volume/8) bytes before any level is allocated.
+std::vector<std::uint8_t> record_mask(const LevelRecord& rec,
+                                      std::size_t level,
+                                      const char* context) {
   const std::size_t volume = rec.dims.volume();
-  const auto packed = lossless::decompress(rec.mask_blob);
+  auto packed = lossless::decompress(rec.mask_blob);
   if (packed.size() < (volume + 7) / 8)
     throw std::runtime_error(
         std::string(context) + ": level " + std::to_string(level) +
         " mask holds " + std::to_string(packed.size()) + " bytes but its " +
         std::to_string(volume) + " cells need " +
         std::to_string((volume + 7) / 8));
-  AmrLevel lv(rec.dims);
+  return packed;
+}
+
+/// A zero level of extents `dims` that will hold the mask `packed`, as
+/// record_mask returns it, with huge pages hinted on the dense runs of
+/// each array. The mask is not unpacked yet.
+AmrLevel empty_level(Dims3 dims, std::span<const std::uint8_t> packed) {
+  AmrLevel lv(dims);
   advise_dense_runs(lv.data, packed);
   advise_dense_runs(lv.mask, packed);
+  return lv;
+}
+
+/// Set bits among the first `cells` bits of `packed` (LSB-first): the
+/// valid cells of the mask it holds. Bits past `cells` do not count, as
+/// unpack_mask_into ignores them.
+std::size_t count_valid(std::span<const std::uint8_t> packed,
+                        std::size_t cells) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  for (; i + 64 <= cells; i += 64) {
+    std::uint64_t word;
+    std::memcpy(&word, packed.data() + i / 8, sizeof(word));
+    // Without a popcount instruction in the baseline ISA, std::popcount
+    // is a dozen instructions: an empty word, most of a sparse mask,
+    // skips them.
+    if (word != 0) n += static_cast<std::size_t>(std::popcount(word));
+  }
+  for (; i < cells; ++i) n += (packed[i / 8] >> (i % 8)) & 1u;
+  return n;
+}
+
+/// The byte offset in a level's value blob of the first value of each
+/// kMinElementsPerChunk-cell chunk of the `cells`-cell mask `packed`,
+/// then the blob's whole length: 8 bytes per valid cell.
+std::vector<std::size_t> chunk_value_offsets(
+    std::span<const std::uint8_t> packed, std::size_t cells) {
+  std::vector<std::size_t> first(ceil_div(cells, kMinElementsPerChunk) + 1);
+  for (std::size_t c = 0; c + 1 < first.size(); ++c) {
+    const std::size_t base = c * kMinElementsPerChunk;
+    first[c + 1] = first[c] + sizeof(double) *
+                                  count_valid(packed.subspan(base / 8),
+                                              std::min(kMinElementsPerChunk,
+                                                       cells - base));
+  }
+  return first;
+}
+
+/// Unpacks `packed` into `lv`'s zero mask and copies `values`, the valid
+/// cells' doubles in raster order, straight into `lv.data`. The blob
+/// starts at any byte offset, so values move as bytes. The level goes in
+/// kMinElementsPerChunk-cell chunks, chunk c's values starting at
+/// `first[c]` (chunk_value_offsets), which run in parallel once the
+/// values fill two chunks.
+void fill_level(AmrLevel& lv, std::span<const std::uint8_t> packed,
+                std::span<const std::uint8_t> values,
+                std::span<const std::size_t> first) {
+  const std::size_t n = lv.mask.size();
+  const auto fill_chunk = [&](std::size_t c) {
+    // A chunk without values keeps its zero mask: a sparse level's empty
+    // pages are never touched, not even read.
+    if (first[c] == first[c + 1]) return;
+    const std::size_t base = c * kMinElementsPerChunk;
+    const auto mask = lv.mask.span().subspan(
+        base, std::min(kMinElementsPerChunk, n - base));
+    unpack_mask_into(packed.subspan(base / 8), mask);
+    auto* d = reinterpret_cast<std::uint8_t*>(lv.data.data() + base);
+    const std::uint8_t* src = values.data() + first[c];
+    for_each_valid_run(mask, [&](std::size_t lo, std::size_t hi) {
+      const std::size_t bytes = (hi - lo) * sizeof(double);
+      std::memcpy(d + lo * sizeof(double), src, bytes);
+      src += bytes;
+    });
+  };
+  const std::size_t chunks = first.size() - 1;
+  const bool wide =
+      values.size() >= 2 * kMinElementsPerChunk * sizeof(double);
+  parallel_for(0, chunks, fill_chunk, wide ? 1 : chunks);
+}
+
+/// An .amr file laid out before any value moves: the bytes ahead of level
+/// 0, and per level its record and value blob length. Each level's values
+/// follow its head.
+struct FileLayout {
+  std::vector<std::uint8_t> prefix;
+  std::vector<std::vector<std::uint8_t>> heads;
+  std::size_t size = 0;  ///< the whole file's bytes
+};
+
+FileLayout layout_file(const AmrDataset& ds) {
+  FileLayout out;
+  ByteWriter prefix;
+  prefix.put<std::uint32_t>(kMagic);
+  prefix.put<std::uint8_t>(kVersion);
+  prefix.put_string(ds.field_name());
+  prefix.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
+  prefix.put_varint(ds.num_levels());
+  out.prefix = prefix.take();
+  out.size = out.prefix.size();
+  for (const AmrLevel& lv : ds.levels()) {
+    const auto packed = pack_mask(lv.mask.span());
+    const std::size_t values = count_valid(packed, lv.mask.size());
+    ByteWriter head;
+    write_level_record(head,
+                       LevelRecord{lv.dims(), lossless::compress(packed)});
+    head.put_varint(values * sizeof(double));
+    out.size += head.size() + values * sizeof(double);
+    out.heads.push_back(head.take());
+  }
+  return out;
+}
+
+/// Hands the bytes of `ds`'s file, laid out by layout_file, to
+/// `sink(data, size)` in file order: each level's values go straight from
+/// its valid runs, one call per run.
+template <class Sink>
+void emit_file(const AmrDataset& ds, const FileLayout& layout, Sink&& sink) {
+  sink(layout.prefix.data(), layout.prefix.size());
+  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
+    const auto& head = layout.heads[l];
+    sink(head.data(), head.size());
+    const double* d = ds.level(l).data.data();
+    for_each_valid_run(ds.level(l).mask.span(),
+                       [&](std::size_t lo, std::size_t hi) {
+                         sink(reinterpret_cast<const std::uint8_t*>(d + lo),
+                              (hi - lo) * sizeof(double));
+                       });
+  }
+}
+}  // namespace
+
+AmrLevel level_from_record(const LevelRecord& rec, std::size_t level,
+                           const char* context) {
+  const auto packed = record_mask(rec, level, context);
+  AmrLevel lv = empty_level(rec.dims, packed);
   unpack_mask_into(packed, lv.mask.span());
   return lv;
 }
 
 std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds) {
-  ByteWriter w;
-  w.put<std::uint32_t>(kMagic);
-  w.put<std::uint8_t>(kVersion);
-  w.put_string(ds.field_name());
-  w.put_varint(static_cast<std::uint64_t>(ds.refinement_ratio()));
-  w.put_varint(ds.num_levels());
-  for (std::size_t l = 0; l < ds.num_levels(); ++l) {
-    const AmrLevel& lv = ds.level(l);
-    write_level_record(w, lv);
-    const auto values = lv.gather_valid();
-    std::span<const std::uint8_t> value_bytes{
-        reinterpret_cast<const std::uint8_t*>(values.data()),
-        values.size() * sizeof(double)};
-    w.put_blob(value_bytes);
-  }
-  return w.take();
+  const FileLayout layout = layout_file(ds);
+  std::vector<std::uint8_t> out;
+  out.reserve(layout.size);
+  emit_file(ds, layout, [&](const std::uint8_t* p, std::size_t n) {
+    out.insert(out.end(), p, p + n);
+  });
+  return out;
 }
 
 AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
@@ -246,14 +369,26 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
     const LevelRecord rec = read_level_record(r, l, "amr_io");
     if (l > 0)
       check_level_extents(levels.back().dims(), rec.dims, ratio, l, "amr_io");
-    AmrLevel lv = level_from_record(rec, l, "amr_io");
+    const auto packed = record_mask(rec, l, "amr_io");
+    // The values must fill the mask's valid cells exactly, checked before
+    // the level is allocated.
     const auto value_bytes = r.get_blob();
+    const std::string at = "amr_io: level " + std::to_string(l);
     if (value_bytes.size() % sizeof(double) != 0)
-      throw std::runtime_error("amr_io: bad value payload");
-    std::vector<double> values(value_bytes.size() / sizeof(double));
-    if (!value_bytes.empty())
-      std::memcpy(values.data(), value_bytes.data(), value_bytes.size());
-    lv.scatter_valid(values);
+      throw std::runtime_error(at + " value blob of " +
+                               std::to_string(value_bytes.size()) +
+                               " bytes is no whole number of values");
+    const std::size_t values = value_bytes.size() / sizeof(double);
+    const auto first = chunk_value_offsets(packed, rec.dims.volume());
+    const std::size_t valid = first.back() / sizeof(double);
+    if (values != valid)
+      throw std::runtime_error(at + " has too " +
+                               (values < valid ? "few" : "many") +
+                               " values: " + std::to_string(values) +
+                               " for " + std::to_string(valid) +
+                               " valid cells");
+    AmrLevel lv = empty_level(rec.dims, packed);
+    fill_level(lv, packed, value_bytes, first);
     levels.push_back(std::move(lv));
   }
   return AmrDataset(name, std::move(levels), ratio);
@@ -262,45 +397,100 @@ AmrDataset dataset_from_bytes(std::span<const std::uint8_t> bytes) {
 namespace {
 /// Largest read or write issued at once: bounded syscall sizes.
 constexpr std::size_t kIoChunk = std::size_t{1} << 20;  // 1 MiB
-}  // namespace
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+/// Opens `path` for reading and returns its size. Throws IoError when the
+/// file cannot be opened or sized (a directory cannot).
+std::size_t open_sized(const std::string& path, std::ifstream& f) {
+  f.open(path, std::ios::binary);
   if (!f) throw IoError("cannot open " + path);
   std::error_code ec;
   const std::uintmax_t size = std::filesystem::file_size(path, ec);
   if (ec) throw IoError("cannot size " + path + ": " + ec.message());
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
-    const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
-    f.read(reinterpret_cast<char*>(bytes.data() + pos),
+  return static_cast<std::size_t>(size);
+}
+
+/// Fills `out` from `f` in kIoChunk reads. Throws IoError when the file
+/// ends first.
+void read_chunks(std::ifstream& f, const std::string& path,
+                 std::span<std::uint8_t> out) {
+  for (std::size_t pos = 0; pos < out.size(); pos += kIoChunk) {
+    const std::size_t n = std::min(kIoChunk, out.size() - pos);
+    f.read(reinterpret_cast<char*>(out.data() + pos),
            static_cast<std::streamsize>(n));
     if (static_cast<std::size_t>(f.gcount()) != n)
       throw IoError("read failed: " + path);
   }
-  return bytes;
 }
 
-void write_file(const std::string& path,
-                std::span<const std::uint8_t> bytes) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw IoError("cannot open " + path);
+/// Writes `bytes` to `f` in kIoChunk writes. Throws IoError on a failed
+/// write.
+void write_chunks(std::ofstream& f, const std::string& path,
+                  std::span<const std::uint8_t> bytes) {
   for (std::size_t pos = 0; pos < bytes.size(); pos += kIoChunk) {
     const std::size_t n = std::min(kIoChunk, bytes.size() - pos);
     f.write(reinterpret_cast<const char*>(bytes.data() + pos),
             static_cast<std::streamsize>(n));
     if (!f) throw IoError("write failed: " + path);
   }
+}
+
+std::ofstream open_for_write(const std::string& path) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) throw IoError("cannot open " + path);
+  return f;
+}
+
+void finish_write(std::ofstream& f, const std::string& path) {
   f.flush();
   if (!f) throw IoError("write failed: " + path);
 }
+}  // namespace
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream f;
+  std::vector<std::uint8_t> bytes(open_sized(path, f));
+  read_chunks(f, path, bytes);
+  return bytes;
+}
+
+void write_file(const std::string& path,
+                std::span<const std::uint8_t> bytes) {
+  std::ofstream f = open_for_write(path);
+  write_chunks(f, path, bytes);
+  finish_write(f, path);
+}
 
 void save_dataset(const std::string& path, const AmrDataset& ds) {
-  write_file(path, dataset_to_bytes(ds));
+  const FileLayout layout = layout_file(ds);
+  std::ofstream f = open_for_write(path);
+  // Runs collect in one kIoChunk buffer, written whenever the next run
+  // would overflow it; a run of a chunk or more is written from the level.
+  const auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(kIoChunk);
+  std::size_t fill = 0;
+  const auto flush = [&] {
+    write_chunks(f, path, {buf.get(), fill});
+    fill = 0;
+  };
+  emit_file(ds, layout, [&](const std::uint8_t* p, std::size_t n) {
+    if (n > kIoChunk - fill) flush();
+    if (n >= kIoChunk) {
+      write_chunks(f, path, {p, n});
+      return;
+    }
+    std::memcpy(buf.get() + fill, p, n);
+    fill += n;
+  });
+  flush();
+  finish_write(f, path);
 }
 
 AmrDataset load_dataset(const std::string& path) {
-  return dataset_from_bytes(read_file(path));
+  // The read fills every byte of the buffer, so nothing zeroes it first.
+  std::ifstream f;
+  auto bytes =
+      Array3D<std::uint8_t>::for_overwrite({open_sized(path, f), 1, 1});
+  read_chunks(f, path, bytes.span());
+  return dataset_from_bytes(bytes.span());
 }
 
 }  // namespace tac::amr

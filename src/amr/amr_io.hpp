@@ -35,15 +35,25 @@ struct IoError : std::runtime_error {
 /// Throws IoError when the file cannot be opened or a write fails.
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes);
 
+/// An .amr file's bytes, in one allocation of the file's exact size: each
+/// level's valid runs are copied straight into place.
 [[nodiscard]] std::vector<std::uint8_t> dataset_to_bytes(const AmrDataset& ds);
-/// Parses an .amr file's bytes. Throws std::runtime_error (StructureError
-/// for a refinement ratio its level extents contradict) on bytes that do
-/// not hold a dataset.
+/// Parses an .amr file's bytes, each level's values copied straight from
+/// the file's value blob into the level's valid cells. Throws
+/// std::runtime_error (StructureError for a refinement ratio its level
+/// extents contradict) on bytes that do not hold a dataset, among them a
+/// value blob that is no whole number of doubles or holds fewer or more
+/// values than its level's mask has valid cells; those are checked before
+/// the level is allocated.
 [[nodiscard]] AmrDataset dataset_from_bytes(
     std::span<const std::uint8_t> bytes);
 
-/// write_file of dataset_to_bytes, and dataset_from_bytes of read_file.
+/// Writes the bytes of dataset_to_bytes to `path`, streaming the valid
+/// runs through one bounded buffer instead of building the file in
+/// memory. Throws IoError as write_file does.
 void save_dataset(const std::string& path, const AmrDataset& ds);
+/// dataset_from_bytes of the file at `path`, read into a buffer nothing
+/// zeroes first. Throws IoError as read_file does.
 [[nodiscard]] AmrDataset load_dataset(const std::string& path);
 
 /// Bit-packs a 0/1 mask LSB-first, the layout of a level record's mask.
@@ -94,9 +104,6 @@ inline constexpr std::size_t kMinLevelRecordBytes = 4;
 /// Appends the level record `rec` to `w`.
 void write_level_record(ByteWriter& w, const LevelRecord& rec);
 
-/// Appends `lv`'s level record to `w`, its mask blob made by mask_blob.
-void write_level_record(ByteWriter& w, const AmrLevel& lv);
-
 /// Reads the level record of level `level` and throws std::runtime_error,
 /// prefixed with `context`, when the cell count or the bytes a
 /// materialized level of that many cells needs (a double plus a mask byte
@@ -104,12 +111,13 @@ void write_level_record(ByteWriter& w, const AmrLevel& lv);
 [[nodiscard]] LevelRecord read_level_record(ByteReader& r, std::size_t level,
                                             const char* context);
 
-/// The one builder of a level from its record (container level skeletons
-/// and .amr loads): decompresses the mask blob and checks that it holds
-/// ceil(volume/8) bytes before the level is allocated (std::runtime_error
-/// naming `context` and `level` otherwise). Then it makes zero data and
-/// mask arrays, hints huge pages on the dense_page_runs of each, and
-/// unpacks the mask into them.
+/// The builder of a level from its record (container level skeletons;
+/// .amr loads take the same steps and fill the values as they unpack):
+/// decompresses the mask blob and checks that it holds ceil(volume/8)
+/// bytes before the level is allocated (std::runtime_error naming
+/// `context` and `level` otherwise). Then it makes zero data and mask
+/// arrays, hints huge pages on the dense_page_runs of each, and unpacks
+/// the mask into them.
 [[nodiscard]] AmrLevel level_from_record(const LevelRecord& rec,
                                          std::size_t level,
                                          const char* context);

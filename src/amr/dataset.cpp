@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/parallel.hpp"
 
 namespace tac::amr {
 
@@ -50,18 +53,61 @@ void AmrLevel::scatter_valid(std::span<const double> values) {
 }
 
 std::pair<double, double> AmrLevel::valid_range() const {
+  // Each chunk of kMinElementsPerChunk cells keeps its first valid value
+  // and the min/max of its values from its first non-NaN one on. Combined
+  // in raster order, that is the raster loop's rule: std::min/std::max
+  // keep their first argument unless the second compares strictly past
+  // it, so a leading NaN decides, later NaNs never win, and of equal
+  // extremes (±0.0) the first stays.
+  struct Part {
+    bool any = false;     // the chunk holds a valid cell
+    bool seeded = false;  // ... and a non-NaN one
+    double first = 0, lo = 0, hi = 0;
+  };
+  const std::size_t n = mask.size();
+  std::vector<Part> parts(ceil_div(n, kMinElementsPerChunk));
+  parallel_for(
+      0, parts.size(),
+      [&](std::size_t c) {
+        const std::size_t base = c * kMinElementsPerChunk;
+        const double* d = data.data() + base;
+        Part part;  // a local, kept in registers across the runs
+        for_each_valid_run(
+            mask.span().subspan(base,
+                                std::min(kMinElementsPerChunk, n - base)),
+            [&](std::size_t b, std::size_t e) {
+              if (!part.seeded) {
+                if (!part.any) {
+                  part.any = true;
+                  part.first = d[b];
+                }
+                while (b < e && std::isnan(d[b])) ++b;
+                if (b == e) return;
+                part.seeded = true;
+                part.lo = part.hi = d[b];
+              }
+              for (std::size_t i = b; i < e; ++i) {
+                part.lo = std::min(part.lo, d[i]);
+                part.hi = std::max(part.hi, d[i]);
+              }
+            });
+        parts[c] = part;
+      },
+      1);
   bool any = false;
   double lo = 0, hi = 0;
-  for_each_valid_run(mask.span(), [&](std::size_t b, std::size_t e) {
+  for (const Part& part : parts) {
+    if (!part.any) continue;
     if (!any) {
-      lo = hi = data[b];
+      if (std::isnan(part.first)) return {part.first, part.first};
       any = true;
+      lo = part.lo;
+      hi = part.hi;
+    } else if (part.seeded) {
+      lo = std::min(lo, part.lo);
+      hi = std::max(hi, part.hi);
     }
-    for (std::size_t i = b; i < e; ++i) {
-      lo = std::min(lo, data[i]);
-      hi = std::max(hi, data[i]);
-    }
-  });
+  }
   return {lo, hi};
 }
 

@@ -72,6 +72,16 @@ class Array3D {
     copy_from(values.data());
   }
 
+  /// Cells left unset, for a writer that fills every one (a file read):
+  /// nothing is zeroed, and a mapped array asks for huge pages on its
+  /// whole mapping, as the fill constructor's does.
+  [[nodiscard]] static Array3D for_overwrite(Dims3 dims) {
+    Array3D a;
+    a.dims_ = dims;
+    a.data_ = allocate(dims.volume(), /*zeroed=*/false);
+    return a;
+  }
+
   Array3D(const Array3D& other)
       : dims_(other.dims_), data_(allocate(other.size(), /*zeroed=*/false)) {
     copy_from(other.data_);

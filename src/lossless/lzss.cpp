@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
-#include "common/arena.hpp"
 #include "common/bitio.hpp"
 #include "common/bytes.hpp"
 
@@ -24,18 +24,27 @@ std::uint32_t hash4(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-/// Hash-head table that survives across calls on the same thread. Entries
-/// are generation-stamped: bumping `gen` invalidates every slot in O(1),
-/// so a tiny input no longer pays a 512 KB clear — the dominant cost when
-/// the level pipeline compresses thousands of small group streams.
-/// Positions occupy the low 40 bits (1 TB inputs), the generation the
-/// high 24.
+/// Hash-head table and chain links that survive across calls on the same
+/// thread. Entries are generation-stamped: bumping `gen` invalidates every
+/// slot in O(1), so a tiny input no longer pays a 512 KB clear — the
+/// dominant cost when the level pipeline compresses thousands of small
+/// group streams. Positions occupy the low 40 bits (1 TB inputs), the
+/// generation the high 24.
+///
+/// The link of position p sits in `prev[p % kWindow]`, a ring, so a call
+/// of any size takes no memory in proportion to its input. A walk reads
+/// the link of a candidate c only when p - c <= kWindow, and every
+/// position inserted by then lies below p, so the slot's next owner
+/// c + kWindow cannot have overwritten it yet.
 struct MatchTable {
   static constexpr unsigned kPosBits = 40;
   static constexpr std::uint64_t kPosMask =
       (std::uint64_t{1} << kPosBits) - 1;
 
   std::vector<std::uint64_t> head = std::vector<std::uint64_t>(kHashSize, 0);
+  // Read only in slots written during the same call: never zeroed.
+  std::unique_ptr<std::uint64_t[]> prev =
+      std::make_unique_for_overwrite<std::uint64_t[]>(kWindow);
   std::uint64_t gen = 0;
 
   void next_generation() {
@@ -113,12 +122,11 @@ std::vector<std::uint8_t> lzss2_compress(std::span<const std::uint8_t> input) {
 
   MatchTable& mt = MatchTable::local();
   mt.next_generation();
-  ArenaScope scratch;
-  const auto prev = scratch.alloc<std::uint64_t>(n);
+  std::uint64_t* const prev = mt.prev.get();
 
   const auto insert = [&](std::size_t p) {
     const std::uint32_t h = hash4(in + p);
-    prev[p] = mt.head[h];
+    prev[p % kWindow] = mt.head[h];
     mt.head[h] = mt.tag(p);
   };
   // Best chain match at `p` (length 0 when none reaches kMinMatch).
@@ -145,7 +153,7 @@ std::vector<std::uint8_t> lzss2_compress(std::span<const std::uint8_t> input) {
           if (len == limit || len >= kGoodEnough) break;
         }
       }
-      entry = prev[c];
+      entry = prev[c % kWindow];
       ++walked;
     }
     return best_len >= kMinMatch ? best_len : 0;

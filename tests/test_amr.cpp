@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,8 @@
 #include "amr/amr_io.hpp"
 #include "amr/dataset.hpp"
 #include "amr/uniform.hpp"
+#include "common/crc32.hpp"
+#include "common/parallel.hpp"
 #include "lossless/codec.hpp"
 
 namespace tac::amr {
@@ -333,6 +336,84 @@ TEST(MaskScanOracle, CellsAtChunkEdgesOfASparseLevel) {
   EXPECT_EQ(lv.valid_count(), 10u);
 }
 
+TEST(ValidRangeOracle, ChunkedScanKeepsTheRasterRule) {
+  // valid_range splits a level into kMinElementsPerChunk-cell chunks and
+  // combines them in raster order: a leading NaN decides, later NaNs
+  // never win, and among equal extremes (±0.0) the first one stays. 64^3
+  // cells make eight chunks, run across four workers.
+  const ParallelismGuard workers(4);
+  const std::size_t chunk = kMinElementsPerChunk;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto check = [](const AmrLevel& lv, const std::string& where) {
+    const auto [lo, hi] = lv.valid_range();
+    const auto [want_lo, want_hi] = raster_range(lv);
+    EXPECT_TRUE(same_bits(lo, want_lo)) << where << " lo " << lo;
+    EXPECT_TRUE(same_bits(hi, want_hi)) << where << " hi " << hi;
+  };
+
+  unsigned seed = 100;
+  for (const double density : {1e-4, 0.05, 0.5, 1.0}) {
+    AmrLevel lv = random_scan_level({64, 64, 64}, density, ++seed);
+    const std::string at = "density " + std::to_string(density);
+    check(lv, at + ", random");
+    std::vector<std::size_t> valid;
+    for (std::size_t i = 0; i < lv.mask.size(); ++i)
+      if (lv.mask[i]) valid.push_back(i);
+    ASSERT_FALSE(valid.empty());
+    // NaN at each chunk's first valid cell, the level's first one included.
+    AmrLevel starts = lv;
+    for (std::size_t c = 0; c * chunk < lv.mask.size(); ++c) {
+      const auto it =
+          std::lower_bound(valid.begin(), valid.end(), c * chunk);
+      if (it != valid.end()) starts.data[*it] = nan;
+    }
+    check(starts, at + ", NaN at chunk starts");
+    // The same but the level's first valid cell a number: only later
+    // NaNs, which never win.
+    starts.data[valid.front()] = 3.0;
+    check(starts, at + ", NaN at later chunk starts");
+    // NaN at the first valid cell only.
+    AmrLevel first = lv;
+    first.data[valid.front()] = -nan;
+    check(first, at + ", NaN first");
+    // NaN everywhere.
+    AmrLevel all = lv;
+    for (const std::size_t i : valid) all.data[i] = nan;
+    check(all, at + ", NaN everywhere");
+    // Zeros of both signs in every chunk, and as the extremes: the
+    // first zero in raster order must stay, whichever chunk holds it.
+    AmrLevel zeros = lv;
+    for (std::size_t k = 0; k < valid.size(); ++k)
+      zeros.data[valid[k]] = k % 3 == 0 ? 0.0 : k % 3 == 1 ? -0.0 : 1.0;
+    check(zeros, at + ", ±0.0 ties");
+    for (std::size_t k = 0; k < valid.size(); ++k)
+      zeros.data[valid[k]] = k % 2 ? 0.0 : -0.0;
+    if (valid.size() > 1) zeros.data[valid[1]] = -1.0;
+    check(zeros, at + ", ±0.0 ties at the top");
+    // ±Inf as the extremes, in the last chunk.
+    AmrLevel infs = lv;
+    infs.data[valid.back()] = -inf;
+    if (valid.size() > 1) infs.data[valid[valid.size() - 2]] = inf;
+    check(infs, at + ", ±Inf");
+  }
+
+  // Empty and single-cell levels, and a single valid cell at the start of
+  // a later chunk of a large level.
+  check(AmrLevel({64, 64, 64}), "empty level");
+  check(AmrLevel({0, 0, 0}), "no cells");
+  for (const double v : {nan, -0.0, 0.0, inf, -inf, 2.5}) {
+    AmrLevel one({1, 1, 1});
+    one.mask[0] = 1;
+    one.data[0] = v;
+    check(one, "single cell " + std::to_string(v));
+    AmrLevel late({64, 64, 64});
+    late.mask[5 * chunk] = 0x80;
+    late.data[5 * chunk] = v;
+    check(late, "lone cell at a chunk start " + std::to_string(v));
+  }
+}
+
 /// The maximal runs of nonzero bytes, found byte by byte.
 std::vector<std::pair<std::size_t, std::size_t>> raster_runs(
     std::span<const std::uint8_t> mask) {
@@ -499,6 +580,133 @@ TEST(AmrIo, CorruptMagicRejected) {
   auto bytes = dataset_to_bytes(ds);
   bytes[0] ^= 0xFF;
   EXPECT_THROW((void)dataset_from_bytes(bytes), std::runtime_error);
+}
+
+/// A three-level dataset named `name`: 4^3-cell blocks of a 16^3 level
+/// refined at random, the 8^3 level valid elsewhere, and a 4^3 level with
+/// no valid cell. The values are seeded and include NaN (one with a sign
+/// and a payload), ±Inf and −0.0.
+AmrDataset pinned_io_dataset(const std::string& name, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> u(-1e3, 1e3);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::bit_cast<double>(0xFFF8'0000'DEAD'BEEFull),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  const auto value = [&] {
+    return rng() % 8 == 0 ? specials[rng() % 5] : u(rng);
+  };
+  AmrLevel fine({16, 16, 16});
+  AmrLevel coarse({8, 8, 8});
+  for (std::size_t z = 0; z < 8; ++z)
+    for (std::size_t y = 0; y < 8; ++y)
+      for (std::size_t x = 0; x < 8; ++x) {
+        const std::size_t block = x / 2 + 4 * (y / 2) + 16 * (z / 2);
+        if ((0x9A3C'51E7'0F26'B48Dull >> block) & 1) {
+          for (std::size_t d = 0; d < 8; ++d) {
+            const std::size_t fx = 2 * x + d % 2;
+            const std::size_t fy = 2 * y + d / 2 % 2;
+            const std::size_t fz = 2 * z + d / 4;
+            fine.mask(fx, fy, fz) = 1;
+            fine.data(fx, fy, fz) = value();
+          }
+        } else {
+          coarse.mask(x, y, z) = 1;
+          coarse.data(x, y, z) = value();
+        }
+      }
+  std::vector<AmrLevel> levels;
+  levels.push_back(std::move(fine));
+  levels.push_back(std::move(coarse));
+  levels.emplace_back(Dims3{4, 4, 4});
+  return AmrDataset(name, std::move(levels));
+}
+
+bool same_level_bits(const AmrLevel& a, const AmrLevel& b) {
+  return a.dims() == b.dims() && a.mask == b.mask &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.data.size() * sizeof(double)) == 0;
+}
+
+TEST(AmrIo, WriterBytesArePinned) {
+  // Field names of 0 to 7 bytes start the value blobs at every offset
+  // modulo 8. The size and CRC-32 cover the eight files back to back.
+  std::size_t size = 0;
+  std::uint32_t crc = 0;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const AmrDataset ds =
+        pinned_io_dataset(std::string("density").substr(0, k),
+                          static_cast<unsigned>(k) + 1);
+    ASSERT_EQ(ds.validate(), "");
+    const auto bytes = dataset_to_bytes(ds);
+    size += bytes.size();
+    crc = crc32(bytes, crc);
+    const AmrDataset back = dataset_from_bytes(bytes);
+    EXPECT_EQ(dataset_to_bytes(back), bytes) << "name length " << k;
+    ASSERT_EQ(back.field_name(), ds.field_name());
+    ASSERT_EQ(back.num_levels(), ds.num_levels());
+    EXPECT_EQ(back.refinement_ratio(), ds.refinement_ratio());
+    for (std::size_t l = 0; l < ds.num_levels(); ++l)
+      EXPECT_TRUE(same_level_bits(back.level(l), ds.level(l)))
+          << "name length " << k << ", level " << l;
+  }
+  EXPECT_EQ(size, 148812u);
+  EXPECT_EQ(crc, 0x35b76aceu);
+}
+
+TEST(AmrIo, FilesHoldTheBytesOfTheInMemoryForms) {
+  // save_dataset streams runs through a 1 MiB buffer, or straight from the
+  // level when a run fills it; load_dataset fills levels in parallel once
+  // they hold two chunks of values. A 128^3 level valid but for one
+  // 2^3 box of cells, whose 2^3 coarse cell is valid, has runs of every
+  // kind: short, a few MiB long, and the last one to the level's end.
+  const ParallelismGuard workers(4);
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  AmrLevel fine({128, 128, 128});
+  AmrLevel coarse({64, 64, 64});
+  for (std::size_t i = 0; i < fine.mask.size(); ++i) {
+    fine.mask[i] = 1;
+    fine.data[i] = u(rng);
+  }
+  for (std::size_t z = 0; z < 2; ++z)
+    for (std::size_t y = 0; y < 2; ++y)
+      for (std::size_t x = 0; x < 2; ++x) {
+        fine.mask(60 + x, 70 + y, 80 + z) = 0;
+        fine.data(60 + x, 70 + y, 80 + z) = 0.0;
+      }
+  coarse.mask(30, 35, 40) = 1;
+  coarse.data(30, 35, 40) = 2.5;
+  std::vector<AmrLevel> levels;
+  levels.push_back(std::move(fine));
+  levels.push_back(std::move(coarse));
+  const AmrDataset big("big", std::move(levels));
+  ASSERT_EQ(big.validate(), "");
+
+  const std::string path = ::testing::TempDir() + "/tac_amr_io_big.amr";
+  for (const AmrDataset& ds : {big, pinned_io_dataset("density", 9)}) {
+    const auto bytes = dataset_to_bytes(ds);
+    save_dataset(path, ds);
+    EXPECT_EQ(read_file(path), bytes) << ds.field_name();
+    const AmrDataset back = load_dataset(path);
+    ASSERT_EQ(back.num_levels(), ds.num_levels());
+    for (std::size_t l = 0; l < ds.num_levels(); ++l)
+      EXPECT_TRUE(same_level_bits(back.level(l), ds.level(l)))
+          << ds.field_name() << ", level " << l;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Array3D, ForOverwriteLeavesCellsToTheWriter) {
+  // Below and above the size at which an array maps its own pages.
+  for (const std::size_t n : {std::size_t{100}, std::size_t{5} << 20}) {
+    auto a = Array3D<std::uint8_t>::for_overwrite({n, 1, 1});
+    EXPECT_EQ(a.dims(), (Dims3{n, 1, 1}));
+    ASSERT_EQ(a.span().size(), n);
+    std::memset(a.data(), 0x5A, n);
+    EXPECT_EQ(a[n - 1], 0x5A);
+  }
+  EXPECT_TRUE(Array3D<double>::for_overwrite({0, 0, 0}).empty());
 }
 
 TEST(MaskPack, RoundTripOddSizes) {

@@ -8,6 +8,7 @@
 
 #include "common/bitio.hpp"
 #include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "lossless/codec.hpp"
 #include "lossless/lzss.hpp"
 
@@ -83,6 +84,68 @@ TEST(Lzss, MatchBeyondWindowNotUsed) {
   for (int i = 0; i < 70000; ++i) in.push_back(static_cast<std::uint8_t>(rng()));
   in.insert(in.end(), phrase.begin(), phrase.end());
   EXPECT_EQ(lzss2_decompress(lzss2_compress(in)), in);
+}
+
+/// `n` bytes of `rng` output from an alphabet of `symbols` values: small
+/// alphabets make long hash chains, 256 makes noise.
+std::vector<std::uint8_t> random_bytes(std::mt19937& rng, std::size_t n,
+                                       unsigned symbols) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng() % symbols);
+  return out;
+}
+
+TEST(Lzss, MatchAtExactlyTheWindowIsUsed) {
+  // 64 KiB of noise, then the same 64 KiB again: every match of the copy
+  // lies exactly 65536 bytes back, the farthest a chain walk may reach.
+  std::mt19937 rng(11);
+  const auto noise = random_bytes(rng, std::size_t{1} << 16, 256);
+  auto in = noise;
+  in.insert(in.end(), noise.begin(), noise.end());
+  const auto c = lzss2_compress(in);
+  EXPECT_EQ(lzss2_decompress(c), in);
+  EXPECT_LT(c.size(), in.size() / 2 + in.size() / 64);
+  EXPECT_EQ(c.size(), 66087u);
+  EXPECT_EQ(crc32(c), 0xf7eff406u);
+}
+
+TEST(Lzss, StreamsOfSeveralWindowsArePinned) {
+  // Inputs of several windows with short and long chains, and large and
+  // small calls alternating on one thread: each compressed stream's size
+  // and CRC-32 stay those of the writer that kept a link per input byte.
+  std::mt19937 rng(12);
+  std::vector<std::vector<std::uint8_t>> inputs;
+  for (const unsigned symbols : {2u, 5u, 256u}) {
+    inputs.push_back(random_bytes(rng, 5 * (std::size_t{1} << 16) + 17,
+                                  symbols));
+    inputs.push_back(random_bytes(rng, 300, symbols));
+  }
+  // A phrase repeated with a period just above and just below the window.
+  const auto phrase = random_bytes(rng, 4096, 256);
+  const std::size_t period = (std::size_t{1} << 16) - phrase.size();
+  std::vector<std::uint8_t> periodic;
+  for (int k = 0; k < 6; ++k) {
+    periodic.insert(periodic.end(), phrase.begin(), phrase.end());
+    const auto gap = random_bytes(rng, k % 2 ? period + 1 : period - 1, 256);
+    periodic.insert(periodic.end(), gap.begin(), gap.end());
+  }
+  inputs.push_back(periodic);
+  std::size_t size = 0;
+  std::uint32_t crc = 0;
+  for (int pass = 0; pass < 2; ++pass)
+    for (const auto& in : inputs) {
+      const auto c = lzss2_compress(in);
+      ASSERT_EQ(lzss2_decompress(c), in);
+      if (pass == 0) {
+        size += c.size();
+        crc = crc32(c, crc);
+      } else {
+        // A second pass on the same thread writes the same bytes.
+        EXPECT_EQ(c, lzss2_compress(in));
+      }
+    }
+  EXPECT_EQ(size, 962131u);
+  EXPECT_EQ(crc, 0xafd0961du);
 }
 
 TEST(Lzss, TruncatedStreamThrows) {

@@ -301,10 +301,13 @@ TEST(HostileHeader, DimsVarintBitFlipThrowsBeforeAllocating) {
 // and bounds its level count by the bytes it holds.
 
 /// An .amr file declaring `nlevels` levels of which only the first is
-/// written: the given dims, a one-byte all-empty mask and no values.
+/// written: the given dims, a one-byte mask `packed_mask` (all empty by
+/// default) and a value blob of `value_bytes` bytes.
 std::vector<std::uint8_t> hand_built_amr(std::uint64_t nlevels,
                                          std::uint64_t nx, std::uint64_t ny,
-                                         std::uint64_t nz) {
+                                         std::uint64_t nz,
+                                         std::uint8_t packed_mask = 0x00,
+                                         std::size_t value_bytes = 0) {
   ByteWriter w;
   w.put<std::uint32_t>(0x524D4154);  // "TAMR"
   w.put<std::uint8_t>(1);
@@ -314,9 +317,9 @@ std::vector<std::uint8_t> hand_built_amr(std::uint64_t nlevels,
   w.put_varint(nx);
   w.put_varint(ny);
   w.put_varint(nz);
-  const std::uint8_t packed_mask[] = {0x00};
-  w.put_blob(lossless::compress(packed_mask));
-  w.put_blob({});  // no valid cells, no values
+  const std::uint8_t mask[] = {packed_mask};
+  w.put_blob(lossless::compress(mask));
+  w.put_blob(std::vector<std::uint8_t>(value_bytes, 0x3F));
   return w.take();
 }
 
@@ -326,6 +329,46 @@ TEST(HostileAmrFile, HandBuiltFileParses) {
   ASSERT_EQ(ds.num_levels(), 1u);
   EXPECT_EQ(ds.level(0).dims(), (Dims3{2, 2, 2}));
   EXPECT_EQ(ds.level(0).valid_count(), 0u);
+}
+
+TEST(HostileAmrFile, HandBuiltValuesParse) {
+  // Eight valid cells and eight values: the value cases below differ from
+  // this one only in the value blob's length.
+  const auto ds = amr::dataset_from_bytes(
+      hand_built_amr(1, 2, 2, 2, 0xFF, 8 * sizeof(double)));
+  ASSERT_EQ(ds.level(0).valid_count(), 8u);
+  EXPECT_EQ(ds.level(0).data[7], ds.level(0).data[0]);
+}
+
+/// Parsing `bytes` throws std::runtime_error (a corrupt file, not a
+/// caller's bad argument) and allocates under 1 MiB doing it.
+void expect_corrupt_amr(const std::vector<std::uint8_t>& bytes,
+                        const char* what) {
+  const std::size_t allocated = bytes_allocated_by([&] {
+    EXPECT_THROW((void)amr::dataset_from_bytes(bytes), std::runtime_error)
+        << what;
+  });
+  EXPECT_LT(allocated, std::size_t{1} << 20) << what;
+}
+
+TEST(HostileAmrFile, TooFewValuesThrow) {
+  expect_corrupt_amr(hand_built_amr(1, 2, 2, 2, 0xFF, 7 * sizeof(double)),
+                     "7 values for 8 valid cells");
+  expect_corrupt_amr(hand_built_amr(1, 2, 2, 2, 0x01, 0), "no values");
+}
+
+TEST(HostileAmrFile, TooManyValuesThrow) {
+  expect_corrupt_amr(hand_built_amr(1, 2, 2, 2, 0xFF, 9 * sizeof(double)),
+                     "9 values for 8 valid cells");
+  expect_corrupt_amr(hand_built_amr(1, 2, 2, 2, 0x00, sizeof(double)),
+                     "1 value for an empty level");
+}
+
+TEST(HostileAmrFile, ValueBlobOfPartialDoublesThrows) {
+  for (const std::size_t bytes : {std::size_t{63}, std::size_t{65},
+                                  std::size_t{1}})
+    expect_corrupt_amr(hand_built_amr(1, 2, 2, 2, 0xFF, bytes),
+                       "a value blob that is no whole number of doubles");
 }
 
 TEST(HostileAmrFile, OversizedDimsThrowBeforeAllocating) {
